@@ -25,11 +25,19 @@
 #                                and a schema-valid metrics snapshot.
 #   bin/lint.sh simplex-check -- LP-core gate only: the sparse-LU
 #                                property suite (L·U=P·B, ftran/btran,
-#                                update-vs-refactor), the simplex
-#                                fixtures, and a 50-instance mini
-#                                differential (sparse vs frozen dense
-#                                reference, warm vs cold) at the pinned
-#                                seed.
+#                                update-vs-refactor, up to m = 300), the
+#                                pinned FX70T root LP (iterations,
+#                                objective bits, x digest, minor words
+#                                per iteration), the simplex fixtures,
+#                                and a 50-instance mini differential
+#                                (sparse vs frozen dense reference, warm
+#                                vs cold) at the pinned seed.
+#   bin/lint.sh perf-smoke    -- benchmark gate only: sh perfbench/smoke.sh,
+#                                every BENCHMARK.json workload at 1/20
+#                                scale, untraced and traced, each passing
+#                                its correctness checks and printing
+#                                exactly the declared metric names and
+#                                units.
 #   bin/lint.sh concheck      -- concurrency gate only: exhaust the
 #                                interleaving scenarios and race-detect
 #                                an instrumented 2-worker solve on the
@@ -222,16 +230,23 @@ EOF
 }
 
 simplex_check() {
-    echo "== simplex-check (LU properties, fixtures, 50-instance mini differential)"
+    echo "== simplex-check (LU properties, pinned FX70T root LP, fixtures, 50-instance mini differential)"
     seed="${RFLOOR_TEST_SEED:-2015}"
     RFLOOR_TEST_SEED="$seed" dune exec test/test_main.exe -- test simplex_core.lu
+    dune exec test/test_main.exe -- test simplex_core.root_lp
     RFLOOR_TEST_SEED="$seed" dune exec test/test_main.exe -- test milp.simplex
     # cases 3-5 of the differential suite are the LP-core trio (sparse
     # vs dense reference, warm child re-solves, cold-vs-warm B&B);
     # RFLOOR_SIMPLEX_DIFF=50 shrinks them to a smoke-sized sample
     RFLOOR_TEST_SEED="$seed" RFLOOR_SIMPLEX_DIFF=50 \
         dune exec test/test_main.exe -- test differential 3-5
-    echo "simplex-check passed (properties, fixtures, mini differential at seed $seed)"
+    echo "simplex-check passed (properties, pinned root LP, fixtures, mini differential at seed $seed)"
+}
+
+perf_smoke() {
+    echo "== perf-smoke (every benchmark workload at 1/20 scale)"
+    sh perfbench/smoke.sh
+    echo "perf-smoke passed"
 }
 
 portfolio_check() {
@@ -502,6 +517,11 @@ if [ "${1:-}" = "simplex-check" ]; then
     exit 0
 fi
 
+if [ "${1:-}" = "perf-smoke" ]; then
+    perf_smoke
+    exit 0
+fi
+
 if [ "${1:-}" = "concheck" ]; then
     concheck
     exit 0
@@ -549,6 +569,8 @@ portfolio_check
 trace_check
 
 bench_smoke
+
+perf_smoke
 
 serve_smoke
 

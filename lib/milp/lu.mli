@@ -4,11 +4,22 @@
     [factor] computes a left-looking (Gilbert–Peierls style) sparse LU
     with partial pivoting of the basis matrix [B] whose column [j] is
     the constraint column of the variable basic in position [j]:
-    [L·U = P·B] for a row permutation [P].  After a pivot the
+    [L·U = P·B] for a row permutation [P].  Each column is eliminated
+    only against the earlier pivot steps it actually reaches, taken in
+    ascending step order from a min-heap.  After a pivot the
     factorization is extended with a product-form eta instead of being
     recomputed ({!update}); {!needs_refactor} reports when the eta file
     has grown past its cap, accumulated fill, or absorbed a pivot too
     small to be trusted — the caller then refactorizes from scratch.
+
+    Storage is flat: [L], [U] and the eta file are each one
+    compressed-sparse-column (CSC) triple of a per-column start offset
+    into a shared [int array] of indices and an unboxed [float array]
+    of values, grown in place by doubling.  The solves are plain loops
+    over those arrays and allocate nothing.  The order of the entries
+    inside a column fixes the order of btran's accumulations and is
+    kept stable: [L] in reverse order of first touch, [U] by descending
+    step, etas by ascending position.
 
     Vector index conventions (dimension [m] throughout):
     - {!ftran} solves [B·w = b]: input indexed by original row, result

@@ -64,11 +64,16 @@ let instruments reg =
 module P = struct
   (* Columns are laid out as: structural vars [0, n), slacks [n, n+m),
      artificials [n+m, n+2m).  Slack and artificial columns are unit
-     vectors and never stored explicitly. *)
+     vectors and never stored explicitly.  Structural columns are CSC:
+     column v's rows and coefficients sit at
+     col_row/col_val.(col_start.(v) .. col_start.(v+1) - 1), in
+     constraint order. *)
   type t = {
     n : int;
     m : int;
-    cols : (int * float) array array; (* structural sparse columns *)
+    col_start : int array;
+    col_row : int array;
+    col_val : float array;
     cost : float array; (* minimization costs for structural vars *)
     dir : Lp.dir;
     obj_constant : float;
@@ -83,12 +88,24 @@ module P = struct
   let of_lp lp =
     let n = Lp.num_vars lp in
     let m = Lp.num_constrs lp in
-    let cols_acc = Array.make n [] in
+    let col_start = Array.make (n + 1) 0 in
     let b = Array.make m 0. in
     Lp.iter_constrs lp (fun i terms _ rhs ->
         b.(i) <- rhs;
-        List.iter (fun (c, v) -> cols_acc.(v) <- (i, c) :: cols_acc.(v)) terms);
-    let cols = Array.map (fun l -> Array.of_list (List.rev l)) cols_acc in
+        List.iter (fun (_, v) -> col_start.(v + 1) <- col_start.(v + 1) + 1) terms);
+    for v = 0 to n - 1 do
+      col_start.(v + 1) <- col_start.(v + 1) + col_start.(v)
+    done;
+    let col_row = Array.make col_start.(n) 0 in
+    let col_val = Array.make col_start.(n) 0. in
+    let next = Array.sub col_start 0 n in
+    Lp.iter_constrs lp (fun i terms _ _ ->
+        List.iter
+          (fun (c, v) ->
+            col_row.(next.(v)) <- i;
+            col_val.(next.(v)) <- c;
+            next.(v) <- next.(v) + 1)
+          terms);
     let dir = Lp.objective_dir lp in
     let sign = match dir with Lp.Minimize -> 1. | Lp.Maximize -> -1. in
     let cost = Array.init n (fun v -> sign *. Lp.objective_coeff lp v) in
@@ -109,7 +126,11 @@ module P = struct
         lb0.(n + i) <- l;
         ub0.(n + i) <- u);
     (* artificial bounds are set per-solve from the initial residual *)
-    { n; m; cols; cost; dir; obj_constant = Lp.objective_constant lp; b; lb0; ub0 }
+    { n; m; col_start; col_row; col_val; cost; dir;
+      obj_constant = Lp.objective_constant lp; b; lb0; ub0 }
+
+  (* The row of the unit column of slack or artificial [j]. *)
+  let unit_row t j = if j < t.n + t.m then j - t.n else j - t.n - t.m
 end
 
 module Basis = struct
@@ -143,10 +164,25 @@ type state = {
   t_worker : int;
 }
 
-let col_iter st j f =
-  let n = st.core.P.n in
-  if j < n then Array.iter (fun (r, c) -> f r c) st.core.P.cols.(j)
-  else f (if j < n + st.core.P.m then j - n else j - n - st.core.P.m) 1.
+(* The [Lu.factor] view of column [j]. *)
+let col_iter (core : P.t) j f =
+  if j < core.P.n then
+    for p = core.P.col_start.(j) to core.P.col_start.(j + 1) - 1 do
+      f core.P.col_row.(p) core.P.col_val.(p)
+    done
+  else f (P.unit_row core j) 1.
+
+(* r := r - xj * column j *)
+let sub_col (core : P.t) j xj r =
+  if j < core.P.n then
+    for p = core.P.col_start.(j) to core.P.col_start.(j + 1) - 1 do
+      let i = core.P.col_row.(p) in
+      r.(i) <- r.(i) -. (core.P.col_val.(p) *. xj)
+    done
+  else begin
+    let i = P.unit_row core j in
+    r.(i) <- r.(i) -. xj
+  end
 
 exception Singular_basis
 
@@ -155,7 +191,7 @@ let count_factor st reason =
   Rfloor_trace.lp_refactor st.trace ~worker:st.t_worker reason
 
 let factorize st reason =
-  match Lu.factor ~m:st.core.P.m (col_iter st) st.basis with
+  match Lu.factor ~m:st.core.P.m (col_iter st.core) st.basis with
   | lu ->
     st.lu <- lu;
     st.ecap <- base_eta_cap;
@@ -167,8 +203,7 @@ let compute_basics st =
   let m = st.core.P.m in
   let r = Array.copy st.core.P.b in
   for j = 0 to st.total - 1 do
-    if st.basic_row.(j) < 0 && st.x.(j) <> 0. then
-      col_iter st j (fun i c -> r.(i) <- r.(i) -. (c *. st.x.(j)))
+    if st.basic_row.(j) < 0 && st.x.(j) <> 0. then sub_col st.core j st.x.(j) r
   done;
   Lu.ftran st.lu r;
   for i = 0 to m - 1 do
@@ -191,7 +226,7 @@ let maybe_refactor st =
 (* w := B^-1 * column j *)
 let ftran st j =
   Array.fill st.w 0 st.core.P.m 0.;
-  col_iter st j (fun r c -> st.w.(r) <- st.w.(r) +. c);
+  sub_col st.core j (-1.) st.w;
   Lu.ftran st.lu st.w
 
 (* y := (B^-1)^T * cost_B, original-row indexed *)
@@ -209,15 +244,27 @@ let pivot_row st r =
   st.rho.(r) <- 1.;
   Lu.btran st.lu st.rho
 
-let reduced_cost st j =
-  let d = ref st.cost.(j) in
-  col_iter st j (fun r c -> d := !d -. (st.y.(r) *. c));
-  !d
+let[@inline] reduced_cost st j =
+  let core = st.core in
+  if j < core.P.n then begin
+    let d = ref st.cost.(j) in
+    for p = core.P.col_start.(j) to core.P.col_start.(j + 1) - 1 do
+      d := !d -. (st.y.(core.P.col_row.(p)) *. core.P.col_val.(p))
+    done;
+    !d
+  end
+  else st.cost.(j) -. st.y.(P.unit_row core j)
 
-let row_coef st j =
-  let a = ref 0. in
-  col_iter st j (fun r c -> a := !a +. (st.rho.(r) *. c));
-  !a
+let[@inline] row_coef st j =
+  let core = st.core in
+  if j < core.P.n then begin
+    let a = ref 0. in
+    for p = core.P.col_start.(j) to core.P.col_start.(j + 1) - 1 do
+      a := !a +. (st.rho.(core.P.col_row.(p)) *. core.P.col_val.(p))
+    done;
+    !a
+  end
+  else st.rho.(P.unit_row core j)
 
 (* Devex reference-framework weight update after a basis change: [q]
    enters, position [r] leaves, [arq] is the pivot element.  Uses the
@@ -246,42 +293,31 @@ let devex_update st r q arq =
 let price st ~bland =
   btran_costs st;
   let best = ref (-1) and best_sigma = ref 1. and best_score = ref 0. in
-  let consider j =
-    if st.basic_row.(j) < 0 && st.lb.(j) < st.ub.(j) then begin
-      let d = reduced_cost st j in
-      let at_lb = st.x.(j) <= st.lb.(j) +. feas_eps in
-      let at_ub = st.x.(j) >= st.ub.(j) -. feas_eps in
+  let j = ref 0 in
+  while !j < st.total && not (bland && !best >= 0) do
+    let jj = !j in
+    if st.basic_row.(jj) < 0 && st.lb.(jj) < st.ub.(jj) then begin
+      let d = reduced_cost st jj in
+      let at_lb = st.x.(jj) <= st.lb.(jj) +. feas_eps in
+      let at_ub = st.x.(jj) >= st.ub.(jj) -. feas_eps in
       let free = (not at_lb) && not at_ub in
-      let improving_dir =
-        if (at_lb || free) && d < -.dual_eps then Some 1.
-        else if (at_ub || free) && d > dual_eps then Some (-1.)
-        else None
+      (* improving direction, 0 for none *)
+      let sigma =
+        if (at_lb || free) && d < -.dual_eps then 1.
+        else if (at_ub || free) && d > dual_eps then -1.
+        else 0.
       in
-      match improving_dir with
-      | None -> false
-      | Some sigma ->
-        let score = if bland then 1. else d *. d /. st.dw.(j) in
+      if sigma <> 0. then begin
+        let score = if bland then 1. else d *. d /. st.dw.(jj) in
         if !best < 0 || score > !best_score then begin
-          best := j;
+          best := jj;
           best_sigma := sigma;
-          best_score := score;
-          true
+          best_score := score
         end
-        else false
-    end
-    else false
-  in
-  if bland then begin
-    try
-      for j = 0 to st.total - 1 do
-        if consider j then raise Exit
-      done
-    with Exit -> ()
-  end
-  else
-    for j = 0 to st.total - 1 do
-      ignore (consider j)
-    done;
+      end
+    end;
+    incr j
+  done;
   if !best < 0 then None else Some (!best, !best_sigma)
 
 type step = Step_ok | Step_unbounded
@@ -565,8 +601,7 @@ let solve_core ?max_iters ?lb ?ub ?basis_sink ?snapshot_sink ?instr
        phase-1 costs *)
     let resid = Array.copy core.P.b in
     for j = 0 to n + m - 1 do
-      if st.x.(j) <> 0. then
-        col_iter st j (fun r c -> resid.(r) <- resid.(r) -. (c *. st.x.(j)))
+      if st.x.(j) <> 0. then sub_col core j st.x.(j) resid
     done;
     let need_phase1 = ref false in
     for i = 0 to m - 1 do
@@ -642,13 +677,22 @@ let solve_core ?max_iters ?lb ?ub ?basis_sink ?snapshot_sink ?instr
 (* Dual simplex warm start *)
 
 (* Install a parent basis snapshot against the current bounds and try
-   to finish the solve with dual pivots.  Returns [None] whenever the
-   warm path cannot certify the result — the caller then falls back to
-   the cold two-phase solve. *)
+   to finish the solve with dual pivots.  Returns [Error reason]
+   whenever the warm path cannot certify the result — the caller then
+   falls back to the cold two-phase solve.  The reasons:
+   - "shape": the snapshot's dimensions differ from this problem's;
+   - "stale_basis": a basic column is out of range or repeated;
+   - "singular": the installed basis does not factor;
+   - "dual_infeasible": a reduced cost has the wrong sign at install;
+   - "dual_cap": the dual pivots hit their iteration cap;
+   - "no_entering": the dual ratio test found no eligible column;
+   - "tiny_pivot": the entering column's pivot element is too small;
+   - "overshoot": the entering variable would pass its own bound;
+   - "cleanup": the closing primal pass did not end optimal. *)
 let try_warm ~max_iters ~warm ?instr ~trace ~worker ~wlb ~wub
     ?basis_sink ?snapshot_sink (core : P.t) =
   let n = core.P.n and m = core.P.m in
-  if warm.Basis.bs_m <> m || warm.Basis.bs_nm <> n + m then None
+  if warm.Basis.bs_m <> m || warm.Basis.bs_nm <> n + m then Error "shape"
   else begin
     let st = make_state ?instr ~trace ~worker core wlb wub in
     Array.blit warm.Basis.bs_basis 0 st.basis 0 m;
@@ -658,7 +702,7 @@ let try_warm ~max_iters ~warm ?instr ~trace ~worker ~wlb ~wub
       if j < 0 || j >= st.total || st.basic_row.(j) >= 0 then valid := false
       else st.basic_row.(j) <- i
     done;
-    if not !valid then None
+    if not !valid then Error "stale_basis"
     else begin
       (* artificials are fixed out of a warm solve *)
       for i = 0 to m - 1 do
@@ -669,7 +713,7 @@ let try_warm ~max_iters ~warm ?instr ~trace ~worker ~wlb ~wub
       done;
       Array.blit core.P.cost 0 st.cost 0 n;
       match factorize st "warm" with
-      | exception Singular_basis -> None
+      | exception Singular_basis -> Error "singular"
       | () ->
         (* nonbasic values from the recorded statuses, clamped to the
            (possibly flipped) current bounds *)
@@ -711,12 +755,12 @@ let try_warm ~max_iters ~warm ?instr ~trace ~worker ~wlb ~wub
             end
           end
         done;
-        if not !dual_ok then None
+        if not !dual_ok then Error "dual_infeasible"
         else begin
           let dual_cap = min max_iters (200 + (2 * m)) in
           let dual_iters = ref 0 in
-          let ok = ref true and feasible = ref false in
-          while !ok && not !feasible do
+          let fail = ref None and feasible = ref false in
+          while Option.is_none !fail && not !feasible do
             (* most violated basic variable leaves *)
             let r = ref (-1) and viol = ref feas_eps and below = ref false in
             for i = 0 to m - 1 do
@@ -735,7 +779,7 @@ let try_warm ~max_iters ~warm ?instr ~trace ~worker ~wlb ~wub
               end
             done;
             if !r < 0 then feasible := true
-            else if !dual_iters >= dual_cap then ok := false
+            else if !dual_iters >= dual_cap then fail := Some "dual_cap"
             else begin
               incr dual_iters;
               btran_costs st;
@@ -773,11 +817,11 @@ let try_warm ~max_iters ~warm ?instr ~trace ~worker ~wlb ~wub
                   end
                 end
               done;
-              if !q < 0 then ok := false
+              if !q < 0 then fail := Some "no_entering"
               else begin
                 ftran st !q;
                 let wr = st.w.(!r) in
-                if abs_float wr <= pivot_eps then ok := false
+                if abs_float wr <= pivot_eps then fail := Some "tiny_pivot"
                 else begin
                   let out = st.basis.(!r) in
                   let target =
@@ -792,7 +836,7 @@ let try_warm ~max_iters ~warm ?instr ~trace ~worker ~wlb ~wub
                   then
                     (* the entering variable would overshoot its own
                        bound (needs a bound-flipping ratio test) *)
-                    ok := false
+                    fail := Some "overshoot"
                   else begin
                     st.iters <- st.iters + 1;
                     for i = 0 to m - 1 do
@@ -814,16 +858,16 @@ let try_warm ~max_iters ~warm ?instr ~trace ~worker ~wlb ~wub
               end
             end
           done;
-          if not !ok then None
-          else begin
+          match !fail with
+          | Some reason -> Error reason
+          | None -> (
             (* primal cleanup: normally zero iterations, but catches
                tolerance drift accumulated by the dual pivots *)
             st.degen_streak <- 0;
             match iterate st ~max_iters ~phase1:false with
             | Optimal ->
-              Some (finish_optimal st ?basis_sink ?snapshot_sink ())
-            | Iter_limit | Infeasible | Unbounded -> None
-          end
+              Ok (finish_optimal st ?basis_sink ?snapshot_sink ())
+            | Iter_limit | Infeasible | Unbounded -> Error "cleanup")
         end
     end
   end
@@ -872,24 +916,25 @@ module Core = struct
           x = Array.make t.P.n nan; iterations = 0 },
         None )
     else begin
-      let warm_result =
-        match warm with
-        | None -> None
-        | Some parent ->
-          try_warm ~max_iters:max_iters' ~warm:parent ?instr ~trace ~worker
-            ~wlb ~wub ~snapshot_sink:snap t
+      let cold () =
+        solve_core ?max_iters ?lb ?ub ~snapshot_sink:snap ?instr ~trace ~worker t
       in
-      match warm_result with
-      | Some outcome ->
-        (match instr with Some i -> R.Counter.incr i.i_warm | None -> ());
-        Rfloor_trace.lp_warm trace ~worker "dual";
-        (outcome, !snap)
-      | None ->
-        if Option.is_some warm then Rfloor_trace.lp_warm trace ~worker "fallback";
-        let outcome =
-          solve_core ?max_iters ?lb ?ub ~snapshot_sink:snap ?instr ~trace
-            ~worker t
-        in
+      let outcome =
+        match warm with
+        | None -> cold ()
+        | Some parent -> (
+          match
+            try_warm ~max_iters:max_iters' ~warm:parent ?instr ~trace ~worker
+              ~wlb ~wub ~snapshot_sink:snap t
+          with
+          | Ok outcome ->
+            (match instr with Some i -> R.Counter.incr i.i_warm | None -> ());
+            Rfloor_trace.lp_warm trace ~worker "dual";
+            outcome
+          | Error reason ->
+            Rfloor_trace.lp_warm trace ~worker ("fallback:" ^ reason);
+            cold ())
+      in
         (outcome, !snap)
     end
 end

@@ -99,5 +99,7 @@ module Core : sig
       whenever the warm path cannot certify the result.  On an optimal
       finish the returned {!Basis.t} snapshot seeds the children.
       [instr] counts factorizations, product-form updates and warm
-      starts; [trace]/[worker] emit [Lp_refactor]/[Lp_warm] events. *)
+      starts; [trace]/[worker] emit [Lp_refactor]/[Lp_warm] events,
+      the latter ["dual"] or ["fallback:<reason>"] (reasons listed at
+      {!Rfloor_trace.Event.payload}). *)
 end

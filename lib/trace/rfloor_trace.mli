@@ -60,8 +60,24 @@ module Event : sig
             factorization after a degenerate install) *)
     | Lp_warm of { result : string }
         (** a warm-started LP re-solve finished; [result] is ["dual"]
-            when the dual simplex ran from the parent basis and
-            ["fallback"] when the solve fell back to a cold start *)
+            when the dual simplex ran from the parent basis, and
+            ["fallback:<reason>"] when the solve fell back to a cold
+            start, with [<reason>] one of:
+            - ["shape"]: the parent snapshot has other dimensions;
+            - ["stale_basis"]: a basic column is out of range or
+              repeated;
+            - ["singular"]: the installed parent basis does not factor;
+            - ["dual_infeasible"]: a reduced cost has the wrong sign
+              under the child's bounds;
+            - ["dual_cap"]: the dual pivots reached their iteration cap;
+            - ["no_entering"]: the dual ratio test found no eligible
+              column (the child may be infeasible);
+            - ["tiny_pivot"]: the entering column's pivot element is
+              too small to trust;
+            - ["overshoot"]: the entering variable would pass its own
+              opposite bound;
+            - ["cleanup"]: the closing primal pass did not end
+              optimal. *)
     | Move of { module_name : string; src : string; dst : string }
         (** an online defragmentation relocated a placed module;
             [src]/[dst] are rectangle strings as printed by
@@ -266,7 +282,8 @@ val lp_refactor : t -> ?worker:int -> string -> unit
 
 val lp_warm : t -> ?worker:int -> string -> unit
 (** Emits an [Lp_warm] event (when enabled) recording how a
-    warm-started LP re-solve finished (["dual"] or ["fallback"]). *)
+    warm-started LP re-solve finished (["dual"] or
+    ["fallback:<reason>"], see {!Event.payload}). *)
 
 val move :
   t -> ?worker:int -> module_name:string -> src:string -> dst:string ->

@@ -569,6 +569,82 @@ let test_warm_dual_infeasible_falls_back () =
   Alcotest.(check int) "warm counter incremented" (warm_before + 1)
     (counter reg "rfloor_lp_warm_starts_total")
 
+(* Every warm fallback names its reason in the [Lp_warm] event, and
+   the cold re-solve still answers correctly. *)
+let test_warm_fallback_reasons () =
+  let warm_events trace_run =
+    let ring = Rfloor_trace.Ring.create () in
+    let trace = Rfloor_trace.create ~sink:(Rfloor_trace.Ring.sink ring) () in
+    let r = trace_run trace in
+    ( r,
+      List.filter_map
+        (fun (e : Rfloor_trace.Event.t) ->
+          match e.Rfloor_trace.Event.payload with
+          | Rfloor_trace.Event.Lp_warm { result } -> Some result
+          | _ -> None)
+        (Rfloor_trace.Ring.events ring) )
+  in
+  let check_reason what want (r, events) =
+    Alcotest.(check (list string)) what [ want ] events;
+    r
+  in
+  (* max x + y  s.t.  x + y <= 4,  x, y in [0, 3] *)
+  let lp = Lp.create ~name:"warm_reasons" () in
+  let x = Lp.add_var lp ~name:"x" ~lb:0. ~ub:3. () in
+  let y = Lp.add_var lp ~name:"y" ~lb:0. ~ub:3. () in
+  Lp.add_constr lp [ (1., x); (1., y) ] Lp.Le 4.;
+  Lp.set_objective lp Lp.Maximize [ (1., x); (1., y) ];
+  let core = Simplex.Core.of_lp lp in
+  let root_r, root_basis = Simplex.Core.solve_warm core in
+  check_float "root objective" 4. root_r.Simplex.objective;
+  let root = Option.get root_basis in
+  (* a snapshot of another problem's shape *)
+  let other = Lp.create ~name:"other" () in
+  let z = Lp.add_var other ~name:"z" ~lb:0. ~ub:5. () in
+  Lp.add_constr other [ (1., z) ] Lp.Le 7.;
+  Lp.set_objective other Lp.Maximize [ (1., z) ];
+  let other_core = Simplex.Core.of_lp other in
+  let r =
+    check_reason "mismatched snapshot" "fallback:shape"
+      (warm_events (fun trace ->
+           fst (Simplex.Core.solve_warm ~warm:root ~trace other_core)))
+  in
+  check_float "shape fallback objective" 5. r.Simplex.objective;
+  (* the same rows with the objective reversed: the root basis is dual
+     infeasible there *)
+  let flipped = Lp.create ~name:"warm_reasons_min" () in
+  let fx = Lp.add_var flipped ~name:"x" ~lb:0. ~ub:3. () in
+  let fy = Lp.add_var flipped ~name:"y" ~lb:0. ~ub:3. () in
+  Lp.add_constr flipped [ (1., fx); (1., fy) ] Lp.Le 4.;
+  Lp.set_objective flipped Lp.Minimize [ (-1., fx); (-2., fy) ];
+  let r =
+    check_reason "reversed objective" "fallback:dual_infeasible"
+      (warm_events (fun trace ->
+           fst
+             (Simplex.Core.solve_warm ~warm:root ~trace
+                (Simplex.Core.of_lp flipped))))
+  in
+  check_float "dual-infeasible fallback objective" (-7.) r.Simplex.objective;
+  (* both variables fixed at 3 break the row: the dual ratio test has
+     no column to bring in, and the cold solve proves infeasibility *)
+  let r =
+    check_reason "infeasible child" "fallback:no_entering"
+      (warm_events (fun trace ->
+           fst
+             (Simplex.Core.solve_warm ~lb:[| 3.; 3. |] ~ub:[| 3.; 3. |]
+                ~warm:root ~trace core)))
+  in
+  Alcotest.(check bool) "infeasible child" true (r.Simplex.status = Simplex.Infeasible);
+  (* positive control: a plain branching flip is served warm *)
+  let r =
+    check_reason "branching child" "dual"
+      (warm_events (fun trace ->
+           fst
+             (Simplex.Core.solve_warm ~lb:[| 0.; 0. |] ~ub:[| 3.; 0. |]
+                ~warm:root ~trace core)))
+  in
+  check_float "warm child objective" 3. r.Simplex.objective
+
 (* A solve that pivots past the eta cap must refactorize mid-solve:
    more than 64 product-form updates forces at least one periodic
    rebuild on top of the initial and final factorizations.  The
@@ -705,6 +781,8 @@ let suites =
         Alcotest.test_case "beale cycling fixture" `Quick test_simplex_beale_cycling;
         Alcotest.test_case "dual-infeasible warm start falls back" `Quick
           test_warm_dual_infeasible_falls_back;
+        Alcotest.test_case "warm fallbacks name their reason" `Quick
+          test_warm_fallback_reasons;
         Alcotest.test_case "eta cap forces mid-solve refactorization" `Quick
           test_refactor_trigger;
         Alcotest.test_case "ill-conditioned basis stays accurate" `Quick
