@@ -73,9 +73,17 @@
 #                                same trace as rfloor-service/1 frames
 #                                through the live service (>= 1 defrag
 #                                episode, zero error frames, final
-#                                layout matching the local replay), and
+#                                layout matching the local replay),
 #                                reject a seeded duplicate-add fixture
-#                                (RF702).
+#                                (RF702), run `test_main.exe test online`
+#                                (admission pinned to the original scan,
+#                                the pinned FX70T churn replay) and
+#                                `test_main.exe test 'bitstream.*'` (the
+#                                pinned image wire format and its
+#                                allocation bound), and relocate an area
+#                                off the FX70T in both directions, which
+#                                must exit 1 with a message and never an
+#                                "internal error".
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -490,7 +498,24 @@ EOF
     grep -q '"code":"RF702"' "$ltmp/defect.out" || {
         echo "online-check: duplicate add was accepted (RF702 lost)" >&2
         exit 1; }
-    echo "online-check passed (audits clean, $svc_episodes defrag episodes through the service, defects rejected)"
+    # 4. admission decisions and the FX70T churn replay pinned to the
+    #    original scan; the image wire format and its allocation pinned
+    dune exec test/test_main.exe -- test online
+    dune exec test/test_main.exe -- test 'bitstream.*'
+    # 5. out-of-device fixture: a source or target area off the FX70T is
+    #    refused with a message and exit 1, never an uncaught exception
+    for areas in "3,1,2,2 42,1,2,2" "42,1,2,2 3,1,2,2"; do
+        set -- $areas
+        status=0
+        dune exec bin/rfloor_cli.exe -- relocate --device fx70t \
+            --src "$1" --dst "$2" > "$ltmp/reloc.out" 2>&1 || status=$?
+        if [ "$status" -ne 1 ] || grep -q 'internal error' "$ltmp/reloc.out" \
+            || ! grep -q 'leaves the device' "$ltmp/reloc.out"; then
+            echo "online-check: relocate --src $1 --dst $2 exited $status:" >&2
+            cat "$ltmp/reloc.out" >&2; exit 1
+        fi
+    done
+    echo "online-check passed (audits clean, $svc_episodes defrag episodes through the service, defects rejected, admission and wire format pinned)"
 }
 
 if [ "${1:-}" = "online-check" ]; then

@@ -615,6 +615,13 @@ let relocate_cmd =
   let run device device_file src dst seed =
     let grid = load_device device device_file in
     let part = partition_of grid in
+    if
+      not
+        (Rect.within ~width:(Partition.width part)
+           ~height:(Partition.height part) src)
+    then
+      die "source area %s leaves the device %s" (Rect.to_string src)
+        (Grid.name grid);
     let img = Bitstream.Image.synthesize ~seed part src in
     Format.printf "synthesized %d frames at %s (CRC32 %08lx)@."
       (Bitstream.Image.frame_count img)

@@ -1,6 +1,7 @@
 type address = { column : int; region_row : int; minor : int }
 
 let words_per_frame = 41
+let payload_bytes = 4 * words_per_frame
 
 let pack_address { column; region_row; minor } =
   if column < 1 || column > 0xFFFF then invalid_arg "Frame.pack_address: column";
@@ -17,11 +18,11 @@ let unpack_address w =
     minor = Int32.to_int w land 0xFF;
   }
 
-type t = { addr : address; data : int32 array }
+type t = { addr : address; data : string }
 
 let compare_address a b = compare (a.column, a.region_row, a.minor) (b.column, b.region_row, b.minor)
 
-let equal a b = compare_address a.addr b.addr = 0 && a.data = b.data
+let equal a b = compare_address a.addr b.addr = 0 && String.equal a.data b.data
 
 let pp_address ppf a =
   Format.fprintf ppf "col=%d row=%d minor=%d" a.column a.region_row a.minor

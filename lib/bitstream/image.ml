@@ -3,16 +3,25 @@ open Device
 type t = { device : string; frames : Frame.t list }
 
 (* Small deterministic PRNG (xorshift) so payloads are reproducible and
-   position-independent. *)
-let mix seed a b c =
-  let x = ref (seed lxor (a * 0x9E3779B1) lxor (b * 0x85EBCA77) lxor (c * 0xC2B2AE3D)) in
-  x := !x lxor (!x lsl 13);
-  x := !x lxor (!x lsr 17);
-  x := !x lxor (!x lsl 5);
-  Int32.of_int (!x land 0xFFFFFFFF)
+   position-independent: word [c] of the frame whose per-frame part is
+   [frame_seed seed a b].  Native ints, masked to 32 bits. *)
+let frame_seed seed a b = seed lxor (a * 0x9E3779B1) lxor (b * 0x85EBCA77)
+
+let mix base c =
+  let x = base lxor (c * 0xC2B2AE3D) in
+  let x = x lxor (x lsl 13) in
+  let x = x lxor (x lsr 17) in
+  let x = x lxor (x lsl 5) in
+  x land 0xFFFFFFFF
 
 let minors_of_kind part kind =
   Grid.frames part.Partition.grid kind
+
+let kind_code = function
+  | Resource.Clb -> 0
+  | Resource.Bram -> 1
+  | Resource.Dsp -> 2
+  | Resource.Io -> 3
 
 let synthesize ~seed part rect =
   if
@@ -24,28 +33,23 @@ let synthesize ~seed part rect =
   for col = rect.Rect.x to Rect.x2 rect do
     let ty = Partition.column_type part col in
     let minors = minors_of_kind part ty.Resource.kind in
+    (* depends on tile type + relative column + minor + word, never on
+       the absolute coordinates *)
+    let a =
+      (kind_code ty.Resource.kind * 97)
+      + (ty.Resource.variant * 31)
+      + (col - rect.Rect.x)
+    in
     for row = rect.Rect.y to Rect.y2 rect do
       for minor = 0 to minors - 1 do
-        let data =
-          Array.init Frame.words_per_frame (fun w ->
-              (* depends on tile type + relative column + minor + word,
-                 never on the absolute coordinates *)
-              let kind_code =
-                match ty.Resource.kind with
-                | Resource.Clb -> 0
-                | Resource.Bram -> 1
-                | Resource.Dsp -> 2
-                | Resource.Io -> 3
-              in
-              mix seed
-                ((kind_code * 97)
-                + (ty.Resource.variant * 31)
-                + (col - rect.Rect.x))
-                ((minor * 131) + (row - rect.Rect.y))
-                w)
-        in
+        let base = frame_seed seed a ((minor * 131) + (row - rect.Rect.y)) in
+        let data = Bytes.create Frame.payload_bytes in
+        for w = 0 to Frame.words_per_frame - 1 do
+          Bytes.set_int32_be data (4 * w) (Int32.of_int (mix base w))
+        done;
         frames :=
-          { Frame.addr = { Frame.column = col; region_row = row; minor }; data }
+          { Frame.addr = { Frame.column = col; region_row = row; minor };
+            data = Bytes.unsafe_to_string data }
           :: !frames
       done
     done
@@ -56,7 +60,8 @@ let frame_count t = List.length t.frames
 
 let payload_equal a b =
   List.length a.frames = List.length b.frames
-  && List.for_all2 (fun (x : Frame.t) (y : Frame.t) -> x.Frame.data = y.Frame.data)
+  && List.for_all2
+       (fun (x : Frame.t) (y : Frame.t) -> String.equal x.Frame.data y.Frame.data)
        a.frames b.frames
 
 let equal a b =
@@ -81,7 +86,7 @@ let serialize_body t =
   List.iter
     (fun (f : Frame.t) ->
       put_i32 buf (Frame.pack_address f.Frame.addr);
-      Array.iter (fun w -> put_i32 buf w) f.Frame.data)
+      Buffer.add_string buf f.Frame.data)
     t.frames;
   buf
 
@@ -121,10 +126,8 @@ let parse b =
         for _ = 1 to nframes do
           let addr = Frame.unpack_address (get_i32 b !off) in
           off := !off + 4;
-          let data =
-            Array.init Frame.words_per_frame (fun i -> get_i32 b (!off + (4 * i)))
-          in
-          off := !off + (4 * Frame.words_per_frame);
+          let data = Bytes.sub_string b !off Frame.payload_bytes in
+          off := !off + Frame.payload_bytes;
           frames := { Frame.addr; data } :: !frames
         done;
         if !off <> len - 4 then Error "trailing bytes"

@@ -11,9 +11,15 @@ let pp_error ppf = function
     Format.fprintf ppf "frame %a outside the source area" Frame.pp_address a
   | Wrong_device d -> Format.fprintf ppf "image is for device %s" d
 
+let inside part r =
+  Rect.within ~width:(Partition.width part) ~height:(Partition.height part) r
+
 let relocate part ~src ~dst (img : Image.t) =
   if img.Image.device <> Grid.name part.Partition.grid then
     Error (Wrong_device img.Image.device)
+  else if not (inside part src && inside part dst) then
+    let r = if inside part src then dst else src in
+    Error (Incompatible (Printf.sprintf "%s leaves the device" (Rect.to_string r)))
   else if not (Compat.compatible part src dst) then
     Error
       (Incompatible

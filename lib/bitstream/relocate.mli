@@ -21,9 +21,11 @@ val relocate :
   Image.t ->
   (Image.t, error) result
 (** [relocate part ~src ~dst img] rewrites every frame address by the
-    column/row displacement from [src] to [dst].  Fails if [dst] is not
-    compatible with [src], if the image names a different device, or if
-    a frame lies outside [src]. *)
+    column/row displacement from [src] to [dst], sharing every payload
+    with [img].  Fails if the image names a different device, if [src]
+    or [dst] leaves the device ([Incompatible], naming the rectangle),
+    if [dst] is not compatible with [src], or if a frame lies outside
+    [src]. *)
 
 val relocate_serialized :
   Device.Partition.t ->

@@ -1,5 +1,6 @@
-(* See free_space.mli.  Device sizes are small (the FX70T is 46 x 8
-   tiles), so the sweeps are O(W * H^2) with tiny constants; the
+(* See free_space.mli.  Device sizes are small (the FX70T is 42 x 8
+   tiles: 35 CLB, 5 BRAM and 2 DSP columns), so the sweeps are
+   O(W * H^2) with tiny constants; the
    incremental paths exist because the differential tests pin them to
    the sweep, proving the split/survivor algebra right at any size. *)
 

@@ -50,46 +50,83 @@ let fragmentation t =
 
 (* Demand-driven best fit inside the maximal free rectangles.  On a
    columnar device a rectangle spanning columns x1..x2 at height h
-   covers h tiles per column, so the minimal height for each candidate
-   column range is a closed form over the per-kind column counts. *)
+   covers h tiles per column, so for each candidate column range the
+   minimal height and the wasted frames are closed forms over the
+   per-kind column counts, which grow by one column as x2 does. *)
+let kind_index = function
+  | Res.Clb -> 0
+  | Res.Bram -> 1
+  | Res.Dsp -> 2
+  | Res.Io -> 3
+
 let admission_rect_in part ~mers demand =
   let demand = List.filter (fun (_, n) -> n > 0) demand in
   if demand = [] then None
   else begin
-    let best = ref None in
-    let consider rect =
-      let wasted = Device.Compat.wasted_frames part rect demand in
-      let key = (wasted, R.area rect, rect.R.x, rect.R.y) in
-      match !best with
-      | Some (k, _) when k <= key -> ()
-      | _ -> best := Some (key, rect)
+    let nkinds = List.length Res.all_kinds in
+    (* per kind: the largest single entry bounds the height from below
+       (each entry must fit on its own), the sum is what the waste is
+       counted against, as [Resource.demand_get] sums it *)
+    let need = Array.make nkinds 0 and total = Array.make nkinds 0 in
+    List.iter
+      (fun (k, n) ->
+        let i = kind_index k in
+        need.(i) <- max need.(i) n;
+        total.(i) <- total.(i) + n)
+      demand;
+    let frames = Array.make nkinds 0 in
+    List.iter
+      (fun k -> frames.(kind_index k) <- Device.Grid.frames part.P.grid k)
+      Res.all_kinds;
+    (* indexed by column, 1-based *)
+    let kind =
+      Array.init (P.width part + 1) (fun c ->
+          if c = 0 then 0 else kind_index (P.column_type part c).Res.kind)
     in
+    let count = Array.make nkinds 0 in
+    let best = ref None in
+    let bw = ref 0 and ba = ref 0 and bx = ref 0 and by = ref 0 in
     List.iter
       (fun (m : R.t) ->
+        let y = m.R.y in
         for x1 = m.R.x to R.x2 m do
+          Array.fill count 0 nkinds 0;
           for x2 = x1 to R.x2 m do
-            let ncols k =
-              let n = ref 0 in
-              for c = x1 to x2 do
-                if Res.equal_kind (P.column_type part c).Res.kind k then incr n
+            count.(kind.(x2)) <- count.(kind.(x2)) + 1;
+            let h = ref 1 in
+            for i = 0 to nkinds - 1 do
+              if need.(i) > 0 then
+                if count.(i) = 0 then h := max_int
+                else if !h <> max_int then
+                  h := max !h ((need.(i) + count.(i) - 1) / count.(i))
+            done;
+            let h = !h in
+            if h <= m.R.h then begin
+              let wasted = ref 0 in
+              for i = 0 to nkinds - 1 do
+                let extra = (count.(i) * h) - total.(i) in
+                if extra > 0 then wasted := !wasted + (frames.(i) * extra)
               done;
-              !n
-            in
-            let h =
-              List.fold_left
-                (fun acc (k, d) ->
-                  let nc = ncols k in
-                  if nc = 0 then max_int
-                  else if acc = max_int then max_int
-                  else max acc ((d + nc - 1) / nc))
-                1 demand
-            in
-            if h <> max_int && h <= m.R.h then
-              consider (R.make ~x:x1 ~y:m.R.y ~w:(x2 - x1 + 1) ~h)
+              let wasted = !wasted and area = (x2 - x1 + 1) * h in
+              (* strict: the first of several equal keys is kept *)
+              let better =
+                Option.is_none !best || wasted < !bw
+                || wasted = !bw
+                   && (area < !ba
+                      || area = !ba && (x1 < !bx || x1 = !bx && y < !by))
+              in
+              if better then begin
+                best := Some (R.make ~x:x1 ~y ~w:(x2 - x1 + 1) ~h);
+                bw := wasted;
+                ba := area;
+                bx := x1;
+                by := y
+              end
+            end
           done
         done)
       mers;
-    Option.map snd !best
+    !best
   end
 
 let admission_rect t demand = admission_rect_in t.part ~mers:t.mers demand

@@ -53,8 +53,18 @@ val admission_rect_in :
   Device.Rect.t option
 (** Best placement of a demand inside an existing free rectangle:
     minimal {!Device.Compat.wasted_frames}, ties broken by smaller
-    area, then leftmost, then topmost.  [None] when no free rectangle
-    can host the demand — the trigger for defragmentation. *)
+    area, then leftmost, then topmost; of several equal keys the first
+    found wins.  [None] when no free rectangle can host the demand —
+    the trigger for defragmentation.  Entries with a count [<= 0] are
+    ignored; [None] when none is left.
+
+    The scan visits [mers] in order and, in each, every column range
+    [x1..x2] (x1 ascending, then x2 ascending) at the rectangle's top
+    row.  The column kinds are read once per call; per-kind column
+    counts grow with [x2], the minimal height is the largest
+    [ceil (d / count k)] over the entries [(k, d)], and the waste is
+    [sum_k frames k * max 0 (count k * h - demand_get demand k)], all
+    in ints. *)
 
 val admission_rect : t -> Device.Resource.demand -> Device.Rect.t option
 

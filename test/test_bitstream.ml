@@ -76,6 +76,87 @@ let test_parse_garbage () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage accepted"
 
+(* A matching CRC is not enough: a body cut short or carrying extra
+   bytes is refused even when resealed under its own CRC. *)
+let test_parse_rejects_truncation_and_trailing () =
+  let part = Lazy.force mini_part in
+  let wire =
+    Bitstream.Image.serialize
+      (Bitstream.Image.synthesize ~seed:9 part (Rect.make ~x:4 ~y:2 ~w:2 ~h:1))
+  in
+  let resealed body =
+    let crc = Bitstream.Crc32.digest body in
+    let b = Bytes.extend body 0 4 in
+    Bytes.set_int32_be b (Bytes.length body) crc;
+    b
+  in
+  let body = Bytes.sub wire 0 (Bytes.length wire - 4) in
+  (match Bitstream.Image.parse (resealed (Bytes.extend body 0 1)) with
+  | Error "trailing bytes" -> ()
+  | Error e -> Alcotest.fail ("trailing: wrong error: " ^ e)
+  | Ok _ -> Alcotest.fail "trailing bytes accepted");
+  let cut = Bytes.sub body 0 (Bytes.length body - 10) in
+  match Bitstream.Image.parse (resealed cut) with
+  | Error "truncated image" -> ()
+  | Error e -> Alcotest.fail ("truncated: wrong error: " ^ e)
+  | Ok _ -> Alcotest.fail "truncated image accepted"
+
+(* The wire format, pinned: the MD5 of the serialized images and their
+   CRCs for fixed (seed, rect) pairs on [mini] and the FX70T.  A change
+   to any payload word, address or framing byte moves them. *)
+let golden_images =
+  [
+    ( Devices.mini,
+      [ (1, Rect.make ~x:1 ~y:1 ~w:3 ~h:2);
+        (9, Rect.make ~x:4 ~y:2 ~w:3 ~h:2);
+        (2026, Rect.make ~x:1 ~y:1 ~w:10 ~h:4);
+        (0, Rect.make ~x:10 ~y:4 ~w:1 ~h:1) ] );
+    ( Devices.virtex5_fx70t,
+      [ (7, Rect.make ~x:3 ~y:1 ~w:2 ~h:2);
+        (11, Rect.make ~x:1 ~y:1 ~w:12 ~h:8);
+        (1000, Rect.make ~x:20 ~y:3 ~w:9 ~h:4);
+        (0xFFFFFF, Rect.make ~x:35 ~y:5 ~w:8 ~h:4) ] );
+  ]
+
+let test_wire_format_pinned () =
+  let wires, crcs =
+    List.split
+      (List.concat_map
+         (fun (grid, cases) ->
+           let part = Partition.columnar_exn grid in
+           List.map
+             (fun (seed, rect) ->
+               let img = Bitstream.Image.synthesize ~seed part rect in
+               ( Bytes.to_string (Bitstream.Image.serialize img),
+                 Bitstream.Image.crc img ))
+             cases)
+         golden_images)
+  in
+  Alcotest.(check string)
+    "md5 of the serialized images" "9a047de0bab45f6d88d16dad30db762b"
+    (Digest.to_hex (Digest.string (String.concat "" wires)));
+  Alcotest.(check (list int32))
+    "image CRCs"
+    [ -1944796210l; 523530816l; -1065970326l; -1248756444l; 129882622l;
+      -366730217l; -640487294l; 917571720l ]
+    crcs
+
+(* Payload words are written straight into the frame's bytes: no boxed
+   word survives synthesis. *)
+let test_synthesize_allocation () =
+  let part = Partition.columnar_exn Devices.virtex5_fx70t in
+  let rect = Rect.make ~x:1 ~y:1 ~w:12 ~h:8 in
+  ignore (Bitstream.Image.synthesize ~seed:1 part rect);
+  let before = Gc.minor_words () in
+  let img = Bitstream.Image.synthesize ~seed:2 part rect in
+  let per_frame =
+    (Gc.minor_words () -. before)
+    /. float_of_int (Bitstream.Image.frame_count img)
+  in
+  if per_frame > 48. then
+    Alcotest.failf "synthesize allocates %.1f minor words per frame (bound 48)"
+      per_frame
+
 (* The relocation property (Definition .1 made executable): relocating
    the source bitstream into any compatible area produces exactly the
    bitstream one would synthesize there. *)
@@ -94,7 +175,13 @@ let test_relocation_equals_resynthesis () =
           (Printf.sprintf "relocated to %s equals direct synthesis"
              (Rect.to_string dst))
           true
-          (Bitstream.Image.equal img' direct)
+          (Bitstream.Image.equal img' direct);
+        (* addresses are rewritten, payloads shared, never copied *)
+        Alcotest.(check bool) "payloads shared" true
+          (List.for_all2
+             (fun (a : Bitstream.Frame.t) (b : Bitstream.Frame.t) ->
+               a.Bitstream.Frame.data == b.Bitstream.Frame.data)
+             img.Bitstream.Image.frames img'.Bitstream.Image.frames)
       | Error e -> Alcotest.fail (Format.asprintf "%a" Bitstream.Relocate.pp_error e))
     sites
 
@@ -117,6 +204,39 @@ let test_relocation_rejects_wrong_device () =
   match Bitstream.Relocate.relocate mini ~src ~dst:src img with
   | Error (Bitstream.Relocate.Wrong_device _) -> ()
   | _ -> Alcotest.fail "wrong-device image accepted"
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* A rectangle that leaves the device is refused, never raised, in
+   either direction, through the image and through the wire format. *)
+let test_relocation_rejects_outside_device () =
+  let part = Partition.columnar_exn Devices.virtex5_fx70t in
+  let inside = Rect.make ~x:3 ~y:1 ~w:2 ~h:2 in
+  let outside = Rect.make ~x:42 ~y:1 ~w:2 ~h:2 in
+  let img = Bitstream.Image.synthesize ~seed:1 part inside in
+  let wire = Bitstream.Image.serialize img in
+  let names_outside what msg =
+    if not (contains msg (Rect.to_string outside)) then
+      Alcotest.failf "%s: %S does not name %s" what msg (Rect.to_string outside)
+  in
+  List.iter
+    (fun (src, dst) ->
+      let what = Rect.to_string src ^ " -> " ^ Rect.to_string dst in
+      (match Bitstream.Relocate.relocate part ~src ~dst img with
+      | Error (Bitstream.Relocate.Incompatible msg) -> names_outside what msg
+      | Error e ->
+        Alcotest.failf "%s: wrong error: %a" what Bitstream.Relocate.pp_error e
+      | Ok _ -> Alcotest.failf "%s: relocation accepted" what
+      | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e));
+      match Bitstream.Relocate.relocate_serialized part ~src ~dst wire with
+      | Error msg -> names_outside (what ^ " (wire)") msg
+      | Ok _ -> Alcotest.failf "%s: wire relocation accepted" what
+      | exception e ->
+        Alcotest.failf "%s: wire relocation raised %s" what (Printexc.to_string e))
+    [ (inside, outside); (outside, inside) ]
 
 let test_relocate_serialized_end_to_end () =
   let part = Lazy.force mini_part in
@@ -184,6 +304,11 @@ let suites =
         Alcotest.test_case "serialize round trip" `Quick test_serialize_roundtrip;
         Alcotest.test_case "corruption detected" `Quick test_corruption_detected;
         Alcotest.test_case "garbage rejected" `Quick test_parse_garbage;
+        Alcotest.test_case "truncation and trailing bytes rejected" `Quick
+          test_parse_rejects_truncation_and_trailing;
+        Alcotest.test_case "wire format pinned" `Quick test_wire_format_pinned;
+        Alcotest.test_case "synthesis allocation bound" `Quick
+          test_synthesize_allocation;
       ] );
     ( "bitstream.relocate",
       [
@@ -192,6 +317,8 @@ let suites =
           test_relocation_rejects_incompatible;
         Alcotest.test_case "rejects wrong device" `Quick
           test_relocation_rejects_wrong_device;
+        Alcotest.test_case "rejects areas outside the device" `Quick
+          test_relocation_rejects_outside_device;
         Alcotest.test_case "serialized end to end" `Quick
           test_relocate_serialized_end_to_end;
       ]

@@ -198,6 +198,235 @@ let test_workload_replay_audits_clean () =
     (Layout.check_free_rects stats.Workload.s_final)
 
 (* ------------------------------------------------------------------ *)
+(* Admission decisions pinned to the original scan *)
+
+(* The original admission scan, kept verbatim as the oracle: it visits
+   every column range of every MER, recounts each demanded kind column
+   by column and takes the waste from [Compat.wasted_frames]. *)
+let reference_admission_rect_in part ~mers demand =
+  let module R = Device.Rect in
+  let module P = Device.Partition in
+  let module Res = Device.Resource in
+  let demand = List.filter (fun (_, n) -> n > 0) demand in
+  if demand = [] then None
+  else begin
+    let best = ref None in
+    let consider rect =
+      let wasted = Device.Compat.wasted_frames part rect demand in
+      let key = (wasted, R.area rect, rect.R.x, rect.R.y) in
+      match !best with
+      | Some (k, _) when k <= key -> ()
+      | _ -> best := Some (key, rect)
+    in
+    List.iter
+      (fun (m : R.t) ->
+        for x1 = m.R.x to R.x2 m do
+          for x2 = x1 to R.x2 m do
+            let ncols k =
+              let n = ref 0 in
+              for c = x1 to x2 do
+                if Res.equal_kind (P.column_type part c).Res.kind k then incr n
+              done;
+              !n
+            in
+            let h =
+              List.fold_left
+                (fun acc (k, d) ->
+                  let nc = ncols k in
+                  if nc = 0 then max_int
+                  else if acc = max_int then max_int
+                  else max acc ((d + nc - 1) / nc))
+                1 demand
+            in
+            if h <> max_int && h <= m.R.h then
+              consider (R.make ~x:x1 ~y:m.R.y ~w:(x2 - x1 + 1) ~h)
+          done
+        done)
+      mers;
+    Option.map snd !best
+  end
+
+let fx70t_part = lazy (Partition.columnar_exn Devices.virtex5_fx70t)
+
+(* Steady-state churn, modelled on the benchmark's generator: a module
+   departs once its lifetime (6-14 events) has run out, otherwise the
+   next event is an arrival.  CLB demand is in [clb/16, clb/16 + clb/6),
+   1-2 BRAM tiles are added with p = 1/3 and one DSP tile with p = 1/4. *)
+let churn ~seed ~events part =
+  let module Pr = Generators.Prng in
+  let rng = Pr.make seed in
+  let avail k = Resource.demand_get (Grid.usable_tiles part.Partition.grid) k in
+  let clb = avail Resource.Clb in
+  let demand () =
+    let d = [ (Resource.Clb, (clb / 16) + Pr.int rng (max 1 (clb / 6))) ] in
+    let d =
+      if avail Resource.Bram > 0 && Pr.int rng 3 = 0 then
+        d @ [ (Resource.Bram, Pr.range rng 1 2) ]
+      else d
+    in
+    if avail Resource.Dsp > 0 && Pr.int rng 4 = 0 then d @ [ (Resource.Dsp, 1) ]
+    else d
+  in
+  (* live modules as (due event, name), earliest first *)
+  let live = ref [] in
+  List.init events (fun i ->
+      match !live with
+      | (due, name) :: rest when due <= i ->
+        live := rest;
+        Workload.Depart { d_name = name }
+      | _ ->
+        let name = Printf.sprintf "m%d" i in
+        live := List.merge compare [ (i + Pr.range rng 6 14, name) ] !live;
+        Workload.Arrive { a_name = name; a_demand = demand () })
+
+(* Every admission a churn replay makes (the planner on a blocked
+   arrival, no fallback), as the (MERs, demand) the scan is given. *)
+let churn_admissions part events =
+  let states = ref [] in
+  let place l name demand =
+    states := (Layout.free_rects l, demand) :: !states;
+    Layout.place l name demand
+  in
+  let step l = function
+    | Workload.Depart { d_name } -> (
+      match Layout.remove l d_name with Ok l' -> l' | Error _ -> l)
+    | Workload.Arrive { a_name; a_demand } -> (
+      match place l a_name a_demand with
+      | Ok (l', _) -> l'
+      | Error _ -> (
+        match Defrag.plan ~fallback:false l ~name:a_name ~demand:a_demand with
+        | Ok (Defrag.Moves (schedule, _)) -> (
+          match Defrag.execute l schedule with
+          | Error _ -> l
+          | Ok l' -> (
+            match place l' a_name a_demand with
+            | Ok (l'', _) -> l''
+            | Error _ -> l'))
+        | _ -> l))
+  in
+  ignore (List.fold_left step (Layout.create part) events);
+  List.rev !states
+
+let pp_rect_opt = function None -> "none" | Some r -> Rect.to_string r
+
+let check_admission part ~what (mers, demand) =
+  let got = Layout.admission_rect_in part ~mers demand in
+  let want = reference_admission_rect_in part ~mers demand in
+  if got <> want then
+    Alcotest.failf "%s: admission of [%a] into [%s]: %s, original scan %s" what
+      Resource.pp_demand demand
+      (String.concat " " (List.map Rect.to_string mers))
+      (pp_rect_opt got) (pp_rect_opt want);
+  want <> None
+
+let test_admission_matches_original_churn () =
+  let part = Lazy.force fx70t_part in
+  let states = ref 0 and admitted = ref 0 in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun st ->
+          incr states;
+          if check_admission part ~what:(Printf.sprintf "churn seed %d" seed) st
+          then incr admitted)
+        (churn_admissions part (churn ~seed ~events:500 part)))
+    [ 1000; 1001 ];
+  if !states < 400 || !admitted < 300 then
+    Alcotest.failf "too few churn admissions checked (%d states, %d admitted)"
+      !states !admitted
+
+(* Random layouts on random columnar grids and on [mini].  Demands mix
+   duplicate kinds, zero and negative counts, IO and kinds the grid may
+   lack, so every branch of the scan's per-kind accounting is reached. *)
+let test_admission_matches_original_random () =
+  let module Pr = Generators.Prng in
+  let states = ref 0 and admitted = ref 0 in
+  for seed = 0 to 399 do
+    let grid =
+      if seed mod 4 = 0 then Devices.mini
+      else Devices.random (Random.State.make [| seed |])
+    in
+    match Partition.columnar grid with
+    | Error _ -> ()
+    | Ok part ->
+      let rng = Pr.make (seed * 104729) in
+      let kinds = Resource.[| Clb; Clb; Clb; Bram; Dsp; Io |] in
+      let big = Partition.width part * Partition.height part / 4 in
+      let placed = ref [] in
+      let mers = ref (Fs.recompute part ~occupied:[]) in
+      for _ = 1 to 10 do
+        (match !mers with
+        | [] -> ()
+        | ms when Pr.int rng 4 > 0 ->
+          let m = List.nth ms (Pr.int rng (List.length ms)) in
+          let rw = Pr.range rng 1 m.Rect.w and rh = Pr.range rng 1 m.Rect.h in
+          let x = Pr.range rng m.Rect.x (Rect.x2 m - rw + 1) in
+          let y = Pr.range rng m.Rect.y (Rect.y2 m - rh + 1) in
+          let r = Rect.make ~x ~y ~w:rw ~h:rh in
+          placed := r :: !placed;
+          mers := Fs.add !mers r
+        | _ -> (
+          match !placed with
+          | [] -> ()
+          | r :: rest ->
+            placed := rest;
+            mers := Fs.remove part ~occupied:rest !mers r));
+        for _ = 1 to 5 do
+          let demand =
+            List.init (Pr.range rng 1 4) (fun _ ->
+                (Pr.pick rng kinds, Pr.range rng (-1) (max 1 big)))
+          in
+          incr states;
+          if check_admission part ~what:(Printf.sprintf "random seed %d" seed)
+               (!mers, demand)
+          then incr admitted
+        done
+      done
+  done;
+  if !states < 15000 || !admitted < 3000 then
+    Alcotest.failf "too few random admissions checked (%d states, %d admitted)"
+      !states !admitted
+
+let final_rects l =
+  List.map
+    (fun (e : Layout.entry) ->
+      e.Layout.e_name ^ " " ^ Rect.to_string e.Layout.e_rect)
+    (Layout.entries l)
+
+let images_md5 l =
+  Digest.to_hex
+    (Digest.string
+       (String.concat ""
+          (List.map
+             (fun (e : Layout.entry) ->
+               Bytes.to_string (Bitstream.Image.serialize e.Layout.e_image))
+             (Layout.entries l))))
+
+(* A checked 400-event FX70T churn replay, pinned: its counts, its
+   final layout and an MD5 of its final images.  A change to any
+   admission, move or payload byte moves them. *)
+let test_churn_replay_pinned () =
+  let part = Lazy.force fx70t_part in
+  let s =
+    Workload.replay ~check:true ~fallback:false part
+      (churn ~seed:2015 ~events:400 part)
+  in
+  Alcotest.(check (list string)) "no violations" [] s.Workload.s_violations;
+  Alcotest.(check (list int))
+    "admitted, after defrag, fallbacks, rejected, departed, moves"
+    [ 143; 4; 0; 56; 144; 4 ]
+    [ s.Workload.s_admitted; s.Workload.s_defrag_admitted;
+      s.Workload.s_fallbacks; s.Workload.s_rejected; s.Workload.s_departed;
+      s.Workload.s_moves ];
+  Alcotest.(check (list string))
+    "final layout"
+    [ "m390 (x=4 y=1 w=5 h=7)"; "m392 (x=12 y=1 w=9 h=6)";
+      "m393 (x=34 y=1 w=9 h=8)" ]
+    (final_rects s.Workload.s_final);
+  Alcotest.(check string) "final images md5" "5d7125ea9b9bb37cfb361437e133d114"
+    (images_md5 s.Workload.s_final)
+
+(* ------------------------------------------------------------------ *)
 (* rfloor-service/1 online frames, end to end through Session.run *)
 
 let test_service_online_roundtrip () =
@@ -299,6 +528,12 @@ let suites =
           test_workload_deterministic;
         Alcotest.test_case "workload replay audits clean" `Quick
           test_workload_replay_audits_clean;
+        Alcotest.test_case "admission = original scan (FX70T churn)" `Quick
+          test_admission_matches_original_churn;
+        Alcotest.test_case "admission = original scan (random layouts)" `Quick
+          test_admission_matches_original_random;
+        Alcotest.test_case "FX70T churn replay pinned" `Quick
+          test_churn_replay_pinned;
         Alcotest.test_case "service online round-trip" `Quick
           test_service_online_roundtrip;
       ] );
