@@ -32,6 +32,19 @@
 #                                and a 50-instance mini differential
 #                                (sparse vs frozen dense reference, warm
 #                                vs cold) at the pinned seed.
+#   bin/lint.sh search-check  -- combinatorial-engine gate only: the
+#                                search suites at the pinned seed (the
+#                                flat engine against the frozen
+#                                list-based reference engine on SDR,
+#                                SDR2, SDR3 node limits, the feasibility
+#                                variants and 320 seeded instances; the
+#                                node-count pins; the allocation bound
+#                                per node), then the full SDR3
+#                                lexicographic proof through the CLI
+#                                with no node limit, which must end
+#                                proven at 120 wasted frames, wire
+#                                length 1504, in 131445264 nodes (about
+#                                a minute).
 #   bin/lint.sh perf-smoke    -- benchmark gate only: sh perfbench/smoke.sh,
 #                                every BENCHMARK.json workload at 1/20
 #                                scale, untraced and traced, each passing
@@ -90,8 +103,8 @@ cd "$(dirname "$0")/.."
 # one trap for every gate's scratch space (a later trap would replace
 # an earlier one and leak its directory); obsv-check also parks its
 # serve PID here so a failing assertion never leaks the process
-tmp="" btmp="" stmp="" ctmp="" ptmp="" otmp="" ltmp="" osrv=""
-trap '{ [ -n "$osrv" ] && kill "$osrv" 2>/dev/null; rm -rf "$tmp" "$btmp" "$stmp" "$ctmp" "$ptmp" "$otmp" "$ltmp"; } || true' EXIT
+tmp="" btmp="" stmp="" ctmp="" ptmp="" otmp="" ltmp="" qtmp="" osrv=""
+trap '{ [ -n "$osrv" ] && kill "$osrv" 2>/dev/null; rm -rf "$tmp" "$btmp" "$stmp" "$ctmp" "$ptmp" "$otmp" "$ltmp" "$qtmp"; } || true' EXIT
 
 bench_smoke() {
     echo "== bench-smoke (quick instance set, 2s budget)"
@@ -249,6 +262,24 @@ simplex_check() {
     RFLOOR_TEST_SEED="$seed" RFLOOR_SIMPLEX_DIFF=50 \
         dune exec test/test_main.exe -- test differential 3-5
     echo "simplex-check passed (properties, pinned root LP, fixtures, mini differential at seed $seed)"
+}
+
+search_check() {
+    echo "== search-check (search suites, full SDR3 lexicographic proof)"
+    seed="${RFLOOR_TEST_SEED:-2015}"
+    RFLOOR_TEST_SEED="$seed" dune exec test/test_main.exe -- test 'search.*'
+    # the proof the paper's commercial solver left open after 6 h: a CPU
+    # budget far above its run time, so only a proof can end it
+    qtmp=$(mktemp -d)
+    dune exec bin/rfloor_cli.exe -- solve --device fx70t --design sdr3 \
+        --strategy combinatorial --time 36000 -v > "$qtmp/sdr3.txt" 2>&1
+    grep -q '^wasted frames: 120, wire length: 1504.0$' "$qtmp/sdr3.txt" || {
+        echo "search-check: SDR3 did not end proven at 120 / 1504:" >&2
+        grep 'wasted frames\|search stopped' "$qtmp/sdr3.txt" >&2; exit 1; }
+    grep -q '^nodes 131445264 ' "$qtmp/sdr3.txt" || {
+        echo "search-check: SDR3 proof did not take 131445264 nodes:" >&2
+        grep '^nodes ' "$qtmp/sdr3.txt" >&2; exit 1; }
+    echo "search-check passed (search suites at seed $seed, SDR3 proven 120 / 1504 in 131445264 nodes)"
 }
 
 perf_smoke() {
@@ -542,6 +573,12 @@ if [ "${1:-}" = "simplex-check" ]; then
     exit 0
 fi
 
+if [ "${1:-}" = "search-check" ]; then
+    dune build
+    search_check
+    exit 0
+fi
+
 if [ "${1:-}" = "perf-smoke" ]; then
     perf_smoke
     exit 0
@@ -588,6 +625,8 @@ echo "== rfloor_cli lint (fx70t / sdr)"
 dune exec bin/rfloor_cli.exe -- lint --device fx70t --design sdr
 
 simplex_check
+
+search_check
 
 portfolio_check
 

@@ -30,8 +30,14 @@ let manhattan_centers a b =
   let ax, ay = center a and bx, by = center b in
   abs_float (ax -. bx) +. abs_float (ay -. by)
 
-let equal (a : t) b = a = b
-let compare (a : t) b = compare a b
+let equal a b = a.x = b.x && a.y = b.y && a.w = b.w && a.h = b.h
+
+(* Field order, as the polymorphic compare on the record. *)
+let compare a b =
+  if a.x <> b.x then Int.compare a.x b.x
+  else if a.y <> b.y then Int.compare a.y b.y
+  else if a.w <> b.w then Int.compare a.w b.w
+  else Int.compare a.h b.h
 
 let pp ppf r = Format.fprintf ppf "(x=%d y=%d w=%d h=%d)" r.x r.y r.w r.h
 let to_string r = Format.asprintf "%a" pp r

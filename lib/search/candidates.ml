@@ -2,27 +2,30 @@ open Device
 
 type candidate = { rect : Rect.t; waste : int }
 
-(* Per-column kind prefix sums: cols.(k_idx).(x) = number of columns of
-   kind k among columns 1..x. *)
 let kind_index = function
   | Resource.Clb -> 0
   | Resource.Bram -> 1
   | Resource.Dsp -> 2
   | Resource.Io -> 3
 
+(* Per-kind column prefix counts, flat: [pref.(k * (width + 1) + x)] is
+   the number of columns of kind [k] among columns 1..x. *)
 let prefix_counts part =
   let w = Partition.width part in
-  let pref = Array.make_matrix 4 (w + 1) 0 in
+  let pref = Array.make (4 * (w + 1)) 0 in
   for x = 1 to w do
     let k = kind_index (Partition.column_type part x).Resource.kind in
     for ki = 0 to 3 do
-      pref.(ki).(x) <- pref.(ki).(x - 1) + if ki = k then 1 else 0
+      let row = ki * (w + 1) in
+      pref.(row + x) <- (pref.(row + x - 1) + if ki = k then 1 else 0)
     done
   done;
   pref
 
-let window_kind_counts pref x w =
-  Array.init 4 (fun ki -> pref.(ki).(x + w - 1) - pref.(ki).(x - 1))
+let window_kind_counts pref ~width x w =
+  Array.init 4 (fun ki ->
+      let row = ki * (width + 1) in
+      pref.(row + x + w - 1) - pref.(row + x - 1))
 
 let demand_by_index demand =
   let d = Array.make 4 0 in
@@ -32,7 +35,7 @@ let demand_by_index demand =
   d
 
 (* Minimal height such that h * cols(k) >= demand(k) for all kinds;
-   None if some demanded kind has no column in the window. *)
+   0 if some demanded kind has no column in the window. *)
 let min_height_for d counts =
   let h = ref 1 and ok = ref true in
   for ki = 0 to 3 do
@@ -40,7 +43,7 @@ let min_height_for d counts =
       if counts.(ki) = 0 then ok := false
       else h := max !h ((d.(ki) + counts.(ki) - 1) / counts.(ki))
   done;
-  if !ok then Some !h else None
+  if !ok then !h else 0
 
 let frames_by_index part =
   let frames = Grid.frames part.Partition.grid in
@@ -56,47 +59,118 @@ let waste_of part_frames d counts h =
   done;
   !acc
 
-let enumerate part demand =
+let stride = 5
+
+(* [Grid.rect_hits_forbidden] on the fields: no rectangle is built for
+   each one generated. *)
+let rec hits_forbidden forbidden x y w h =
+  match forbidden with
+  | [] -> false
+  | (r : Rect.t) :: rest ->
+    (r.Rect.x <= x + w - 1 && x <= Rect.x2 r && r.Rect.y <= y + h - 1
+    && y <= Rect.y2 r)
+    || hits_forbidden rest x y w h
+
+(* Candidates are counted, then written, in ascending (x, y, w, h)
+   order into buckets of equal waste laid out by increasing waste: a
+   stable counting sort, which gives the (waste, x, y, w, h) order of
+   [enumerate] without comparing rectangles. *)
+let table part demand =
   let width = Partition.width part and height = Partition.height part in
+  let forbidden = Grid.forbidden part.Partition.grid in
   let pref = prefix_counts part in
   let d = demand_by_index demand in
   let fr = frames_by_index part in
-  let out = ref [] in
+  (* per window (x, w): its minimal height (0: none), and per shape
+     (x, w, h) the waste, later replaced by its rank among the wastes *)
+  let window x w = (x * (width + 1)) + w in
+  let shape x w h = (window x w * (height + 1)) + h in
+  let hmin = Array.make ((width + 1) * (width + 1)) 0 in
+  let level = Array.make ((width + 1) * (width + 1) * (height + 1)) 0 in
+  let levels = Array.make (Array.length level) 0 and nlevels = ref 0 in
   for x = 1 to width do
     for w = 1 to width - x + 1 do
-      let counts = window_kind_counts pref x w in
-      match min_height_for d counts with
-      | None -> ()
-      | Some hmin ->
-        for h = hmin to height do
-          let waste = waste_of fr d counts h in
-          for y = 1 to height - h + 1 do
-            let rect = Rect.make ~x ~y ~w ~h in
-            if not (Grid.rect_hits_forbidden part.Partition.grid rect) then
-              out := { rect; waste } :: !out
-          done
+      let counts = window_kind_counts pref ~width x w in
+      let h0 = min_height_for d counts in
+      hmin.(window x w) <- h0;
+      if h0 > 0 then
+        for h = h0 to height do
+          let v = waste_of fr d counts h in
+          level.(shape x w h) <- v;
+          levels.(!nlevels) <- v;
+          incr nlevels
         done
     done
   done;
-  List.sort
-    (fun a b ->
-      match compare a.waste b.waste with 0 -> Rect.compare a.rect b.rect | c -> c)
-    !out
-
-let min_waste part demand =
-  match enumerate part demand with [] -> None | c :: _ -> Some c.waste
-
-let shapes part demand =
-  let width = Partition.width part and height = Partition.height part in
-  let pref = prefix_counts part in
-  let d = demand_by_index demand in
-  let out = ref [] in
-  for x = width downto 1 do
-    for w = width - x + 1 downto 1 do
-      let counts = window_kind_counts pref x w in
-      match min_height_for d counts with
-      | Some hmin when hmin <= height -> out := (x, w, hmin) :: !out
-      | Some _ | None -> ()
+  let levels = Array.sub levels 0 !nlevels in
+  Array.sort Int.compare levels;
+  let m = ref 0 in
+  Array.iter
+    (fun v ->
+      if !m = 0 || levels.(!m - 1) <> v then begin
+        levels.(!m) <- v;
+        incr m
+      end)
+    levels;
+  let rank v =
+    let lo = ref 0 and hi = ref (!m - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if levels.(mid) < v then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  in
+  for x = 1 to width do
+    for w = 1 to width - x + 1 do
+      let h0 = hmin.(window x w) in
+      if h0 > 0 then
+        for h = h0 to height do
+          level.(shape x w h) <- rank level.(shape x w h)
+        done
     done
   done;
-  !out
+  let each f =
+    for x = 1 to width do
+      for y = 1 to height do
+        for w = 1 to width - x + 1 do
+          let h0 = hmin.(window x w) in
+          if h0 > 0 then
+            for h = h0 to height - y + 1 do
+              if not (hits_forbidden forbidden x y w h) then
+                f x y w h level.(shape x w h)
+            done
+        done
+      done
+    done
+  in
+  (* next.(r): where the next candidate of waste rank r goes *)
+  let next = Array.make (!m + 1) 0 in
+  each (fun _ _ _ _ r -> next.(r + 1) <- next.(r + 1) + 1);
+  for r = 1 to !m do
+    next.(r) <- next.(r) + next.(r - 1)
+  done;
+  let out = Array.make (stride * next.(!m)) 0 in
+  each (fun x y w h r ->
+      let o = stride * next.(r) in
+      next.(r) <- next.(r) + 1;
+      out.(o) <- x;
+      out.(o + 1) <- y;
+      out.(o + 2) <- w;
+      out.(o + 3) <- h;
+      out.(o + 4) <- levels.(r));
+  out
+
+let enumerate part demand =
+  let t = table part demand in
+  List.init
+    (Array.length t / stride)
+    (fun i ->
+      let o = stride * i in
+      {
+        rect = Rect.make ~x:t.(o) ~y:t.(o + 1) ~w:t.(o + 2) ~h:t.(o + 3);
+        waste = t.(o + 4);
+      })
+
+let min_waste part demand =
+  let t = table part demand in
+  if Array.length t = 0 then None else Some t.(4)

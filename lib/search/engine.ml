@@ -6,7 +6,6 @@ type options = {
   time_limit : float option;
   node_limit : int option;
   optimize_wirelength : bool;
-  region_order : string list option;
   trace : Rfloor_trace.t;
   cancel : unit -> bool;
   on_improvement : (Floorplan.t -> int -> unit) option;
@@ -17,7 +16,6 @@ let default_options =
     time_limit = None;
     node_limit = None;
     optimize_wirelength = true;
-    region_order = None;
     trace = Rfloor_trace.disabled;
     cancel = (fun () -> false);
     on_improvement = None;
@@ -37,12 +35,6 @@ exception Budget_exhausted
 exception Cancelled_exn
 exception Found_one
 
-type entity = {
-  e_region : Spec.region;
-  e_cands : Candidates.candidate array; (* waste ascending *)
-  e_hard_copies : int;
-}
-
 let hard_copies (spec : Spec.t) name =
   List.fold_left
     (fun acc (rr : Spec.reloc_req) ->
@@ -50,36 +42,6 @@ let hard_copies (spec : Spec.t) name =
       | Spec.Hard when rr.Spec.target = name -> acc + rr.Spec.copies
       | Spec.Hard | Spec.Soft _ -> acc)
     0 spec.Spec.relocs
-
-let order_entities options (spec : Spec.t) part =
-  let frames = Grid.frames part.Partition.grid in
-  let weight (r : Spec.region) =
-    Resource.demand_frames ~frames r.Spec.demand
-  in
-  let regions =
-    match options.region_order with
-    | None ->
-      List.sort (fun a b -> compare (weight b) (weight a)) spec.Spec.regions
-    | Some names ->
-      let explicit =
-        List.filter_map (fun n -> Spec.find_region spec n) names
-      in
-      let missing =
-        List.filter
-          (fun (r : Spec.region) ->
-            not (List.mem r.Spec.r_name names))
-          spec.Spec.regions
-      in
-      explicit @ missing
-  in
-  List.map
-    (fun (r : Spec.region) ->
-      {
-        e_region = r;
-        e_cands = Array.of_list (Candidates.enumerate part r.Spec.demand);
-        e_hard_copies = hard_copies spec r.Spec.r_name;
-      })
-    regions
 
 (* Greedy best-effort placement of soft free-compatible areas on a
    finished floorplan, heaviest weight first. *)
@@ -129,36 +91,72 @@ type search_mode =
   | Min_waste of { stop_at_first : bool }
   | Min_wirelength of { waste_budget : int }
 
-(* Core branch and bound.  Places entities in order; immediately after a
-   region, its hard free-compatible copies are placed (all combinations
-   of disjoint compatible sites are explored, in canonical order to
-   avoid permutation symmetry). *)
-let kind_index = function
-  | Resource.Clb -> 0
-  | Resource.Bram -> 1
-  | Resource.Dsp -> 2
-  | Resource.Io -> 3
+(* Per-solve tables, built once and shared by the waste and wire-length
+   stages.  Entities are the regions in placement order (decreasing
+   frame demand); a candidate is [Candidates.stride] ints (x, y, w, h,
+   waste) of its entity's [Candidates.table]. *)
+type tables = {
+  names : string array;
+  copies : int array;  (* hard free-compatible copies per entity *)
+  cands : int array array;
+  unplaceable : bool;  (* some entity has no candidate *)
+  min_remaining : int array;
+      (* [n + 1]: cheapest candidate wastes summed over entities i.. *)
+  capacity : int array;  (* usable tiles per kind *)
+  min_cov : int array;
+      (* [4 * (n + 1)]: least coverage per kind of entities i.. and
+          their copies *)
+  pref : int array;  (* {!Candidates.prefix_counts} *)
+  width1 : int;  (* row length of [pref] *)
+  near : int array array;
+      (* per entity: the earlier entity of each net it ends, in
+          spec-net order *)
+  near_w : float array array;  (* ... and that net's weight *)
+  net_a : int array;  (* nets resolved to entity indices, spec order *)
+  net_b : int array;
+  net_w : float array;
+  sites : int array array array;
+      (* per entity with copies, per candidate: its hard-copy sites as
+          (x, y) pairs, filled on first visit ([unknown] until then) *)
+}
 
-let coverage_of part rect =
-  let cov = Array.make 4 0 in
-  List.iter
-    (fun (k, n) -> cov.(kind_index k) <- n)
-    (Compat.covered_demand part rect);
-  cov
+let unknown : int array = [| 0 |]
 
-let search ~options ~mode part (spec : Spec.t) entities =
-  Rfloor_trace.span options.trace Rfloor_trace.Event.Branch_bound @@ fun () ->
-  let t0 = Sys.time () in
-  let nodes = ref 0 in
-  let stopped = ref None in
-  let entities = Array.of_list entities in
-  let n = Array.length entities in
+let[@inline] coverage pref width1 k x w h =
+  let row = k * width1 in
+  h * (pref.(row + x + w - 1) - pref.(row + x - 1))
+
+(* [Rect.manhattan_centers] on the fields.  Centres are half-integers,
+   so their differences, the absolute values and the sum are exact in
+   floating point: twice the distance, computed on ints and halved, is
+   the same float. *)
+let[@inline] manhattan ax ay aw ah bx by bw bh =
+  float_of_int
+    (abs ((2 * ax) + aw - (2 * bx) - bw) + abs ((2 * ay) + ah - (2 * by) - bh))
+  *. 0.5
+
+let tables (spec : Spec.t) part =
+  let frames = Grid.frames part.Partition.grid in
+  let weight (r : Spec.region) =
+    Resource.demand_frames ~frames r.Spec.demand
+  in
+  let regions =
+    Array.of_list
+      (List.sort (fun a b -> compare (weight b) (weight a)) spec.Spec.regions)
+  in
+  let n = Array.length regions in
+  let names = Array.map (fun (r : Spec.region) -> r.Spec.r_name) regions in
+  let copies = Array.map (hard_copies spec) names in
+  let cands =
+    Array.map
+      (fun (r : Spec.region) -> Candidates.table part r.Spec.demand)
+      regions
+  in
+  let ncands i = Array.length cands.(i) / Candidates.stride in
   let min_remaining = Array.make (n + 1) 0 in
-  let unplaceable = ref false in
   for i = n - 1 downto 0 do
-    let c = entities.(i).e_cands in
-    if Array.length c = 0 then unplaceable := true
-    else min_remaining.(i) <- min_remaining.(i + 1) + c.(0).Candidates.waste
+    if ncands i > 0 then
+      min_remaining.(i) <- min_remaining.(i + 1) + cands.(i).(4)
   done;
   (* Per-kind tile capacity pruning: placed coverage plus a lower bound
      on the coverage of every remaining entity (regions and their
@@ -167,36 +165,182 @@ let search ~options ~mode part (spec : Spec.t) entities =
      proves the matched-filter / video-decoder duplication infeasible
      quickly: DSP tiles are exactly exhausted, so any DSP-wasting
      candidate dies immediately. *)
-  let capacity =
-    let cap = Array.make 4 0 in
-    let g = part.Partition.grid in
-    for col = 1 to Partition.width part do
-      let k = kind_index (Partition.column_type part col).Resource.kind in
-      for row = 1 to Partition.height part do
-        if not (Grid.in_forbidden g col row) then cap.(k) <- cap.(k) + 1
-      done
-    done;
-    cap
-  in
-  let cand_coverage =
-    Array.map
-      (fun e ->
-        Array.map (fun c -> coverage_of part c.Candidates.rect) e.e_cands)
-      entities
-  in
-  let min_cov_suffix = Array.make_matrix (n + 1) 4 0 in
-  for i = n - 1 downto 0 do
-    let covs = cand_coverage.(i) in
-    let mult = 1 + entities.(i).e_hard_copies in
-    for k = 0 to 3 do
-      let m = ref max_int in
-      Array.iter (fun cov -> if cov.(k) < !m then m := cov.(k)) covs;
-      let m = if !m = max_int then 0 else !m in
-      min_cov_suffix.(i).(k) <- min_cov_suffix.(i + 1).(k) + (mult * m)
+  let capacity = Array.make 4 0 in
+  let g = part.Partition.grid in
+  for col = 1 to Partition.width part do
+    let k =
+      Candidates.kind_index (Partition.column_type part col).Resource.kind
+    in
+    for row = 1 to Partition.height part do
+      if not (Grid.in_forbidden g col row) then
+        capacity.(k) <- capacity.(k) + 1
     done
   done;
+  let pref = Candidates.prefix_counts part in
+  let width1 = Partition.width part + 1 in
+  let min_cov = Array.make (4 * (n + 1)) 0 in
+  for i = n - 1 downto 0 do
+    let cs = cands.(i) in
+    for k = 0 to 3 do
+      let m = ref max_int in
+      for c = 0 to ncands i - 1 do
+        let o = Candidates.stride * c in
+        let cov = coverage pref width1 k cs.(o) cs.(o + 2) cs.(o + 3) in
+        if cov < !m then m := cov
+      done;
+      let m = if !m = max_int then 0 else !m in
+      min_cov.((4 * i) + k) <-
+        min_cov.((4 * (i + 1)) + k) + ((1 + copies.(i)) * m)
+    done
+  done;
+  let index name =
+    let rec go i = if i = n then -1 else if names.(i) = name then i else go (i + 1) in
+    go 0
+  in
+  (* per entity: (earlier entity, weight) of each net it ends *)
+  let near =
+    Array.init n (fun i ->
+        List.filter_map
+          (fun (nt : Spec.net) ->
+            let other =
+              if nt.Spec.src = names.(i) then index nt.Spec.dst
+              else if nt.Spec.dst = names.(i) then index nt.Spec.src
+              else -1
+            in
+            if other >= 0 && other < i then Some (other, nt.Spec.weight)
+            else None)
+          spec.Spec.nets)
+  in
+  let resolved =
+    List.filter_map
+      (fun (nt : Spec.net) ->
+        let a = index nt.Spec.src and b = index nt.Spec.dst in
+        if a >= 0 && b >= 0 then Some (a, b, nt.Spec.weight) else None)
+      spec.Spec.nets
+  in
+  {
+    names;
+    copies;
+    cands;
+    unplaceable = Array.exists (fun c -> Array.length c = 0) cands;
+    min_remaining;
+    capacity;
+    min_cov;
+    pref;
+    width1;
+    near = Array.map (fun l -> Array.of_list (List.map fst l)) near;
+    near_w = Array.map (fun l -> Array.of_list (List.map snd l)) near;
+    net_a = Array.of_list (List.map (fun (a, _, _) -> a) resolved);
+    net_b = Array.of_list (List.map (fun (_, b, _) -> b) resolved);
+    net_w = Array.of_list (List.map (fun (_, _, w) -> w) resolved);
+    sites =
+      Array.init n (fun i ->
+          if copies.(i) = 0 then [||] else Array.make (ncands i) unknown);
+  }
+
+(* The hard-copy sites of candidate [c] of entity [i]: its relocation
+   sites other than itself, in [Compat.relocation_sites] order. *)
+let sites_of part t i c =
+  let s = t.sites.(i).(c) in
+  if s != unknown then s
+  else begin
+    let cs = t.cands.(i) and o = Candidates.stride * c in
+    let rect =
+      { Rect.x = cs.(o); y = cs.(o + 1); w = cs.(o + 2); h = cs.(o + 3) }
+    in
+    let l =
+      List.filter
+        (fun s -> not (Rect.equal s rect))
+        (Compat.relocation_sites part rect)
+    in
+    let a = Array.make (2 * List.length l) 0 in
+    List.iteri
+      (fun j (r : Rect.t) ->
+        a.(2 * j) <- r.Rect.x;
+        a.((2 * j) + 1) <- r.Rect.y)
+      l;
+    t.sites.(i).(c) <- a;
+    a
+  end
+
+(* Wire length of a complete assignment, summed over the nets in spec
+   order. *)
+let[@inline] leaf_wirelength t cur =
+  let acc = ref 0. in
+  for j = 0 to Array.length t.net_a - 1 do
+    let a = t.net_a.(j) and b = t.net_b.(j) in
+    let ca = t.cands.(a) and oa = Candidates.stride * cur.(a) in
+    let cb = t.cands.(b) and ob = Candidates.stride * cur.(b) in
+    acc :=
+      !acc
+      +. t.net_w.(j)
+         *. manhattan ca.(oa) ca.(oa + 1) ca.(oa + 2) ca.(oa + 3) cb.(ob)
+              cb.(ob + 1) cb.(ob + 2) cb.(ob + 3)
+  done;
+  !acc
+
+(* The floorplan of a complete assignment: placements in entity order;
+   free-compatible areas entity by entity, each entity's copies from
+   the last index down to 1. *)
+let plan_of t cur slot0 site_at =
+  let n = Array.length t.names in
+  let rect_at i =
+    let cs = t.cands.(i) and o = Candidates.stride * cur.(i) in
+    { Rect.x = cs.(o); y = cs.(o + 1); w = cs.(o + 2); h = cs.(o + 3) }
+  in
+  let placements =
+    List.init n (fun i ->
+        { Floorplan.p_region = t.names.(i); p_rect = rect_at i })
+  in
+  let fcs =
+    List.concat
+      (List.init n (fun i ->
+           let r = rect_at i and k = t.copies.(i) in
+           let sites = if k = 0 then [||] else t.sites.(i).(cur.(i)) in
+           List.init k (fun j ->
+               let idx = site_at.(slot0.(i) + k - 1 - j) in
+               {
+                 Floorplan.fc_region = t.names.(i);
+                 fc_index = k - j;
+                 fc_rect =
+                   { r with Rect.x = sites.(2 * idx); y = sites.((2 * idx) + 1) };
+               })))
+  in
+  Floorplan.make placements fcs
+
+(* Core branch and bound.  Places entities in order, each over its
+   candidates in waste order; immediately after a region, its hard
+   free-compatible copies are placed (all combinations of disjoint
+   compatible sites are explored, site indices increasing, to avoid
+   permutation symmetry).  A node is counted at every [place] call and
+   at every completed choice of copies.  The state is flat: the chosen
+   candidate per entity, the chosen site per copy, the placed
+   rectangles as (x1, y1, x2, y2) on an int stack, the per-kind tiles
+   used, and the wire length before each entity. *)
+let search ~options ~mode part t =
+  Rfloor_trace.span options.trace Rfloor_trace.Event.Branch_bound @@ fun () ->
+  let t0 = Sys.time () in
+  let nodes = ref 0 in
+  let stopped = ref None in
+  let n = Array.length t.names in
+  let stride = Candidates.stride in
+  let slot0 = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    slot0.(i + 1) <- slot0.(i) + t.copies.(i)
+  done;
+  let cur = Array.make n 0 in
+  let site_at = Array.make slot0.(n) 0 in
+  let wl_at = Array.make (n + 1) 0. in
+  let stack = Array.make (4 * (n + slot0.(n))) 0 and top = ref 0 in
+  let used = Array.make 4 0 in
+  let pref = t.pref and width1 = t.width1 in
   let best_waste = ref max_int and best_wl = ref infinity in
   let best_plan = ref None in
+  let wirelength_stage, cap =
+    match mode with
+    | Min_waste _ -> (false, ref max_int)
+    | Min_wirelength { waste_budget } -> (true, ref (waste_budget + 1))
+  in
   let budget_check () =
     incr nodes;
     if !nodes land 1023 = 0 then begin
@@ -209,34 +353,14 @@ let search ~options ~mode part (spec : Spec.t) entities =
       | _ -> ()
     end
   in
-  (* nets indexed for incremental wire length *)
-  let net_list = spec.Spec.nets in
-  let wl_between placements =
-    (* wire length over nets whose two endpoints are both placed *)
-    List.fold_left
-      (fun acc (nt : Spec.net) ->
-        match
-          ( List.assoc_opt nt.Spec.src placements,
-            List.assoc_opt nt.Spec.dst placements )
-        with
-        | Some a, Some b -> acc +. (nt.Spec.weight *. Rect.manhattan_centers a b)
-        | _ -> acc)
-      0. net_list
-  in
-  let record placements fcs waste =
-    let plan =
-      Floorplan.make
-        (List.rev_map
-           (fun (name, rect) -> { Floorplan.p_region = name; p_rect = rect })
-           placements)
-        (List.rev fcs)
-    in
-    let wl = wl_between placements in
+  let record waste =
     match mode with
     | Min_waste { stop_at_first } ->
       if waste < !best_waste then begin
+        let plan = plan_of t cur slot0 site_at in
         best_waste := waste;
-        best_wl := wl;
+        cap := waste;
+        best_wl := leaf_wirelength t cur;
         best_plan := Some plan;
         Rfloor_trace.incumbent options.trace ~worker:0
           ~objective:(float_of_int waste) ~node:!nodes;
@@ -246,140 +370,132 @@ let search ~options ~mode part (spec : Spec.t) entities =
         if stop_at_first then raise Found_one
       end
     | Min_wirelength _ ->
+      let wl = leaf_wirelength t cur in
       if wl < !best_wl -. 1e-9 then begin
         best_wl := wl;
         best_waste := min !best_waste waste;
-        best_plan := Some plan;
+        best_plan := Some (plan_of t cur slot0 site_at);
         Rfloor_trace.incumbent options.trace ~worker:0 ~objective:wl
           ~node:!nodes
       end
   in
-  let waste_cap () =
-    match mode with
-    | Min_waste _ -> !best_waste
-    | Min_wirelength { waste_budget } -> waste_budget + 1
+  let overlaps x1 y1 x2 y2 =
+    let hit = ref false and p = ref 0 in
+    while (not !hit) && !p < !top do
+      let q = !p in
+      if
+        x1 <= stack.(q + 2) && stack.(q) <= x2 && y1 <= stack.(q + 3)
+        && stack.(q + 1) <= y2
+      then hit := true;
+      p := q + 4
+    done;
+    !hit
   in
-  let overlaps_any rect placed =
-    List.exists (fun (_, r) -> Rect.overlaps rect r) placed
+  (* the tiles of every kind still suffice for entities [next..] after
+     placing [mult] copies of (x, w, h) *)
+  let fits next mult x w h =
+    let ok = ref true in
+    for k = 0 to 3 do
+      if
+        used.(k)
+        + (mult * coverage pref width1 k x w h)
+        + t.min_cov.((4 * next) + k)
+        > t.capacity.(k)
+      then ok := false
+    done;
+    !ok
   in
-  (* choose [k] pairwise-disjoint sites from [sites] (already compatible
-     and forbidden-free), indices strictly increasing *)
-  let rec choose_sites k start sites placed acc kont =
-    if k = 0 then kont (List.rev acc)
-    else begin
-      let nsites = Array.length sites in
-      for idx = start to nsites - k do
-        let site = sites.(idx) in
-        if
-          (not (overlaps_any site placed))
-          && not (List.exists (Rect.overlaps site) acc)
-        then
-          choose_sites (k - 1) (idx + 1) sites placed (site :: acc) kont
-      done
-    end
+  let push x y w h =
+    let q = !top in
+    stack.(q) <- x;
+    stack.(q + 1) <- y;
+    stack.(q + 2) <- x + w - 1;
+    stack.(q + 3) <- y + h - 1;
+    top := q + 4
   in
-  let used = Array.make 4 0 in
-  let rec place i placed placements fcs waste wl =
+  let rec place i waste =
     budget_check ();
-    if i = n then record placements fcs waste
+    if i = n then record waste
     else begin
-      let e = entities.(i) in
-      let cands = e.e_cands in
-      let ncands = Array.length cands in
-      let mult = 1 + e.e_hard_copies in
-      let continue_ = ref true in
-      let ci = ref 0 in
-      while !continue_ && !ci < ncands do
-        let cidx = !ci in
-        let c = cands.(cidx) in
-        incr ci;
-        let lb = waste + c.Candidates.waste + min_remaining.(i + 1) in
-        if lb >= waste_cap () then continue_ := false (* waste-sorted: stop *)
+      let cs = t.cands.(i) in
+      let ncands = Array.length cs / stride in
+      let copies = t.copies.(i) in
+      let mult = 1 + copies in
+      let rest = t.min_remaining.(i + 1) in
+      let c = ref 0 in
+      while !c < ncands do
+        let ci = !c in
+        let o = stride * ci in
+        let cwaste = cs.(o + 4) in
+        c := ci + 1;
+        (* waste-sorted: the first candidate over the cap ends the scan *)
+        if waste + cwaste + rest >= !cap then c := ncands
         else begin
-          let cov = cand_coverage.(i).(cidx) in
-          let cap_ok = ref true in
-          for k = 0 to 3 do
-            if
-              used.(k) + (mult * cov.(k)) + min_cov_suffix.(i + 1).(k)
-              > capacity.(k)
-            then cap_ok := false
-          done;
-          let rect = c.Candidates.rect in
-          if !cap_ok && not (overlaps_any rect placed) then begin
-            let name = e.e_region.Spec.r_name in
-            let placements' = (name, rect) :: placements in
-            let wl' =
-              List.fold_left
-                (fun acc (nt : Spec.net) ->
-                  let other =
-                    if nt.Spec.src = name then Some nt.Spec.dst
-                    else if nt.Spec.dst = name then Some nt.Spec.src
-                    else None
-                  in
-                  match other with
-                  | None -> acc
-                  | Some o -> (
-                    match List.assoc_opt o placements with
-                    | None -> acc
-                    | Some r ->
-                      acc +. (nt.Spec.weight *. Rect.manhattan_centers rect r)))
-                wl net_list
+          let x = cs.(o) and y = cs.(o + 1) and w = cs.(o + 2)
+          and h = cs.(o + 3) in
+          if
+            (not (overlaps x y (x + w - 1) (y + h - 1)))
+            && fits (i + 1) mult x w h
+          then begin
+            let wl =
+              if wirelength_stage then begin
+                let acc = ref wl_at.(i) in
+                let near = t.near.(i) and near_w = t.near_w.(i) in
+                for j = 0 to Array.length near - 1 do
+                  let e = near.(j) in
+                  let ce = t.cands.(e) and oe = stride * cur.(e) in
+                  acc :=
+                    !acc
+                    +. near_w.(j)
+                       *. manhattan x y w h ce.(oe) ce.(oe + 1) ce.(oe + 2)
+                            ce.(oe + 3)
+                done;
+                !acc
+              end
+              else 0.
             in
-            let wl_prune =
-              match mode with
-              | Min_wirelength _ -> wl' >= !best_wl -. 1e-9
-              | Min_waste _ -> false
-            in
-            if not wl_prune then begin
+            if not (wirelength_stage && wl >= !best_wl -. 1e-9) then begin
               for k = 0 to 3 do
-                used.(k) <- used.(k) + (mult * cov.(k))
+                used.(k) <- used.(k) + (mult * coverage pref width1 k x w h)
               done;
-              let placed' = (name, rect) :: placed in
-              (if e.e_hard_copies = 0 then
-                place (i + 1) placed' placements' fcs (waste + c.Candidates.waste) wl'
-              else begin
-                (* place the hard free-compatible copies now *)
-                let sites =
-                  Array.of_list (Compat.relocation_sites part rect)
-                in
-                let sites =
-                  Array.of_list
-                    (List.filter
-                       (fun s -> not (Rect.equal s rect))
-                       (Array.to_list sites))
-                in
-                choose_sites e.e_hard_copies 0 sites placed' [] (fun chosen ->
-                    budget_check ();
-                    let fcs' =
-                      List.mapi
-                        (fun k site ->
-                          {
-                            Floorplan.fc_region = name;
-                            fc_index = k + 1;
-                            fc_rect = site;
-                          })
-                        chosen
-                      @ fcs
-                    in
-                    let placed'' =
-                      List.map (fun s -> ("fc:" ^ name, s)) chosen @ placed'
-                    in
-                    place (i + 1) placed'' placements' fcs'
-                      (waste + c.Candidates.waste)
-                      wl')
-              end);
+              push x y w h;
+              cur.(i) <- ci;
+              wl_at.(i + 1) <- wl;
+              if copies = 0 then place (i + 1) (waste + cwaste)
+              else
+                choose i (waste + cwaste) copies 0 (sites_of part t i ci) w h;
+              top := !top - 4;
               for k = 0 to 3 do
-                used.(k) <- used.(k) - (mult * cov.(k))
+                used.(k) <- used.(k) - (mult * coverage pref width1 k x w h)
               done
             end
           end
         end
       done
     end
+  (* choose the remaining [k] copies of entity [i] from [sites], site
+     indices from [start] on *)
+  and choose i waste k start sites w h =
+    if k = 0 then begin
+      budget_check ();
+      place (i + 1) waste
+    end
+    else begin
+      let slot = slot0.(i + 1) - k in
+      for idx = start to (Array.length sites / 2) - k do
+        let sx = sites.(2 * idx) and sy = sites.((2 * idx) + 1) in
+        if not (overlaps sx sy (sx + w - 1) (sy + h - 1)) then begin
+          push sx sy w h;
+          site_at.(slot) <- idx;
+          choose i waste (k - 1) (idx + 1) sites w h;
+          top := !top - 4
+        end
+      done
+    end
   in
   let optimal = ref true in
-  if not !unplaceable then begin
-    try place 0 [] [] [] 0 0. with
+  if not t.unplaceable then begin
+    try place 0 0 with
     | Budget_exhausted ->
       stopped := Some Budget;
       optimal := false
@@ -414,10 +530,9 @@ let finish part spec (plan, waste, wl, optimal, nodes, elapsed, stop) =
   { plan; wasted; wirelength; optimal; nodes; elapsed; stop }
 
 let solve ?(options = default_options) part spec =
-  let entities = order_entities options spec part in
+  let t = tables spec part in
   let r1 =
-    search ~options ~mode:(Min_waste { stop_at_first = false }) part spec
-      entities
+    search ~options ~mode:(Min_waste { stop_at_first = false }) part t
   in
   let plan1, waste1, _, opt1, nodes1, el1, stop1 = r1 in
   match (plan1, waste1) with
@@ -426,8 +541,7 @@ let solve ?(options = default_options) part spec =
   | Some _, Some w when options.optimize_wirelength && opt1 ->
     Rfloor_trace.restart options.trace "wirelength";
     let plan2, waste2, wl2, opt2, nodes2, el2, stop2 =
-      search ~options ~mode:(Min_wirelength { waste_budget = w }) part spec
-        entities
+      search ~options ~mode:(Min_wirelength { waste_budget = w }) part t
     in
     let plan = match plan2 with Some p -> Some p | None -> plan1 in
     finish part spec
@@ -441,9 +555,8 @@ let solve ?(options = default_options) part spec =
   | Some _, Some _ -> finish part spec r1
 
 let feasible ?(options = default_options) part spec =
-  let entities = order_entities options spec part in
+  let t = tables spec part in
   let r =
-    search ~options ~mode:(Min_waste { stop_at_first = true }) part spec
-      entities
+    search ~options ~mode:(Min_waste { stop_at_first = true }) part t
   in
   finish part spec r

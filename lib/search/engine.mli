@@ -11,7 +11,15 @@
     search: a solution is complete only when every requested
     free-compatible area is placed.  Soft requests (Section V) are
     satisfied best-effort on the optimal floorplan afterwards; the MILP
-    engine handles them natively. *)
+    engine handles them natively.
+
+    Search order: regions in decreasing frame demand (ties in spec
+    order), each over {!Candidates.enumerate}'s candidates, its hard
+    copies right after it on pairwise-disjoint relocation sites taken in
+    increasing site order.  A node is counted on entering each level and
+    on completing each choice of copies; the budget and [cancel] are
+    polled every 1024 nodes.  Both stages share the candidate tables
+    and the memoised relocation sites of one call. *)
 
 type stop_reason =
   | Budget  (** time or node limit *)
@@ -21,8 +29,6 @@ type options = {
   time_limit : float option;  (** CPU seconds *)
   node_limit : int option;
   optimize_wirelength : bool;  (** run the second, wire-length phase *)
-  region_order : string list option;
-      (** placement order; default: decreasing frame demand *)
   trace : Rfloor_trace.t;
       (** Incumbent/restart events and per-stage [Branch_bound] spans;
           default {!Rfloor_trace.disabled}.  Per-node events are not

@@ -328,3 +328,39 @@ let random_reloc_spec prng (part : Device.Partition.t) =
         mode;
       };
     ]
+
+(* A spec for the combinatorial engine's differential: [random_spec] or
+   [random_reloc_spec] with its relocation requests replaced by one hard
+   request of 1-3 copies (plus, on some cases, a soft request on another
+   region) and its nets by a chain in random bus widths, sometimes
+   closed into a ring or joined by a self net. *)
+let random_engine_spec prng (part : Device.Partition.t) =
+  let base =
+    if Prng.bool prng then random_spec prng part else random_reloc_spec prng part
+  in
+  let names = Array.of_list (Device.Spec.region_names base) in
+  let n = Array.length names in
+  let weight () = Prng.pick prng [| 0.5; 1.; 2.5; 32.; 64. |] in
+  let net src dst = { Device.Spec.src; dst; weight = weight () } in
+  let chain = List.init (n - 1) (fun i -> net names.(i) names.(i + 1)) in
+  let extra =
+    match Prng.int prng 4 with
+    | 0 when n >= 3 -> [ net names.(n - 1) names.(0) ]
+    | 1 -> [ net names.(0) names.(0) ]
+    | _ -> []
+  in
+  let target = Prng.int prng n in
+  let hard =
+    { Device.Spec.target = names.(target); copies = Prng.range prng 1 3;
+      mode = Device.Spec.Hard }
+  in
+  let soft =
+    if n >= 2 && Prng.bool prng then
+      [
+        { Device.Spec.target = names.((target + 1) mod n);
+          copies = Prng.range prng 1 2; mode = Device.Spec.Soft 1. };
+      ]
+    else []
+  in
+  Device.Spec.make ~nets:(chain @ extra) ~relocs:(hard :: soft)
+    ~name:"gen_engine" base.Device.Spec.regions

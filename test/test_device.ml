@@ -49,6 +49,34 @@ let prop_rect_overlap_symmetric =
        ~shrink:(fun _ -> Seq.empty))
     (fun (a, b) -> Rect.overlaps a b = Rect.overlaps b a)
 
+(* [Rect.compare] and [Rect.equal] compare int fields; they must order
+   and identify rectangles exactly as the polymorphic compare on the
+   record does.  Small coordinate ranges make ties in leading fields
+   common, and every fourth pair is a structurally equal copy. *)
+let prop_rect_compare_is_stdlib =
+  QCheck2.Test.make ~name:"rect compare/equal agree with Stdlib" ~count:2000
+    (QCheck2.Gen.make_primitive
+       ~gen:(fun rng ->
+         let r () =
+           rect
+             (1 + Random.State.int rng 3)
+             (1 + Random.State.int rng 3)
+             (1 + Random.State.int rng 3)
+             (1 + Random.State.int rng 3)
+         in
+         let a = r () in
+         let b =
+           if Random.State.int rng 4 = 0 then rect a.Rect.x a.Rect.y a.Rect.w a.Rect.h
+           else r ()
+         in
+         (a, b))
+       ~shrink:(fun _ -> Seq.empty))
+    (fun (a, b) ->
+      let sign c = Int.compare c 0 in
+      sign (Rect.compare a b) = sign (Stdlib.compare a b)
+      && sign (Rect.compare b a) = sign (Stdlib.compare b a)
+      && Rect.equal a b = (a = b))
+
 let test_rect_center () =
   let cx, cy = Rect.center (rect 1 1 3 1) in
   Alcotest.(check (float 1e-9)) "cx" 2. cx;
@@ -415,7 +443,7 @@ let suites =
         Alcotest.test_case "overlap" `Quick test_rect_overlap;
         Alcotest.test_case "center" `Quick test_rect_center;
       ]
-      @ qsuite [ prop_rect_overlap_symmetric ] );
+      @ qsuite [ prop_rect_overlap_symmetric; prop_rect_compare_is_stdlib ] );
     ( "device.grid",
       [
         Alcotest.test_case "of_strings" `Quick test_grid_of_strings;

@@ -224,6 +224,198 @@ let test_soft_areas_best_effort () =
     Alcotest.(check bool) "valid" true (Floorplan.is_valid part spec plan)
   | None -> Alcotest.fail "no plan"
 
+(* ------------------------------------------------------------------ *)
+(* The flat engine against the frozen list-based one *)
+
+module E = Search.Engine
+module T = Rfloor_trace
+module Ref = Reference_engine
+
+let test_enumerate_matches_reference () =
+  let same part demand =
+    let got =
+      List.map
+        (fun (c : Search.Candidates.candidate) ->
+          (c.Search.Candidates.rect, c.Search.Candidates.waste))
+        (Search.Candidates.enumerate part demand)
+    and want =
+      List.map
+        (fun (c : Ref.candidate) -> (c.Ref.rect, c.Ref.waste))
+        (Ref.enumerate part demand)
+    in
+    Alcotest.(check bool) "same candidates in the same order" true (got = want)
+  in
+  let fx = Lazy.force fx_part in
+  List.iter
+    (fun (r : Spec.region) -> same fx r.Spec.demand)
+    Sdr.design.Spec.regions;
+  let base = Generators.base_seed () in
+  for i = 0 to 99 do
+    let prng = Generators.Prng.make (Generators.case_seed base i) in
+    let part = Generators.random_partition prng in
+    let spec = Generators.random_spec prng part in
+    List.iter (fun (r : Spec.region) -> same part r.Spec.demand) spec.Spec.regions
+  done
+
+let plan_string (p : Floorplan.t) =
+  String.concat " "
+    (List.map
+       (fun (pl : Floorplan.placement) ->
+         pl.Floorplan.p_region ^ Rect.to_string pl.Floorplan.p_rect)
+       p.Floorplan.placements
+    @ List.map
+        (fun (f : Floorplan.fc_area) ->
+          Printf.sprintf "%s#%d%s" f.Floorplan.fc_region f.Floorplan.fc_index
+            (Rect.to_string f.Floorplan.fc_rect))
+        p.Floorplan.fc_areas)
+
+(* Everything a run shows, as one string: the outcome, the plan with
+   placements and areas in list order, every incumbent event
+   (objective bits, node) and every [on_improvement] call. *)
+let fingerprint run options part spec =
+  let ring = T.Ring.create () in
+  let improvements = ref [] in
+  let options =
+    {
+      options with
+      E.trace = T.create ~sink:(T.Ring.sink ring) ();
+      on_improvement =
+        Some
+          (fun plan w ->
+            improvements := Printf.sprintf "%d: %s" w (plan_string plan) :: !improvements);
+    }
+  in
+  let o : E.outcome = run ~options part spec in
+  let opt f = function None -> "-" | Some v -> f v in
+  let incumbents =
+    List.filter_map
+      (fun (e : T.Event.t) ->
+        match e.T.Event.payload with
+        | T.Event.Incumbent { objective; node } ->
+          Some (Printf.sprintf "%h@%d" objective node)
+        | _ -> None)
+      (T.Ring.events ring)
+  in
+  ( o,
+    Printf.sprintf
+      "nodes=%d wasted=%s wl=%s optimal=%b stop=%s\nplan: %s\nincumbents: %s\nimprovements:\n%s"
+      o.E.nodes (opt string_of_int o.E.wasted)
+      (opt (Printf.sprintf "%h") o.E.wirelength)
+      o.E.optimal
+      (opt (function E.Budget -> "budget" | E.Cancelled -> "cancelled") o.E.stop)
+      (opt plan_string o.E.plan)
+      (String.concat " " incumbents)
+      (String.concat "\n" (List.rev !improvements)) )
+
+(* [options ()] gives each run its own options, so a stateful cancel
+   token starts afresh for both engines. *)
+let check_same label ~feasible options part spec =
+  let run_new, run_ref =
+    if feasible then ((fun ~options -> E.feasible ~options), fun ~options -> Ref.feasible ~options)
+    else ((fun ~options -> E.solve ~options), fun ~options -> Ref.solve ~options)
+  in
+  let o, got = fingerprint run_new (options ()) part spec in
+  let _, want = fingerprint run_ref (options ()) part spec in
+  Alcotest.(check string) label want got;
+  o
+
+let test_engine_matches_reference_fx70t () =
+  let part = Lazy.force fx_part in
+  let default () = E.default_options in
+  let limit nl () = { E.default_options with node_limit = Some nl } in
+  let no_wl () = { E.default_options with optimize_wirelength = false } in
+  let sdr = check_same "SDR" ~feasible:false default part Sdr.design in
+  let sdr2 = check_same "SDR2" ~feasible:false default part Sdr.sdr2 in
+  List.iter
+    (fun nl ->
+      ignore
+        (check_same (Printf.sprintf "SDR3 at %d nodes" nl) ~feasible:false (limit nl)
+           part Sdr.sdr3))
+    [ 1; 1024; 30_000 ];
+  let sdr3 = check_same "SDR3 at 250000 nodes" ~feasible:false (limit 250_000) part Sdr.sdr3 in
+  let cancel_at k () =
+    let polls = ref 0 in
+    { E.default_options with cancel = (fun () -> incr polls; !polls >= k) }
+  in
+  ignore (check_same "SDR2 cancelled at the 20th poll" ~feasible:false (cancel_at 20) part Sdr.sdr2);
+  List.iter
+    (fun (name, spec) ->
+      ignore (check_same (name ^ " without wire length") ~feasible:false no_wl part spec))
+    [ ("SDR", Sdr.design); ("SDR2", Sdr.sdr2); ("SDR3", Sdr.sdr3) ];
+  List.iter
+    (fun name ->
+      ignore
+        (check_same ("feasible " ^ name) ~feasible:true default part
+           (Sdr.feasibility_variant name)))
+    Sdr.module_names;
+  (* pins recorded on the list-based engine *)
+  Alcotest.(check int) "SDR nodes" 47_787 sdr.E.nodes;
+  Alcotest.(check int) "SDR2 nodes" 109_150 sdr2.E.nodes;
+  Alcotest.(check int) "SDR3 nodes at 250k" 252_151 sdr3.E.nodes;
+  Alcotest.(check (option int)) "SDR3 wasted at 250k" (Some 120) sdr3.E.wasted;
+  Alcotest.(check (option (float 0.))) "SDR3 wire length at 250k" (Some 1888.)
+    sdr3.E.wirelength
+
+(* Seeded small instances: random partitions, nets, 1-3 hard copies;
+   full solves, waste-only solves, feasibility, node limits and a
+   cancellation at the first or second poll (the budget and the token
+   are polled every 1024 nodes, so these bite on the larger searches
+   only). *)
+let test_engine_matches_reference_seeded () =
+  (* a prune-threshold tie: once the incumbent's wire length is exactly
+     1e-9 (one net of that weight at distance 1), the threshold
+     [best -. 1e-9] is 0 and the next placement of A, with no net
+     resolved yet, ties it *)
+  let clb = Resource.tile_type Resource.Clb in
+  let tie_part = Partition.columnar_exn (Grid.of_columns ~rows:1 [ clb; clb ]) in
+  let tie_spec =
+    Spec.make ~name:"tie"
+      ~nets:[ { Spec.src = "A"; dst = "B"; weight = 1e-9 } ]
+      [
+        { Spec.r_name = "A"; demand = [ (Resource.Clb, 1) ] };
+        { Spec.r_name = "B"; demand = [ (Resource.Clb, 1) ] };
+      ]
+  in
+  ignore
+    (check_same "prune-threshold tie" ~feasible:false
+       (fun () -> E.default_options)
+       tie_part tie_spec);
+  let base = Generators.base_seed () in
+  for i = 0 to 319 do
+    let seed = Generators.case_seed base i in
+    let prng = Generators.Prng.make seed in
+    let part = Generators.random_partition prng in
+    let spec = Generators.random_engine_spec prng part in
+    let options () =
+      let polls = ref 0 in
+      {
+        E.default_options with
+        optimize_wirelength = i mod 4 <> 3;
+        node_limit = (if i mod 5 = 4 then Some (1 + (1024 * (i mod 3))) else None);
+        cancel =
+          (if i mod 7 = 6 then fun () -> incr polls; !polls > i mod 2
+           else fun () -> false);
+      }
+    in
+    let label = Printf.sprintf "case %d (seed %d)" i seed in
+    ignore (check_same (label ^ " solve") ~feasible:false options part spec);
+    ignore (check_same (label ^ " feasible") ~feasible:true options part spec)
+  done
+
+(* The flat kernel allocates nothing per candidate scanned: a full SDR2
+   solve, candidate tables included, stays far below one boxed float
+   per candidate scanned (about 14 scans per node). *)
+let test_engine_allocation () =
+  let part = Lazy.force fx_part in
+  ignore (E.solve part Sdr.design);
+  let before = Gc.minor_words () in
+  let o = E.solve part Sdr.sdr2 in
+  let words = Gc.minor_words () -. before in
+  let per_node = words /. float_of_int o.E.nodes in
+  if per_node > 16. then
+    Alcotest.failf "SDR2 allocates %.1f minor words per node (%d nodes), bound 16"
+      per_node o.E.nodes
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suites =
@@ -232,6 +424,8 @@ let suites =
       [
         Alcotest.test_case "satisfy demand" `Quick test_candidates_satisfy_demand;
         Alcotest.test_case "unplaceable" `Quick test_candidates_unplaceable;
+        Alcotest.test_case "enumerate = reference enumeration" `Quick
+          test_enumerate_matches_reference;
       ]
       @ qsuite [ prop_candidates_complete ] );
     ( "search.engine",
@@ -239,6 +433,11 @@ let suites =
       @ [
           Alcotest.test_case "soft areas best effort" `Quick
             test_soft_areas_best_effort;
+          Alcotest.test_case "engine = reference engine" `Slow
+            test_engine_matches_reference_fx70t;
+          Alcotest.test_case "engine = reference engine (seeded instances)" `Quick
+            test_engine_matches_reference_seeded;
+          Alcotest.test_case "allocation per node" `Quick test_engine_allocation;
         ] );
     ( "search.sdr",
       [
