@@ -24,14 +24,21 @@
 #                                (zero nodes), one cooperative cancel,
 #                                and a schema-valid metrics snapshot.
 #   bin/lint.sh simplex-check -- LP-core gate only: the sparse-LU
-#                                property suite (L·U=P·B, ftran/btran,
-#                                update-vs-refactor, up to m = 300), the
-#                                pinned FX70T root LP (iterations,
-#                                objective bits, x digest, minor words
-#                                per iteration), the simplex fixtures,
-#                                and a 50-instance mini differential
+#                                property suite (L·U=P·B·Q with Q a
+#                                permutation, every L multiplier at
+#                                most 10, ftran/btran, update-vs-
+#                                refactor, up to m = 300), the pinned
+#                                FX70T root LP (iterations, objective
+#                                bits, x digest, minor words per
+#                                iteration) and the fill of its optimal
+#                                basis (L+U at most 1.5x its nonzeros),
+#                                the full 200-instance LP differential
 #                                (sparse vs frozen dense reference, warm
-#                                vs cold) at the pinned seed.
+#                                vs cold children, cold-vs-warm B&B) at
+#                                the pinned seed and at seeds 7 and
+#                                424242, then the simplex fixtures and
+#                                the cancellation tests at the pinned
+#                                seed and at seeds 1, 7, 12 and 42.
 #   bin/lint.sh search-check  -- combinatorial-engine gate only: the
 #                                search suites at the pinned seed (the
 #                                flat engine against the frozen
@@ -251,17 +258,23 @@ EOF
 }
 
 simplex_check() {
-    echo "== simplex-check (LU properties, pinned FX70T root LP, fixtures, 50-instance mini differential)"
+    echo "== simplex-check (LU properties, pinned FX70T root LP and basis fill, fixtures, LP differentials)"
     seed="${RFLOOR_TEST_SEED:-2015}"
     RFLOOR_TEST_SEED="$seed" dune exec test/test_main.exe -- test simplex_core.lu
     dune exec test/test_main.exe -- test simplex_core.root_lp
-    RFLOOR_TEST_SEED="$seed" dune exec test/test_main.exe -- test milp.simplex
     # cases 3-5 of the differential suite are the LP-core trio (sparse
-    # vs dense reference, warm child re-solves, cold-vs-warm B&B);
-    # RFLOOR_SIMPLEX_DIFF=50 shrinks them to a smoke-sized sample
-    RFLOOR_TEST_SEED="$seed" RFLOOR_SIMPLEX_DIFF=50 \
-        dune exec test/test_main.exe -- test differential 3-5
-    echo "simplex-check passed (properties, pinned root LP, fixtures, mini differential at seed $seed)"
+    # vs dense reference, warm child re-solves, cold-vs-warm B&B), at
+    # their default 200 instances
+    for s in "$seed" 7 424242; do
+        RFLOOR_TEST_SEED="$s" dune exec test/test_main.exe -- test differential 3-5
+    done
+    # 1, 7, 12 and 42 are seeds at which the cancellation tests once
+    # met an instance solved before the token fired
+    for s in "$seed" 1 7 12 42; do
+        RFLOOR_TEST_SEED="$s" dune exec test/test_main.exe -- test milp.simplex
+        RFLOOR_TEST_SEED="$s" dune exec test/test_main.exe -- test service.cancel
+    done
+    echo "simplex-check passed (L·U=P·B·Q properties, pinned root LP and fill bound, fixtures, LP differentials at seeds $seed, 7, 424242, fixtures and cancellation at seeds $seed, 1, 7, 12, 42)"
 }
 
 search_check() {

@@ -1,13 +1,22 @@
 (* Sparse LU of a simplex basis with a product-form update file.
 
-   The factorization is left-looking: column j of the basis is
-   scattered into a dense scratch vector, eliminated against the
-   earlier pivot steps it reaches, in ascending step order, and the
-   largest remaining entry (partial pivoting) becomes the step-j pivot.
-   L is built column-wise in original-row coordinates and renumbered to
-   pivot steps once every row has one, with a unit diagonal implied; U
-   is stored column-wise in pivot-step coordinates with an explicit
-   diagonal.
+   The factorization computes L·U = P·B·Q.  The column order Q takes
+   basis positions by ascending nonzero count (a stable counting sort,
+   ties by position), so the unit slack and artificial columns come
+   first and pivot on their own rows without elimination, and the
+   structural columns follow, sparsest first.  The factorization is
+   left-looking: the step-j column B·Q(j) is scattered into a dense
+   scratch vector and eliminated against the earlier pivot steps it
+   reaches, in ascending step order.  The row choice P is threshold
+   partial pivoting with u = 0.1: among the unpivoted rows whose
+   remaining |x| is at least u times the column's largest, the row
+   with the fewest basis nonzeros wins; the partial-pivoting row (the
+   first strict maximum in touch order) keeps ties, then the first in
+   touch order.  Every L multiplier is then at most 1/u = 10 in
+   magnitude.  L is built column-wise in original-row coordinates and
+   renumbered to pivot steps once every row has one, with a unit
+   diagonal implied; U is stored column-wise in pivot-step coordinates
+   with an explicit diagonal.
 
    Basis changes append product-form etas (r, w, w_r) where w is the
    ftran image of the incoming column: the new basis is B·E with E the
@@ -38,6 +47,7 @@ type csc = {
 type t = {
   m : int;
   perm : int array; (* pivot step -> original row *)
+  q : int array; (* pivot step -> basis position *)
   l : csc; (* per step: later steps and multipliers *)
   u : csc; (* per step: earlier steps and coefficients *)
   diag : float array;
@@ -53,6 +63,7 @@ type t = {
 let size t = t.m
 
 let factor_pivot_tol = 1e-12
+let threshold_u = 0.1
 let eta_drop_tol = 1e-13
 let eta_pivot_tol = 1e-9
 let base_eta_cap = 64
@@ -116,7 +127,42 @@ let heap_pop h n =
   h.(!i) <- last;
   top
 
+(* The column order Q and the static row counts.  One pass over the
+   basis counts the nonzeros of every column and every row; a stable
+   counting sort by column count then lists the basis positions
+   sparsest first, ties by position. *)
+let column_order ~m col_iter basis =
+  let ccount = Array.make m 0 and rcount = Array.make m 0 in
+  let cur = ref 0 in
+  let count r _ =
+    ccount.(!cur) <- ccount.(!cur) + 1;
+    rcount.(r) <- rcount.(r) + 1
+  in
+  let maxc = ref 0 in
+  for j = 0 to m - 1 do
+    cur := j;
+    col_iter basis.(j) count;
+    if ccount.(j) > !maxc then maxc := ccount.(j)
+  done;
+  (* after the prefix sums, next.(c) is the first free slot of the
+     count-c bucket *)
+  let next = Array.make (!maxc + 2) 0 in
+  for j = 0 to m - 1 do
+    next.(ccount.(j) + 1) <- next.(ccount.(j) + 1) + 1
+  done;
+  for c = 1 to !maxc do
+    next.(c) <- next.(c) + next.(c - 1)
+  done;
+  let q = Array.make m 0 in
+  for j = 0 to m - 1 do
+    let c = ccount.(j) in
+    q.(next.(c)) <- j;
+    next.(c) <- next.(c) + 1
+  done;
+  (q, rcount)
+
 let factor ~m col_iter basis =
+  let q, rcount = column_order ~m col_iter basis in
   let perm = Array.make m (-1) in
   let rowpos = Array.make m (-1) in
   let l = csc_create ~cols:m ~nnz:(4 * m) in
@@ -145,7 +191,7 @@ let factor ~m col_iter basis =
   let fill = ref 0 in
   for j = 0 to m - 1 do
     nt := 0;
-    col_iter basis.(j) scatter;
+    col_iter basis.(q.(j)) scatter;
     (* left-looking elimination in step order; updates from step k only
        reach rows pivoted later, so every step it pushes exceeds k and
        the heap yields the reached steps in ascending order *)
@@ -187,6 +233,16 @@ let factor ~m col_iter basis =
       end
     done;
     if !best < 0 || !bestv < factor_pivot_tol then raise Singular;
+    (* threshold row choice: the row with the fewest basis nonzeros
+       among those within u of the largest; strict comparison keeps the
+       partial-pivoting row on ties, then the first in touch order *)
+    let cutoff = threshold_u *. !bestv in
+    for ti = 0 to !nt - 1 do
+      let r = touch_list.(ti) in
+      if rowpos.(r) < 0 && rcount.(r) < rcount.(!best)
+         && abs_float x.(r) >= cutoff
+      then best := r
+    done;
     let pr = !best in
     let d = x.(pr) in
     diag.(j) <- d;
@@ -214,6 +270,7 @@ let factor ~m col_iter basis =
   {
     m;
     perm;
+    q;
     l;
     u;
     diag;
@@ -243,8 +300,9 @@ let ftran t b =
       done
   done;
   (* U back-substitution; b's row-space values are dead, reuse it for
-     the basis-position result *)
+     the basis-position result, step j's value landing at q.(j) *)
   let us = t.u.start and ui = t.u.idx and uv = t.u.v and diag = t.diag in
+  let q = t.q in
   for j = m - 1 downto 0 do
     let yj = z.(j) /. diag.(j) in
     if yj <> 0. then
@@ -252,7 +310,7 @@ let ftran t b =
         let k = ui.(p) in
         z.(k) <- z.(k) -. (uv.(p) *. yj)
       done;
-    b.(j) <- yj
+    b.(q.(j)) <- yj
   done;
   (* eta inverses, oldest first *)
   let es = t.eta.start and ei = t.eta.idx and ev = t.eta.v in
@@ -281,11 +339,12 @@ let btran t c =
     done;
     c.(r) <- (c.(r) -. !s) /. t.eta_pivot.(i)
   done;
-  (* U^T forward solve into step space *)
+  (* U^T forward solve into step space, step j reading position q.(j) *)
   let v = t.fw in
   let us = t.u.start and ui = t.u.idx and uv = t.u.v and diag = t.diag in
+  let q = t.q in
   for j = 0 to m - 1 do
-    let s = ref c.(j) in
+    let s = ref c.(q.(j)) in
     for p = us.(j) to us.(j + 1) - 1 do
       s := !s -. (uv.(p) *. v.(ui.(p)))
     done;
@@ -337,6 +396,7 @@ let needs_refactor ?(cap = base_eta_cap) t =
   t.unstable || eta_count t >= cap || t.eta_fill > 4 * (t.lu_fill + t.m)
 
 let perm t = Array.copy t.perm
+let col_perm t = Array.copy t.q
 
 let dense_l t =
   let m = t.m in

@@ -2,15 +2,22 @@
     update file.
 
     [factor] computes a left-looking (Gilbert–Peierls style) sparse LU
-    with partial pivoting of the basis matrix [B] whose column [j] is
-    the constraint column of the variable basic in position [j]:
-    [L·U = P·B] for a row permutation [P].  Each column is eliminated
-    only against the earlier pivot steps it actually reaches, taken in
-    ascending step order from a min-heap.  After a pivot the
-    factorization is extended with a product-form eta instead of being
-    recomputed ({!update}); {!needs_refactor} reports when the eta file
-    has grown past its cap, accumulated fill, or absorbed a pivot too
-    small to be trusted — the caller then refactorizes from scratch.
+    of the basis matrix [B] whose column [j] is the constraint column
+    of the variable basic in position [j]: [L·U = P·B·Q] for a row
+    permutation [P] and a column permutation [Q].  [Q] is fill-reducing:
+    basis positions by ascending nonzero count (stable, ties by
+    position), so unit slack and artificial columns pivot first on
+    their own rows.  [P] is threshold partial pivoting with [u = 0.1]:
+    among the rows whose remaining entry is at least [u] times the
+    column's largest, the one with the fewest basis nonzeros, which
+    bounds every [L] multiplier by [1/u = 10].  Each column is
+    eliminated only against the earlier pivot steps it actually
+    reaches, taken in ascending step order from a min-heap.  After a
+    pivot the factorization is extended with a product-form eta
+    instead of being recomputed ({!update}); {!needs_refactor} reports
+    when the eta file has grown past its cap, accumulated fill, or
+    absorbed a pivot too small to be trusted — the caller then
+    refactorizes from scratch.
 
     Storage is flat: [L], [U] and the eta file are each one
     compressed-sparse-column (CSC) triple of a per-column start offset
@@ -61,7 +68,8 @@ val eta_count : t -> int
 (** Number of product-form updates since the last fresh factorization. *)
 
 val fill : t -> int
-(** Nonzeros stored in [L] and [U] (excluding the eta file). *)
+(** Nonzeros stored in [L] and [U], the diagonal included (excluding
+    the eta file). *)
 
 val unstable : t -> bool
 (** True once some eta pivot was small enough to endanger accuracy. *)
@@ -77,6 +85,9 @@ val needs_refactor : ?cap:int -> t -> bool
 
 val perm : t -> int array
 (** [perm t].(k) is the original row chosen as pivot at step [k]. *)
+
+val col_perm : t -> int array
+(** [col_perm t].(k) is the basis position factored at step [k]. *)
 
 val dense_l : t -> float array array
 (** Unit-lower-triangular [L] in pivot-step coordinates. *)

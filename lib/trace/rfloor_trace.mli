@@ -54,10 +54,15 @@ module Event : sig
             cooperative cancellation and ["budget"] for a time/node
             limit *)
     | Lp_refactor of { reason : string }
-        (** the simplex rebuilt its basis factorization; [reason] is
+        (** the simplex built a fresh basis factorization; [reason]
+            is ["initial"] (the cold solve's starting basis),
             ["periodic"] (eta cap / fill growth), ["stability"] (a
-            dubious update pivot), or ["singular"] (a fresh
-            factorization after a degenerate install) *)
+            dubious update pivot), ["final"] (the optimal basis, before
+            its values are reported) or ["warm"] (a parent basis
+            installed for a warm re-solve).  A factorization that
+            comes back singular emits no [Lp_refactor]: mid-solve the
+            simplex keeps its eta file and pushes the cap out, and a
+            warm install reports ["fallback:singular"] as [Lp_warm]. *)
     | Lp_warm of { result : string }
         (** a warm-started LP re-solve finished; [result] is ["dual"]
             when the dual simplex ran from the parent basis, and

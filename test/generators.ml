@@ -232,14 +232,17 @@ let milp_case ~seed =
   | 2 -> set_cover prng
   | _ -> random_milp prng
 
-(* A deliberately harder bounded knapsack for timing comparisons. *)
+(* A deliberately harder bounded knapsack for timing and cancellation
+   tests.  The weights are even and the capacity odd, so no integer
+   point fills the capacity and the root relaxation's break item is
+   always fractional: the root LP is never integral. *)
 let hard_knapsack ~seed =
   let prng = Prng.make seed in
   let n = 12 in
-  let w = Array.init n (fun _ -> Prng.range prng 3 19) in
+  let w = Array.init n (fun _ -> 2 * Prng.range prng 2 10) in
   let v = Array.init n (fun _ -> Prng.range prng 3 19) in
   let total = Array.fold_left ( + ) 0 w * 3 in
-  let cap = total * 45 / 100 in
+  let cap = (total * 45 / 100) lor 1 in
   let lp = Lp.create ~name:"gen_hard_knapsack" () in
   let xs =
     Array.init n (fun i ->

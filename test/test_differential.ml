@@ -110,8 +110,8 @@ let test_presolve_differential () =
 
    [Reference_simplex] is the pre-sparse dense-tableau solver kept in
    test/ as an oracle; it shares no code with the live [Simplex].
-   RFLOOR_SIMPLEX_DIFF scales the instance count (bin/lint.sh
-   simplex-check runs a 50-instance subset; the default is 200). *)
+   RFLOOR_SIMPLEX_DIFF scales the instance count (default 200, which
+   bin/lint.sh simplex-check runs at three seeds). *)
 
 module Ref = Reference_simplex
 

@@ -765,6 +765,17 @@ let test_elapsed_monotone_on_stops () =
   let r = Parallel_bb.solve ~options:opts ~workers:2 lp in
   check "parallel cancel" r (Unix.gettimeofday () -. t0)
 
+(* The cancellation tests stop [Generators.hard_knapsack] after a few
+   polls and expect a [Cancelled] stop, so no seed may let it finish
+   within a handful of nodes. *)
+let test_hard_knapsack_is_hard () =
+  for seed = 1 to 200 do
+    let r = Branch_bound.solve (Generators.hard_knapsack ~seed) in
+    if r.Branch_bound.nodes < 10 then
+      Alcotest.failf "seed %d: hard knapsack solved in %d nodes" seed
+        r.Branch_bound.nodes
+  done
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suites =
@@ -799,6 +810,8 @@ let suites =
           test_presolve_proven_infeasible;
         Alcotest.test_case "mixed integer" `Quick test_bb_mixed;
         Alcotest.test_case "warm incumbent" `Quick test_bb_warm_incumbent;
+        Alcotest.test_case "hard knapsack takes at least 10 nodes" `Quick
+          test_hard_knapsack_is_hard;
       ] );
     ( "milp.gomory",
       [

@@ -3,16 +3,18 @@
    Randomized bases (seeded; RFLOOR_TEST_SEED respected, failures print
    the case seed) are checked for the three contracts the revised
    simplex relies on:
-   - factorization correctness: L·U = P·B entrywise;
+   - factorization correctness: L·U = P·B·Q entrywise, Q a permutation
+     of the basis positions and every L multiplier at most 1/u = 10;
    - ftran/btran are true solves: B·w = b and Bᵀ·y = c round-trip;
    - the product-form update file is exact: k column replacements via
      [Lu.update] answer ftran/btran identically (to rounding) to a
      fresh factorization of the replaced basis.
-   Small dense-ish bases (m <= 15, identity column order) and
+   Small dense-ish bases (m <= 15, column j basic in position j) and
    simplex-scale ones (m up to 300, unit and structural columns
-   interleaved) both run through them.  A last case pins the FX70T
-   root LP of the benchmark: its iteration count, objective bits and
-   solution digest, and the allocation per iteration. *)
+   interleaved, so Q is not the identity) both run through them.  The
+   last cases pin the FX70T root LP of the benchmark (its iteration
+   count, objective bits and solution digest, and the allocation per
+   iteration) and bound the fill of its optimal basis. *)
 
 open Milp
 module Prng = Generators.Prng
@@ -95,18 +97,40 @@ let max_abs a =
   Array.fold_left (fun acc row -> Array.fold_left (fun a v -> Float.max a (abs_float v)) acc row) 0. a
 
 (* ------------------------------------------------------------------ *)
-(* Property 1: L·U = P·B *)
+(* Property 1: L·U = P·B·Q *)
+
+(* Threshold pivoting with u = 0.1 keeps every multiplier within 1/u;
+   the slack absorbs the rounding of the threshold and the division. *)
+let max_multiplier = 10. *. (1. +. 1e-12)
 
 let check_reconstructs ~seed cols lu =
   let m = Array.length cols in
   let b = dense_of_cols cols in
   let l = Lu.dense_l lu and u = Lu.dense_u lu and perm = Lu.perm lu in
+  let q = Lu.col_perm lu in
   let scale = 1. +. max_abs b in
+  (* Q must list every basis position exactly once *)
+  if Array.length q <> m then
+    Alcotest.failf "seed %d (m=%d): col_perm has length %d" seed m
+      (Array.length q);
+  let seen = Array.make m false in
+  Array.iteri
+    (fun k p ->
+      if p < 0 || p >= m || seen.(p) then
+        Alcotest.failf "seed %d (m=%d): col_perm[%d] = %d repeats or is out of range"
+          seed m k p;
+      seen.(p) <- true)
+    q;
   (* L must be unit lower and U upper triangular *)
   for k = 0 to m - 1 do
     if l.(k).(k) <> 1. then
       Alcotest.failf "seed %d (m=%d): L[%d][%d] = %.12g, not 1" seed m k k
         l.(k).(k);
+    for t = 0 to k - 1 do
+      if abs_float l.(k).(t) > max_multiplier then
+        Alcotest.failf "seed %d (m=%d): multiplier L[%d][%d] = %.12g exceeds 10"
+          seed m k t l.(k).(t)
+    done;
     for t = k + 1 to m - 1 do
       if l.(k).(t) <> 0. then
         Alcotest.failf "seed %d (m=%d): L[%d][%d] = %.12g above the diagonal"
@@ -122,9 +146,9 @@ let check_reconstructs ~seed cols lu =
       for t = 0 to m - 1 do
         lu_kj := !lu_kj +. (l.(k).(t) *. u.(t).(j))
       done;
-      let want = b.(perm.(k)).(j) in
+      let want = b.(perm.(k)).(q.(j)) in
       if abs_float (!lu_kj -. want) > 1e-8 *. scale then
-        Alcotest.failf "seed %d (m=%d): (L*U)[%d][%d] = %.12g, (P*B) = %.12g"
+        Alcotest.failf "seed %d (m=%d): (L*U)[%d][%d] = %.12g, (P*B*Q) = %.12g"
           seed m k j !lu_kj want
     done
   done
@@ -305,6 +329,8 @@ let test_simplex_scale () =
     let prng = Prng.make seed in
     let m = if i = 0 then 300 else Prng.range prng 40 300 in
     let cols, lu = random_factored ~gen:simplex_cols prng m 50 in
+    if Lu.col_perm lu = Array.init m Fun.id then
+      Alcotest.failf "seed %d (m=%d): column order is the identity" seed m;
     check_reconstructs ~seed cols lu;
     for _ = 1 to 3 do
       check_ftran ~seed cols lu prng "fresh";
@@ -365,15 +391,15 @@ let test_singular_detected () =
    operation in order reproduces the pivot path exactly, so the
    iteration count, the objective's bits and a digest of x's bits are
    pinned (x86-64 values; OCaml emits no fused multiply-add there).
-   The allocation bound sits twice above the kernel's ~1.9k minor words
+   The allocation bound sits twice above the kernel's ~1.8k minor words
    per iteration: a boxed float per priced column already breaks it
    (~6k), a closure per column entry (~600k) by far. *)
-let root_iterations = 1148
-let root_objective = "-0x1.cp-38"
-let root_x_digest = "32ef1b4c28b078954021dd4a2e2963b8"
+let root_iterations = 1084
+let root_objective = "-0x1p-39"
+let root_x_digest = "4f80c95a13ff3bcd889c184a91646a0d"
 let max_minor_words_per_iter = 4_000.
 
-let test_fx70t_root_lp () =
+let fx70t_root_lp () =
   let part = Device.Partition.columnar_exn Device.Devices.virtex5_fx70t in
   let model =
     Rfloor.Model.build
@@ -383,7 +409,6 @@ let test_fx70t_root_lp () =
   in
   let lp = Rfloor.Model.lp model in
   ignore (Presolve.tighten lp);
-  let core = Simplex.Core.of_lp lp in
   let n = Lp.num_vars lp in
   let lb = Array.init n (Lp.var_lb lp) and ub = Array.init n (Lp.var_ub lp) in
   List.iter
@@ -391,6 +416,10 @@ let test_fx70t_root_lp () =
       if Float.is_finite lb.(v) then lb.(v) <- Float.round (ceil (lb.(v) -. 1e-9));
       if Float.is_finite ub.(v) then ub.(v) <- Float.round (floor (ub.(v) +. 1e-9)))
     (Lp.integer_vars lp);
+  (lp, Simplex.Core.of_lp lp, lb, ub)
+
+let test_fx70t_root_lp () =
+  let _, core, lb, ub = fx70t_root_lp () in
   let words0 = Gc.minor_words () in
   let o = Simplex.Core.solve ~lb ~ub core in
   let words = Gc.minor_words () -. words0 in
@@ -398,6 +427,9 @@ let test_fx70t_root_lp () =
   Alcotest.(check int) "iterations" root_iterations o.Simplex.iterations;
   Alcotest.(check string) "objective bits" root_objective
     (Printf.sprintf "%h" o.Simplex.objective);
+  if abs_float o.Simplex.objective > 1e-9 then
+    Alcotest.failf "objective %h is not a rounding residue of the optimum 0"
+      o.Simplex.objective;
   let digest =
     Digest.to_hex
       (Digest.string
@@ -408,6 +440,39 @@ let test_fx70t_root_lp () =
   if per_iter > max_minor_words_per_iter then
     Alcotest.failf "%.0f minor words per iteration (bound %.0f)" per_iter
       max_minor_words_per_iter
+
+(* The optimal basis of that LP, factored over the LP's own columns
+   (slacks and artificials as unit columns), must keep L+U within 1.5x
+   its nonzeros (about 1.1x).  Factoring in basis-position order gives
+   over 20x, and the sparse row choice alone about 2.5x. *)
+let max_fill_ratio = 1.5
+
+let test_fx70t_basis_fill () =
+  let lp, core, lb, ub = fx70t_root_lp () in
+  let o, info = Simplex.Core.solve_with_basis ~lb ~ub core in
+  Alcotest.(check bool) "optimal" true (o.Simplex.status = Simplex.Optimal);
+  let basis =
+    match info with Some (basis, _, _) -> basis | None -> Alcotest.fail "no basis"
+  in
+  let n = Lp.num_vars lp and m = Lp.num_constrs lp in
+  let cols = Array.make n [] in
+  Lp.iter_constrs lp (fun i terms _ _ ->
+      List.iter (fun (c, v) -> cols.(v) <- (i, c) :: cols.(v)) terms);
+  let cols = Array.map (fun col -> Array.of_list (List.rev col)) cols in
+  let col_iter j f =
+    if j < n then Array.iter (fun (r, c) -> f r c) cols.(j)
+    else f (if j < n + m then j - n else j - n - m) 1.
+  in
+  let nnz =
+    Array.fold_left
+      (fun acc j -> acc + if j < n then Array.length cols.(j) else 1)
+      0 basis
+  in
+  let lu = Lu.factor ~m col_iter basis in
+  let ratio = float_of_int (Lu.fill lu) /. float_of_int nnz in
+  if ratio > max_fill_ratio then
+    Alcotest.failf "L+U holds %d entries for %d basis nonzeros (%.2fx, bound %.1fx)"
+      (Lu.fill lu) nnz ratio max_fill_ratio
 
 let suites =
   [
@@ -429,5 +494,9 @@ let suites =
           test_singular_detected;
       ] );
     ( "simplex_core.root_lp",
-      [ Alcotest.test_case "FX70T root LP pinned" `Quick test_fx70t_root_lp ] );
+      [
+        Alcotest.test_case "FX70T root LP pinned" `Quick test_fx70t_root_lp;
+        Alcotest.test_case "optimal basis fill within 1.5x" `Quick
+          test_fx70t_basis_fill;
+      ] );
   ]
