@@ -87,9 +87,10 @@
 #   bin/lint.sh online-check  -- online-floorplanning gate only: replay
 #                                the pinned seeded 100-event workload
 #                                locally with every audit on (each move
-#                                through the relocation filter,
-#                                non-moving frames byte-identical, MER
-#                                set equal to a recompute), push the
+#                                through the relocation filter, each
+#                                non-moving module's image compared in
+#                                place with its old one, MER set equal
+#                                to a recompute), push the
 #                                same trace as rfloor-service/1 frames
 #                                through the live service (>= 1 defrag
 #                                episode, zero error frames, final
@@ -99,8 +100,11 @@
 #                                (admission pinned to the original scan,
 #                                the pinned FX70T churn replay) and
 #                                `test_main.exe test 'bitstream.*'` (the
-#                                pinned image wire format and its
-#                                allocation bound), and relocate an area
+#                                pinned image wire format, the parse
+#                                length check and the allocation bounds;
+#                                again at RFLOOR_TEST_SEED 7 and 424242
+#                                for the seeded relocation round-trip
+#                                property), and relocate an area
 #                                off the FX70T in both directions, which
 #                                must exit 1 with a message and never an
 #                                "internal error".
@@ -485,9 +489,10 @@ online_check() {
     ltmp=$(mktemp -d)
     seed="${RFLOOR_TEST_SEED:-2015}"
     # 1. local replay with every audit on: each move passes the
-    #    bitstream relocation filter, non-moving modules' frames come
-    #    through byte-identical, and the incremental free-rectangle set
-    #    equals a from-scratch recompute after every event
+    #    bitstream relocation filter, each non-moving module's image is
+    #    compared in place with its old one (Image.equal: same wire
+    #    bytes), and the incremental free-rectangle set equals a
+    #    from-scratch recompute after every event
     dune exec bin/rfloor_cli.exe -- online --device mini --seed "$seed" \
         --events 100 > "$ltmp/replay.txt"
     grep -q '^violations: 0$' "$ltmp/replay.txt" || {
@@ -543,9 +548,13 @@ EOF
         echo "online-check: duplicate add was accepted (RF702 lost)" >&2
         exit 1; }
     # 4. admission decisions and the FX70T churn replay pinned to the
-    #    original scan; the image wire format and its allocation pinned
+    #    original scan; the image wire format and its allocation pinned;
+    #    the relocation round-trip property at two more seeds
     dune exec test/test_main.exe -- test online
     dune exec test/test_main.exe -- test 'bitstream.*'
+    for s in 7 424242; do
+        RFLOOR_TEST_SEED="$s" dune exec test/test_main.exe -- test 'bitstream.*'
+    done
     # 5. out-of-device fixture: a source or target area off the FX70T is
     #    refused with a message and exit 1, never an uncaught exception
     for areas in "3,1,2,2 42,1,2,2" "42,1,2,2 3,1,2,2"; do

@@ -14,9 +14,9 @@ let pp_error ppf = function
 let inside part r =
   Rect.within ~width:(Partition.width part) ~height:(Partition.height part) r
 
-let relocate part ~src ~dst (img : Image.t) =
-  if img.Image.device <> Grid.name part.Partition.grid then
-    Error (Wrong_device img.Image.device)
+let relocate part ~src ~dst img =
+  if Image.device img <> Grid.name part.Partition.grid then
+    Error (Wrong_device (Image.device img))
   else if not (inside part src && inside part dst) then
     let r = if inside part src then dst else src in
     Error (Incompatible (Printf.sprintf "%s leaves the device" (Rect.to_string r)))
@@ -26,27 +26,18 @@ let relocate part ~src ~dst (img : Image.t) =
          (Printf.sprintf "%s -> %s" (Rect.to_string src) (Rect.to_string dst)))
   else begin
     let dx = dst.Rect.x - src.Rect.x and dy = dst.Rect.y - src.Rect.y in
-    let exception Bad of Frame.address in
+    let exception Bad of int in
     try
-      let frames =
-        List.map
-          (fun (f : Frame.t) ->
-            let a = f.Frame.addr in
-            if not (Rect.contains_point src a.Frame.column a.Frame.region_row)
-            then raise (Bad a);
-            {
-              f with
-              Frame.addr =
-                {
-                  a with
-                  Frame.column = a.Frame.column + dx;
-                  region_row = a.Frame.region_row + dy;
-                };
-            })
-          img.Image.frames
-      in
-      Ok { img with Image.frames }
-    with Bad a -> Error (Address_outside_source a)
+      Ok
+        (Image.map_addresses
+           (fun a ->
+             let column = Frame.column_of a and region_row = Frame.row_of a in
+             if not (Rect.contains_point src column region_row) then
+               raise_notrace (Bad a);
+             Frame.pack ~column:(column + dx) ~region_row:(region_row + dy)
+               ~minor:(Frame.minor_of a))
+           img)
+    with Bad a -> Error (Address_outside_source (Frame.unpack_address a))
   end
 
 let relocate_serialized part ~src ~dst bytes_in =

@@ -21,11 +21,13 @@ val relocate :
   Image.t ->
   (Image.t, error) result
 (** [relocate part ~src ~dst img] rewrites every frame address by the
-    column/row displacement from [src] to [dst], sharing every payload
-    with [img].  Fails if the image names a different device, if [src]
-    or [dst] leaves the device ([Incompatible], naming the rectangle),
-    if [dst] is not compatible with [src], or if a frame lies outside
-    [src]. *)
+    column/row displacement from [src] to [dst] into a new address
+    array; the result shares [img]'s payload string.  Fails if the
+    image names a different device, if [src] or [dst] leaves the device
+    ([Incompatible], naming the rectangle), if [dst] is not compatible
+    with [src], or if a frame lies outside [src].
+    @raise Invalid_argument if a rewritten address does not fit
+    {!Frame.pack_address} (a device over 65535 columns or 255 rows). *)
 
 val relocate_serialized :
   Device.Partition.t ->

@@ -115,6 +115,23 @@ let rebuild part ~demands assignment =
     (Ok (Layout.create part))
     assignment
 
+let no_break_violations ~before ~after ~moved =
+  List.filter_map
+    (fun (e : Layout.entry) ->
+      let name = e.Layout.e_name in
+      if List.mem name moved then None
+      else
+        match Layout.find after name with
+        | None ->
+          Some (Format.asprintf "defrag dropped non-moving module %S" name)
+        | Some e' ->
+          if Bitstream.Image.equal e.Layout.e_image e'.Layout.e_image then None
+          else
+            Some
+              (Format.asprintf "defrag changed frames of non-moving module %S"
+                 name))
+    (Layout.entries before)
+
 let replay ?(defrag = true) ?(max_moves = 3) ?(fallback = true)
     ?(check = true) ?(on_event = fun _ _ _ -> ()) ?(on_move = fun _ -> ())
     part events =
@@ -130,25 +147,6 @@ let replay ?(defrag = true) ?(max_moves = 3) ?(fallback = true)
   let reject name =
     incr rejected;
     rejected_live := name :: !rejected_live
-  in
-  (* non-moving modules must come through a defrag byte-identical *)
-  let no_break_audit before after moved =
-    List.iter
-      (fun (e : Layout.entry) ->
-        if not (List.mem e.Layout.e_name moved) then
-          match Layout.find after e.Layout.e_name with
-          | None ->
-            violate "defrag dropped non-moving module %S" e.Layout.e_name
-          | Some e' ->
-            if
-              not
-                (Bytes.equal
-                   (Bitstream.Image.serialize e.Layout.e_image)
-                   (Bitstream.Image.serialize e'.Layout.e_image))
-            then
-              violate "defrag changed frames of non-moving module %S"
-                e.Layout.e_name)
-      (Layout.entries before)
   in
   let step i layout ev =
     match ev with
@@ -205,7 +203,10 @@ let replay ?(defrag = true) ?(max_moves = 3) ?(fallback = true)
             on_event i ev "error";
             layout
           | Ok l' -> (
-            no_break_audit layout l' moved;
+            violations :=
+              List.rev_append
+                (no_break_violations ~before:layout ~after:l' ~moved)
+                !violations;
             match Layout.place l' a_name a_demand with
             | Ok (l'', _) ->
               incr defragged;

@@ -5,11 +5,11 @@
     label or a CI gate pins one trace exactly.  {!replay} drives a
     {!Layout} through the trace with the {!Defrag} planner on blocked
     arrivals, auditing as it goes: every executed move passes the
-    relocation filter (by construction of {!Layout.move}), non-moving
-    modules' serialized frames are byte-identical across each
-    defragmentation episode, and (with [check]) the incremental
-    free-rectangle set matches a from-scratch recompute after every
-    event. *)
+    relocation filter (by construction of {!Layout.move}), every
+    non-moving module comes through each defragmentation episode with
+    an image equal to its old one ({!no_break_violations}), and (with
+    [check]) the incremental free-rectangle set matches a from-scratch
+    recompute after every event. *)
 
 type event =
   | Arrive of { a_name : string; a_demand : Device.Resource.demand }
@@ -38,6 +38,15 @@ type stats = {
 
 val defrag_episodes : stats -> int
 (** [s_defrag_admitted + s_fallbacks]. *)
+
+val no_break_violations :
+  before:Layout.t -> after:Layout.t -> moved:string list -> string list
+(** The no-break audit of one move schedule: every module of [before]
+    not named in [moved] must be in [after] with an equal image
+    ({!Bitstream.Image.equal}, which holds exactly when the two images
+    serialize to the same bytes).  One message per module that was
+    dropped or whose image changed, in [before]'s arrival order; empty
+    when the guarantee held. *)
 
 val replay :
   ?defrag:bool ->

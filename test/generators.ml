@@ -61,6 +61,15 @@ let base_seed () =
    complete reproducer, whatever order the cases ran in. *)
 let case_seed base i = base + (1000003 * (i + 1))
 
+(* QCheck properties as Alcotest cases, each drawing from its own state
+   seeded with the base seed, so RFLOOR_TEST_SEED reproduces them
+   whichever cases run. *)
+let qsuite tests =
+  List.map
+    (fun t ->
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| base_seed () |]) t)
+    tests
+
 (* Worker counts for the differential matrix: always {1, 2, 4}, plus
    whatever RFLOOR_WORKERS asks for (bin/lint.sh test-matrix). *)
 let worker_counts () =

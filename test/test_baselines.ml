@@ -159,8 +159,6 @@ let test_vipin_fahmy_kernel_alignment () =
         (List.mem p_rect.Rect.x starts))
     plan.Floorplan.placements
 
-let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
-
 let suites =
   [
     ( "baselines.sequence_pair",
@@ -169,7 +167,7 @@ let suites =
         Alcotest.test_case "invalid input" `Quick test_sequence_pair_invalid;
         Alcotest.test_case "extract rejects overlap" `Quick test_extract_rejects_overlap;
       ]
-      @ qsuite [ prop_pack_overlap_free; prop_extract_of_valid_placement ] );
+      @ Generators.qsuite [ prop_pack_overlap_free; prop_extract_of_valid_placement ] );
     ( "baselines.annealing",
       [
         Alcotest.test_case "valid plan" `Quick test_annealing_valid_plan;

@@ -76,6 +76,13 @@ let test_parse_garbage () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage accepted"
 
+(* [body], a wire image without its CRC, followed by its own CRC *)
+let resealed body =
+  let crc = Bitstream.Crc32.digest body in
+  let b = Bytes.extend body 0 4 in
+  Bytes.set_int32_be b (Bytes.length body) crc;
+  b
+
 (* A matching CRC is not enough: a body cut short or carrying extra
    bytes is refused even when resealed under its own CRC. *)
 let test_parse_rejects_truncation_and_trailing () =
@@ -83,12 +90,6 @@ let test_parse_rejects_truncation_and_trailing () =
   let wire =
     Bitstream.Image.serialize
       (Bitstream.Image.synthesize ~seed:9 part (Rect.make ~x:4 ~y:2 ~w:2 ~h:1))
-  in
-  let resealed body =
-    let crc = Bitstream.Crc32.digest body in
-    let b = Bytes.extend body 0 4 in
-    Bytes.set_int32_be b (Bytes.length body) crc;
-    b
   in
   let body = Bytes.sub wire 0 (Bytes.length wire - 4) in
   (match Bitstream.Image.parse (resealed (Bytes.extend body 0 1)) with
@@ -141,21 +142,64 @@ let test_wire_format_pinned () =
       -366730217l; -640487294l; 917571720l ]
     crcs
 
-(* Payload words are written straight into the frame's bytes: no boxed
-   word survives synthesis. *)
+(* Words allocated by [f ()]: minor words plus the words allocated
+   directly in the major heap (major words less those promoted, from
+   [Gc.counters]).  The minor part comes from [Gc.minor_words]: on
+   OCaml 5 the minor count of [Gc.counters] moves only at a minor
+   collection. *)
+let allocated_words f =
+  let direct () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let minor = Gc.minor_words () and major = direct () in
+  let v = f () in
+  (v, Gc.minor_words () -. minor +. (direct () -. major))
+
+(* Payload words are written straight into one flat buffer: per frame
+   that is 20.5 words of payload and one packed address, nothing else. *)
 let test_synthesize_allocation () =
   let part = Partition.columnar_exn Devices.virtex5_fx70t in
   let rect = Rect.make ~x:1 ~y:1 ~w:12 ~h:8 in
   ignore (Bitstream.Image.synthesize ~seed:1 part rect);
-  let before = Gc.minor_words () in
-  let img = Bitstream.Image.synthesize ~seed:2 part rect in
-  let per_frame =
-    (Gc.minor_words () -. before)
-    /. float_of_int (Bitstream.Image.frame_count img)
+  let img, words =
+    allocated_words (fun () -> Bitstream.Image.synthesize ~seed:2 part rect)
   in
-  if per_frame > 48. then
-    Alcotest.failf "synthesize allocates %.1f minor words per frame (bound 48)"
+  let per_frame = words /. float_of_int (Bitstream.Image.frame_count img) in
+  if per_frame > 24. then
+    Alcotest.failf "synthesize allocates %.1f words per frame (bound 24)"
       per_frame
+
+(* A frame count read from the wire is checked against the body before
+   anything is allocated from it: bodies resealed under their own CRC
+   with counts 2^31-1, -1 and one past the real count are refused, and
+   the first is refused without allocating for its count. *)
+let test_parse_checks_frame_count () =
+  let part = Lazy.force mini_part in
+  let img =
+    Bitstream.Image.synthesize ~seed:9 part (Rect.make ~x:4 ~y:2 ~w:2 ~h:1)
+  in
+  let wire = Bitstream.Image.serialize img in
+  let count_at = 8 + String.length (Bitstream.Image.device img) in
+  let with_count n =
+    let body = Bytes.sub wire 0 (Bytes.length wire - 4) in
+    Bytes.set_int32_be body count_at n;
+    resealed body
+  in
+  let real = Int32.of_int (Bitstream.Image.frame_count img) in
+  List.iter
+    (fun n ->
+      match Bitstream.Image.parse (with_count n) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "frame count %ld accepted" n
+      | exception e ->
+        Alcotest.failf "frame count %ld raised %s" n (Printexc.to_string e))
+    [ Int32.max_int; -1l; Int32.succ real ];
+  let huge = with_count Int32.max_int in
+  let _, words = allocated_words (fun () -> Bitstream.Image.parse huge) in
+  let bytes = words *. float_of_int (Sys.word_size / 8) in
+  if bytes >= 1e6 then
+    Alcotest.failf "parsing a count of 2^31-1 allocated %.0f bytes" bytes
 
 (* The relocation property (Definition .1 made executable): relocating
    the source bitstream into any compatible area produces exactly the
@@ -176,14 +220,28 @@ let test_relocation_equals_resynthesis () =
              (Rect.to_string dst))
           true
           (Bitstream.Image.equal img' direct);
-        (* addresses are rewritten, payloads shared, never copied *)
-        Alcotest.(check bool) "payloads shared" true
-          (List.for_all2
-             (fun (a : Bitstream.Frame.t) (b : Bitstream.Frame.t) ->
-               a.Bitstream.Frame.data == b.Bitstream.Frame.data)
-             img.Bitstream.Image.frames img'.Bitstream.Image.frames)
+        (* addresses are rewritten, the payload shared, never copied *)
+        Alcotest.(check bool) "payload shared" true
+          (Bitstream.Image.payload img' == Bitstream.Image.payload img)
       | Error e -> Alcotest.fail (Format.asprintf "%a" Bitstream.Relocate.pp_error e))
     sites
+
+(* Relocation allocates a new address array and the image around it:
+   about one word per frame, bounded at 2. *)
+let test_relocation_allocation () =
+  let part = Partition.columnar_exn Devices.virtex5_fx70t in
+  let src = Rect.make ~x:1 ~y:1 ~w:12 ~h:4 in
+  let dst = Rect.make ~x:1 ~y:5 ~w:12 ~h:4 in
+  let img = Bitstream.Image.synthesize ~seed:2 part src in
+  let relocate () = Bitstream.Relocate.relocate part ~src ~dst img in
+  ignore (relocate ());
+  match allocated_words relocate with
+  | Ok _, words ->
+    let per_frame = words /. float_of_int (Bitstream.Image.frame_count img) in
+    if per_frame > 2. then
+      Alcotest.failf "relocate allocates %.2f words per frame (bound 2)"
+        per_frame
+  | Error e, _ -> Alcotest.fail (Format.asprintf "%a" Bitstream.Relocate.pp_error e)
 
 let test_relocation_rejects_incompatible () =
   let part = Lazy.force mini_part in
@@ -257,7 +315,7 @@ let test_relocate_serialized_end_to_end () =
           Alcotest.(check bool) "address in target" true
             (Rect.contains_point dst f.Bitstream.Frame.addr.Bitstream.Frame.column
                f.Bitstream.Frame.addr.Bitstream.Frame.region_row))
-        img.Bitstream.Image.frames
+        (Bitstream.Image.frames img)
     | Error e -> Alcotest.fail e)
   | Error e -> Alcotest.fail e
 
@@ -284,8 +342,6 @@ let prop_relocation_roundtrip =
         | Error _ -> false
         | Ok img'' -> Bitstream.Image.equal img img''))
 
-let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
-
 let suites =
   [
     ( "bitstream.crc",
@@ -306,6 +362,8 @@ let suites =
         Alcotest.test_case "garbage rejected" `Quick test_parse_garbage;
         Alcotest.test_case "truncation and trailing bytes rejected" `Quick
           test_parse_rejects_truncation_and_trailing;
+        Alcotest.test_case "frame count checked before allocating" `Quick
+          test_parse_checks_frame_count;
         Alcotest.test_case "wire format pinned" `Quick test_wire_format_pinned;
         Alcotest.test_case "synthesis allocation bound" `Quick
           test_synthesize_allocation;
@@ -313,6 +371,8 @@ let suites =
     ( "bitstream.relocate",
       [
         Alcotest.test_case "equals resynthesis" `Quick test_relocation_equals_resynthesis;
+        Alcotest.test_case "relocation allocation bound" `Quick
+          test_relocation_allocation;
         Alcotest.test_case "rejects incompatible" `Quick
           test_relocation_rejects_incompatible;
         Alcotest.test_case "rejects wrong device" `Quick
@@ -322,5 +382,5 @@ let suites =
         Alcotest.test_case "serialized end to end" `Quick
           test_relocate_serialized_end_to_end;
       ]
-      @ qsuite [ prop_relocation_roundtrip ] );
+      @ Generators.qsuite [ prop_relocation_roundtrip ] );
   ]

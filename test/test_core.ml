@@ -270,8 +270,6 @@ let test_weighted_objective_counts_violations () =
   Alcotest.(check int) "one violation term" 1
     (List.length (Rfloor.Model.violation_terms model))
 
-let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
-
 let suites =
   [
     ( "rfloor.model",
@@ -283,7 +281,7 @@ let suites =
           test_weighted_objective_counts_violations;
         Alcotest.test_case "LP export parses back" `Quick test_export_lp_parses_back;
       ]
-      @ qsuite [ prop_encode_decode_roundtrip ] );
+      @ Generators.qsuite [ prop_encode_decode_roundtrip ] );
     ( "rfloor.solver",
       [
         Alcotest.test_case "matches search on toy" `Slow test_milp_matches_search_on_toy;

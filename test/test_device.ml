@@ -432,8 +432,6 @@ let test_floorplan_render () =
     (String.exists (fun c -> c = '1') s && String.exists (fun c -> c = '2') s);
   Alcotest.(check bool) "has fc mark" true (String.exists (fun c -> c = 'A') s)
 
-let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
-
 let suites =
   [
     ( "device.rect",
@@ -443,7 +441,7 @@ let suites =
         Alcotest.test_case "overlap" `Quick test_rect_overlap;
         Alcotest.test_case "center" `Quick test_rect_center;
       ]
-      @ qsuite [ prop_rect_overlap_symmetric; prop_rect_compare_is_stdlib ] );
+      @ Generators.qsuite [ prop_rect_overlap_symmetric; prop_rect_compare_is_stdlib ] );
     ( "device.grid",
       [
         Alcotest.test_case "of_strings" `Quick test_grid_of_strings;
@@ -465,7 +463,7 @@ let suites =
         Alcotest.test_case "virtex7" `Quick test_partition_virtex7;
         Alcotest.test_case "variant types" `Quick test_variant_types_split_portions;
       ]
-      @ qsuite [ prop_partition_random_devices ] );
+      @ Generators.qsuite [ prop_partition_random_devices ] );
     ( "device.compat",
       [
         Alcotest.test_case "figure 1" `Quick test_fig1_compatibility;
@@ -473,7 +471,7 @@ let suites =
         Alcotest.test_case "relocation sites" `Quick test_relocation_sites;
         Alcotest.test_case "covered demand & waste" `Quick test_covered_and_waste;
       ]
-      @ qsuite [ prop_sites_respect_definition ] );
+      @ Generators.qsuite [ prop_sites_respect_definition ] );
     ( "device.spec_floorplan",
       [
         Alcotest.test_case "spec validation" `Quick test_spec_validation;

@@ -776,8 +776,6 @@ let test_hard_knapsack_is_hard () =
         r.Branch_bound.nodes
   done
 
-let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
-
 let suites =
   [
     ( "milp.simplex",
@@ -824,7 +822,7 @@ let suites =
         Alcotest.test_case "mps writer shape" `Quick test_mps_writer_shape;
       ] );
     ( "milp.properties",
-      qsuite
+      Generators.qsuite
         [
           prop_simplex_matches_bruteforce;
           prop_bb_matches_enumeration;

@@ -173,6 +173,47 @@ let test_moved_module_payload_preserved () =
             (Bitstream.Image.serialize after.Layout.e_image)))
   | _ -> Alcotest.fail "expected a move schedule"
 
+(* The audit itself: a planned schedule passes, and every fault a
+   schedule could hide in a module it does not name is reported, while
+   the module it does name may move. *)
+let test_no_break_audit_catches_faults () =
+  let _, l = one_move_layout () in
+  (match ok (Defrag.plan ~fallback:false l ~name:"c" ~demand:[ (Resource.Clb, 4) ]) with
+  | Defrag.Moves (schedule, _) ->
+    let moved = List.map (fun m -> m.Defrag.mv_name) schedule in
+    Alcotest.(check (list string)) "planned schedule" []
+      (Workload.no_break_violations ~before:l
+         ~after:(ok (Defrag.execute l schedule)) ~moved)
+  | _ -> Alcotest.fail "expected a move schedule");
+  let part =
+    Partition.columnar_exn (Grid.of_strings ~name:"strip16" [ String.make 16 'C' ])
+  in
+  let clb2 = [ (Resource.Clb, 2) ] in
+  let at x = Rect.make ~x ~y:1 ~w:2 ~h:1 in
+  let before =
+    List.fold_left
+      (fun l (name, seed, x) -> ok (Layout.place_at ~seed l name clb2 (at x)))
+      (Layout.create part)
+      [ ("a", 1, 1); ("b", 2, 4); ("c", 3, 7); ("d", 4, 10) ]
+  in
+  (* "d" moves as scheduled; "a" is re-placed on its own rectangle with
+     another seed, "b" is relocated (same payload, other addresses) and
+     "c" is dropped *)
+  let after = ok (Layout.move before "d" (at 13)) in
+  let after = ok (Layout.remove after "a") in
+  let after = ok (Layout.place_at ~seed:9 after "a" clb2 (at 1)) in
+  let after = ok (Layout.move after "b" (at 15)) in
+  let after = ok (Layout.remove after "c") in
+  let image l name = (Option.get (Layout.find l name)).Layout.e_image in
+  Alcotest.(check bool) "relocated payload unchanged" true
+    (Bitstream.Image.payload_equal (image before "b") (image after "b"));
+  Alcotest.(check (list string))
+    "faults reported"
+    [ "defrag changed frames of non-moving module \"a\"";
+      "defrag changed frames of non-moving module \"b\"";
+      "defrag dropped non-moving module \"c\"" ]
+    (Workload.no_break_violations ~before ~after ~moved:[ "d" ])
+
 let test_move_rejects_bad_destination () =
   let _, l = one_move_layout () in
   (* overlaps module "b" *)
@@ -522,6 +563,8 @@ let suites =
           test_defrag_minimal_move;
         Alcotest.test_case "moved module payload preserved" `Quick
           test_moved_module_payload_preserved;
+        Alcotest.test_case "no-break audit catches faults" `Quick
+          test_no_break_audit_catches_faults;
         Alcotest.test_case "move rejects bad destination" `Quick
           test_move_rejects_bad_destination;
         Alcotest.test_case "workload deterministic" `Quick

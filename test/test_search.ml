@@ -416,8 +416,6 @@ let test_engine_allocation () =
     Alcotest.failf "SDR2 allocates %.1f minor words per node (%d nodes), bound 16"
       per_node o.E.nodes
 
-let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
-
 let suites =
   [
     ( "search.candidates",
@@ -427,9 +425,9 @@ let suites =
         Alcotest.test_case "enumerate = reference enumeration" `Quick
           test_enumerate_matches_reference;
       ]
-      @ qsuite [ prop_candidates_complete ] );
+      @ Generators.qsuite [ prop_candidates_complete ] );
     ( "search.engine",
-      qsuite [ prop_engine_matches_bruteforce; prop_engine_plans_valid ]
+      Generators.qsuite [ prop_engine_matches_bruteforce; prop_engine_plans_valid ]
       @ [
           Alcotest.test_case "soft areas best effort" `Quick
             test_soft_areas_best_effort;
