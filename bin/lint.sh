@@ -40,18 +40,19 @@
 #                                the cancellation tests at the pinned
 #                                seed and at seeds 1, 7, 12 and 42.
 #   bin/lint.sh search-check  -- combinatorial-engine gate only: the
-#                                search suites at the pinned seed (the
-#                                flat engine against the frozen
-#                                list-based reference engine on SDR,
-#                                SDR2, SDR3 node limits, the feasibility
-#                                variants and 320 seeded instances; the
-#                                node-count pins; the allocation bound
-#                                per node), then the full SDR3
-#                                lexicographic proof through the CLI
-#                                with no node limit, which must end
-#                                proven at 120 wasted frames, wire
-#                                length 1504, in 131445264 nodes (about
-#                                a minute).
+#                                search suites at the pinned seed and at
+#                                seeds 7 and 424242 (the flat engine
+#                                against the frozen list-based reference
+#                                engine on SDR, SDR2, SDR3 node limits,
+#                                the feasibility variants and 320 seeded
+#                                instances; brute force on tiny
+#                                instances; the node-count pins; the
+#                                allocation bound per node), then the
+#                                full SDR3 lexicographic proof through
+#                                the CLI with no node limit, which must
+#                                end proven at 120 wasted frames, wire
+#                                length 1504, in 70539270 nodes (about
+#                                25 s).
 #   bin/lint.sh perf-smoke    -- benchmark gate only: sh perfbench/smoke.sh,
 #                                every BENCHMARK.json workload at 1/20
 #                                scale, untraced and traced, each passing
@@ -284,7 +285,11 @@ simplex_check() {
 search_check() {
     echo "== search-check (search suites, full SDR3 lexicographic proof)"
     seed="${RFLOOR_TEST_SEED:-2015}"
-    RFLOOR_TEST_SEED="$seed" dune exec test/test_main.exe -- test 'search.*'
+    # the seeded reference contract and the brute-force properties
+    # depend on each seed's instances
+    for s in "$seed" 7 424242; do
+        RFLOOR_TEST_SEED="$s" dune exec test/test_main.exe -- test 'search.*'
+    done
     # the proof the paper's commercial solver left open after 6 h: a CPU
     # budget far above its run time, so only a proof can end it
     qtmp=$(mktemp -d)
@@ -293,10 +298,10 @@ search_check() {
     grep -q '^wasted frames: 120, wire length: 1504.0$' "$qtmp/sdr3.txt" || {
         echo "search-check: SDR3 did not end proven at 120 / 1504:" >&2
         grep 'wasted frames\|search stopped' "$qtmp/sdr3.txt" >&2; exit 1; }
-    grep -q '^nodes 131445264 ' "$qtmp/sdr3.txt" || {
-        echo "search-check: SDR3 proof did not take 131445264 nodes:" >&2
+    grep -q '^nodes 70539270 ' "$qtmp/sdr3.txt" || {
+        echo "search-check: SDR3 proof did not take 70539270 nodes:" >&2
         grep '^nodes ' "$qtmp/sdr3.txt" >&2; exit 1; }
-    echo "search-check passed (search suites at seed $seed, SDR3 proven 120 / 1504 in 131445264 nodes)"
+    echo "search-check passed (search suites at seeds $seed, 7, 424242, SDR3 proven 120 / 1504 in 70539270 nodes)"
 }
 
 perf_smoke() {

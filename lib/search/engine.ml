@@ -263,6 +263,64 @@ let sites_of part t i c =
     a
   end
 
+(* A lower bound on the wire length the wire-length stage has still to
+   resolve, for the waste budget [budget]: [rest.(i)] sums weight *
+   delta over the nets whose later endpoint is entity [i] or later
+   (a net from a region to itself has length 0 and is not counted).
+   Only candidates of entity [i] whose waste is at most its cheapest
+   plus [budget - min_remaining.(0)] can be placed in that stage; the
+   waste cap ends every other scan.  A net's delta is the least centre
+   distance over disjoint pairs of such candidates of its two ends (0
+   when there is none).  Every complete placement of the stage uses
+   them, pairwise disjoint, so [rest.(i)] never exceeds the wire length
+   of the nets it counts (weights are non-negative bus widths, as the
+   partial-sum prune already assumes). *)
+let wire_floor t budget =
+  let n = Array.length t.names and stride = Candidates.stride in
+  let slack = budget - t.min_remaining.(0) in
+  let eligible =
+    Array.map
+      (fun cs ->
+        let m = Array.length cs / stride in
+        let k = ref 0 in
+        while !k < m && cs.((stride * !k) + 4) <= cs.(4) + slack do
+          incr k
+        done;
+        !k)
+      t.cands
+  in
+  let delta a b =
+    let ca = t.cands.(a) and cb = t.cands.(b) in
+    let best = ref infinity in
+    for p = 0 to eligible.(a) - 1 do
+      let oa = stride * p in
+      let ax = ca.(oa) and ay = ca.(oa + 1) and aw = ca.(oa + 2)
+      and ah = ca.(oa + 3) in
+      for q = 0 to eligible.(b) - 1 do
+        let ob = stride * q in
+        let bx = cb.(ob) and by = cb.(ob + 1) and bw = cb.(ob + 2)
+        and bh = cb.(ob + 3) in
+        if ax + aw <= bx || bx + bw <= ax || ay + ah <= by || by + bh <= ay
+        then begin
+          let d = manhattan ax ay aw ah bx by bw bh in
+          if d < !best then best := d
+        end
+      done
+    done;
+    if !best = infinity then 0. else !best
+  in
+  (* [near.(i)] holds exactly the nets whose later endpoint is [i] *)
+  let rest = Array.make (n + 1) 0. in
+  for i = n - 1 downto 0 do
+    let near = t.near.(i) and near_w = t.near_w.(i) in
+    let acc = ref rest.(i + 1) in
+    for j = 0 to Array.length near - 1 do
+      acc := !acc +. (near_w.(j) *. delta i near.(j))
+    done;
+    rest.(i) <- !acc
+  done;
+  rest
+
 (* Wire length of a complete assignment, summed over the nets in spec
    order. *)
 let[@inline] leaf_wirelength t cur =
@@ -336,10 +394,11 @@ let search ~options ~mode part t =
   let pref = t.pref and width1 = t.width1 in
   let best_waste = ref max_int and best_wl = ref infinity in
   let best_plan = ref None in
-  let wirelength_stage, cap =
+  let wirelength_stage, cap, rest_wl =
     match mode with
-    | Min_waste _ -> (false, ref max_int)
-    | Min_wirelength { waste_budget } -> (true, ref (waste_budget + 1))
+    | Min_waste _ -> (false, ref max_int, [||])
+    | Min_wirelength { waste_budget } ->
+      (true, ref (waste_budget + 1), wire_floor t waste_budget)
   in
   let budget_check () =
     incr nodes;
@@ -433,42 +492,44 @@ let search ~options ~mode part t =
         else begin
           let x = cs.(o) and y = cs.(o + 1) and w = cs.(o + 2)
           and h = cs.(o + 3) in
+          let wl =
+            if wirelength_stage then begin
+              let acc = ref wl_at.(i) in
+              let near = t.near.(i) and near_w = t.near_w.(i) in
+              for j = 0 to Array.length near - 1 do
+                let e = near.(j) in
+                let ce = t.cands.(e) and oe = stride * cur.(e) in
+                acc :=
+                  !acc
+                  +. near_w.(j)
+                     *. manhattan x y w h ce.(oe) ce.(oe + 1) ce.(oe + 2)
+                          ce.(oe + 3)
+              done;
+              !acc
+            end
+            else 0.
+          in
+          (* three side-effect-free skips; the wire-length bound goes
+             first: it reads only this entity's nets, while [overlaps]
+             scans every placed rectangle *)
           if
-            (not (overlaps x y (x + w - 1) (y + h - 1)))
+            (not (wirelength_stage && wl +. rest_wl.(i + 1) >= !best_wl -. 1e-9))
+            && (not (overlaps x y (x + w - 1) (y + h - 1)))
             && fits (i + 1) mult x w h
           then begin
-            let wl =
-              if wirelength_stage then begin
-                let acc = ref wl_at.(i) in
-                let near = t.near.(i) and near_w = t.near_w.(i) in
-                for j = 0 to Array.length near - 1 do
-                  let e = near.(j) in
-                  let ce = t.cands.(e) and oe = stride * cur.(e) in
-                  acc :=
-                    !acc
-                    +. near_w.(j)
-                       *. manhattan x y w h ce.(oe) ce.(oe + 1) ce.(oe + 2)
-                            ce.(oe + 3)
-                done;
-                !acc
-              end
-              else 0.
-            in
-            if not (wirelength_stage && wl >= !best_wl -. 1e-9) then begin
-              for k = 0 to 3 do
-                used.(k) <- used.(k) + (mult * coverage pref width1 k x w h)
-              done;
-              push x y w h;
-              cur.(i) <- ci;
-              wl_at.(i + 1) <- wl;
-              if copies = 0 then place (i + 1) (waste + cwaste)
-              else
-                choose i (waste + cwaste) copies 0 (sites_of part t i ci) w h;
-              top := !top - 4;
-              for k = 0 to 3 do
-                used.(k) <- used.(k) - (mult * coverage pref width1 k x w h)
-              done
-            end
+            for k = 0 to 3 do
+              used.(k) <- used.(k) + (mult * coverage pref width1 k x w h)
+            done;
+            push x y w h;
+            cur.(i) <- ci;
+            wl_at.(i + 1) <- wl;
+            if copies = 0 then place (i + 1) (waste + cwaste)
+            else
+              choose i (waste + cwaste) copies 0 (sites_of part t i ci) w h;
+            top := !top - 4;
+            for k = 0 to 3 do
+              used.(k) <- used.(k) - (mult * coverage pref width1 k x w h)
+            done
           end
         end
       done
@@ -538,20 +599,26 @@ let solve ?(options = default_options) part spec =
   match (plan1, waste1) with
   | None, _ | _, None ->
     finish part spec (plan1, waste1, None, opt1, nodes1, el1, stop1)
-  | Some _, Some w when options.optimize_wirelength && opt1 ->
-    Rfloor_trace.restart options.trace "wirelength";
-    let plan2, waste2, wl2, opt2, nodes2, el2, stop2 =
-      search ~options ~mode:(Min_wirelength { waste_budget = w }) part t
-    in
-    let plan = match plan2 with Some p -> Some p | None -> plan1 in
-    finish part spec
-      ( plan,
-        (match waste2 with Some _ -> Some w | None -> waste1),
-        wl2,
-        opt1 && opt2,
-        nodes1 + nodes2,
-        el1 +. el2,
-        (match stop2 with Some _ -> stop2 | None -> stop1) )
+  | Some _, Some w when options.optimize_wirelength && opt1 -> (
+    (* the CPU budget covers both stages; the node limit is per stage *)
+    match Option.map (fun tl -> tl -. el1) options.time_limit with
+    | Some left when left <= 0. ->
+      finish part spec (plan1, waste1, None, false, nodes1, el1, Some Budget)
+    | time_limit ->
+      Rfloor_trace.restart options.trace "wirelength";
+      let plan2, waste2, wl2, opt2, nodes2, el2, stop2 =
+        search ~options:{ options with time_limit }
+          ~mode:(Min_wirelength { waste_budget = w }) part t
+      in
+      let plan = match plan2 with Some p -> Some p | None -> plan1 in
+      finish part spec
+        ( plan,
+          (match waste2 with Some _ -> Some w | None -> waste1),
+          wl2,
+          opt1 && opt2,
+          nodes1 + nodes2,
+          el1 +. el2,
+          (match stop2 with Some _ -> stop2 | None -> stop1) ))
   | Some _, Some _ -> finish part spec r1
 
 let feasible ?(options = default_options) part spec =

@@ -19,15 +19,30 @@
     increasing site order.  A node is counted on entering each level and
     on completing each choice of copies; the budget and [cancel] are
     polled every 1024 nodes.  Both stages share the candidate tables
-    and the memoised relocation sites of one call. *)
+    and the memoised relocation sites of one call.
+
+    The wire-length stage prunes a candidate when the placed nets plus
+    a lower bound on the nets still open reach the incumbent.  Per net
+    the bound is the least centre distance between disjoint candidates
+    of its two regions whose waste fits under the stage-one optimum, so
+    it never cuts off a strictly better floorplan: that stage finds the
+    same incumbents and the same plan as without it, in fewer nodes.
+    The waste stage and {!feasible} explore the same nodes as ever. *)
 
 type stop_reason =
   | Budget  (** time or node limit *)
   | Cancelled  (** the cooperative [cancel] token fired *)
 
 type options = {
-  time_limit : float option;  (** CPU seconds *)
+  time_limit : float option;
+      (** CPU seconds for the whole call: the wire-length stage gets
+          what the waste stage leaves, and is skipped (with
+          [stop = Some Budget] and the waste stage's plan) when nothing
+          is left. *)
   node_limit : int option;
+      (** Nodes per stage: each of the two stages of {!solve} may count
+          this many, so a capped solve can report up to twice the
+          limit (plus the rounding to the 1024-node poll). *)
   optimize_wirelength : bool;  (** run the second, wire-length phase *)
   trace : Rfloor_trace.t;
       (** Incumbent/restart events and per-stage [Branch_bound] spans;

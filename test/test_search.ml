@@ -75,26 +75,39 @@ let prop_candidates_complete =
       done;
       !ok)
 
-(* brute-force optimal waste for tiny specs: enumerate all placements *)
+(* brute-force lexicographic optimum for tiny specs: the least (wasted
+   frames, wire length) over every disjoint assignment of candidates,
+   the wire length summed over the nets in spec order *)
 let brute_force_best part (spec : Spec.t) =
   let cands =
     List.map
       (fun (r : Spec.region) ->
-        (r, Search.Candidates.enumerate part r.Spec.demand))
+        (r.Spec.r_name, Search.Candidates.enumerate part r.Spec.demand))
       spec.Spec.regions
   in
+  let wirelength placed =
+    List.fold_left
+      (fun acc (nt : Spec.net) ->
+        acc
+        +. nt.Spec.weight
+           *. Rect.manhattan_centers
+                (List.assoc nt.Spec.src placed)
+                (List.assoc nt.Spec.dst placed))
+      0. spec.Spec.nets
+  in
   let best = ref None in
-  let rec go acc waste = function
+  let rec go placed waste = function
     | [] ->
+      let v = (waste, wirelength placed) in
       (match !best with
-      | Some b when b <= waste -> ()
-      | _ -> best := Some waste)
-    | ((_ : Spec.region), cs) :: rest ->
+      | Some b when compare b v <= 0 -> ()
+      | _ -> best := Some v)
+    | (name, cs) :: rest ->
       List.iter
         (fun (c : Search.Candidates.candidate) ->
           let rect = c.Search.Candidates.rect in
-          if not (List.exists (Rect.overlaps rect) acc) then
-            go (rect :: acc) (waste + c.Search.Candidates.waste) rest)
+          if not (List.exists (fun (_, r) -> Rect.overlaps rect r) placed)
+          then go ((name, rect) :: placed) (waste + c.Search.Candidates.waste) rest)
         cs
   in
   go [] 0 cands;
@@ -123,9 +136,41 @@ let prop_engine_matches_bruteforce =
       in
       let r = Search.Engine.solve ~options:opts part spec in
       match (r.Search.Engine.wasted, brute_force_best part spec) with
-      | Some a, Some b -> a = b && r.Search.Engine.optimal
+      | Some a, Some (b, _) -> a = b && r.Search.Engine.optimal
       | None, None -> r.Search.Engine.optimal
       | _ -> false)
+
+(* both stages: chain nets of assorted bus widths, so the wire-length
+   stage and its bound decide the answer *)
+let prop_engine_lex_matches_bruteforce =
+  QCheck2.Test.make ~name:"engine lexicographic optimum matches brute force"
+    ~count:60
+    (QCheck2.Gen.make_primitive
+       ~gen:(fun rng ->
+         let g = Devices.random ~max_width:6 ~max_height:3 rng in
+         let names = List.init (2 + Random.State.int rng 2) (Printf.sprintf "R%d") in
+         let regions =
+           List.map
+             (fun r_name ->
+               { Spec.r_name; demand = [ (Resource.Clb, 1 + Random.State.int rng 2) ] })
+             names
+         in
+         let nets =
+           List.map
+             (fun (nt : Spec.net) ->
+               { nt with Spec.weight = [| 0.5; 1.; 2.5; 32.; 64. |].(Random.State.int rng 5) })
+             (Spec.chain_nets names)
+         in
+         (Partition.columnar_exn g, Spec.make ~name:"rand" ~nets regions))
+       ~shrink:(fun _ -> Seq.empty))
+    (fun (part, spec) ->
+      let r = Search.Engine.solve part spec in
+      match brute_force_best part spec with
+      | Some (waste, wl) ->
+        r.Search.Engine.wasted = Some waste
+        && r.Search.Engine.wirelength = Some wl
+        && r.Search.Engine.optimal
+      | None -> r.Search.Engine.plan = None && r.Search.Engine.optimal)
 
 let prop_engine_plans_valid =
   QCheck2.Test.make ~name:"engine plans validate" ~count:40
@@ -269,10 +314,21 @@ let plan_string (p : Floorplan.t) =
             (Rect.to_string f.Floorplan.fc_rect))
         p.Floorplan.fc_areas)
 
-(* Everything a run shows, as one string: the outcome, the plan with
-   placements and areas in list order, every incumbent event
-   (objective bits, node) and every [on_improvement] call. *)
-let fingerprint run options part spec =
+(* What a run shows: the outcome; the answer as one string (wasted,
+   wire length, optimal flag, stop reason, the plan with placements and
+   areas in list order); every [on_improvement] call; the objective
+   bits of each incumbent event and the node it came at; and whether
+   the run entered the wire-length stage. *)
+type run = {
+  outcome : E.outcome;
+  answer : string;
+  improvements : string list;
+  objectives : string list;
+  incumbent_nodes : int list;
+  stage_two : bool;
+}
+
+let record run options part spec =
   let ring = T.Ring.create () in
   let improvements = ref [] in
   let options =
@@ -287,57 +343,121 @@ let fingerprint run options part spec =
   in
   let o : E.outcome = run ~options part spec in
   let opt f = function None -> "-" | Some v -> f v in
+  let events = T.Ring.events ring in
   let incumbents =
     List.filter_map
       (fun (e : T.Event.t) ->
         match e.T.Event.payload with
-        | T.Event.Incumbent { objective; node } ->
-          Some (Printf.sprintf "%h@%d" objective node)
+        | T.Event.Incumbent { objective; node } -> Some (Printf.sprintf "%h" objective, node)
         | _ -> None)
-      (T.Ring.events ring)
+      events
   in
-  ( o,
-    Printf.sprintf
-      "nodes=%d wasted=%s wl=%s optimal=%b stop=%s\nplan: %s\nincumbents: %s\nimprovements:\n%s"
-      o.E.nodes (opt string_of_int o.E.wasted)
-      (opt (Printf.sprintf "%h") o.E.wirelength)
-      o.E.optimal
-      (opt (function E.Budget -> "budget" | E.Cancelled -> "cancelled") o.E.stop)
-      (opt plan_string o.E.plan)
-      (String.concat " " incumbents)
-      (String.concat "\n" (List.rev !improvements)) )
+  {
+    outcome = o;
+    answer =
+      Printf.sprintf "wasted=%s wl=%s optimal=%b stop=%s\nplan: %s"
+        (opt string_of_int o.E.wasted)
+        (opt (Printf.sprintf "%h") o.E.wirelength)
+        o.E.optimal
+        (opt (function E.Budget -> "budget" | E.Cancelled -> "cancelled") o.E.stop)
+        (opt plan_string o.E.plan);
+    improvements = List.rev !improvements;
+    objectives = List.map fst incumbents;
+    incumbent_nodes = List.map snd incumbents;
+    stage_two =
+      List.exists
+        (fun (e : T.Event.t) ->
+          match e.T.Event.payload with T.Event.Restart _ -> true | _ -> false)
+        events;
+  }
 
-(* [options ()] gives each run its own options, so a stateful cancel
-   token starts afresh for both engines. *)
+let rec is_prefix p l =
+  match (p, l) with
+  | [], _ -> true
+  | x :: p', y :: l' -> x = y && is_prefix p' l'
+  | _ :: _, [] -> false
+
+(* The contract with the reference engine.  A run that never enters the
+   wire-length stage (waste-only solves, [feasible], a stopped waste
+   stage) is the reference's to the node: same answer, same incumbents
+   at the same nodes, same node count.  The wire-length stage prunes
+   more, so there a finished run gives the same answer and the same
+   incumbent objectives in fewer or as many nodes; where the reference
+   stopped (node limit or cancel), its incumbent objectives are a
+   prefix of ours, our wire length is no worse and our node count no
+   larger.  [options ()] gives each run its own options, so a stateful
+   cancel token starts afresh for both engines.  Returns both outcomes,
+   ours first. *)
 let check_same label ~feasible options part spec =
   let run_new, run_ref =
     if feasible then ((fun ~options -> E.feasible ~options), fun ~options -> Ref.feasible ~options)
     else ((fun ~options -> E.solve ~options), fun ~options -> Ref.solve ~options)
   in
-  let o, got = fingerprint run_new (options ()) part spec in
-  let _, want = fingerprint run_ref (options ()) part spec in
-  Alcotest.(check string) label want got;
-  o
+  let got = record run_new (options ()) part spec in
+  let want = record run_ref (options ()) part spec in
+  let check_objectives () =
+    Alcotest.(check (list string)) (label ^ ": incumbent objectives") want.objectives
+      got.objectives
+  in
+  let no_more_nodes () =
+    if got.outcome.E.nodes > want.outcome.E.nodes then
+      Alcotest.failf "%s: %d nodes, the reference took %d" label got.outcome.E.nodes
+        want.outcome.E.nodes
+  in
+  Alcotest.(check bool) (label ^ ": wire-length stage") want.stage_two got.stage_two;
+  Alcotest.(check (list string)) (label ^ ": improvements") want.improvements
+    got.improvements;
+  if not want.stage_two then begin
+    Alcotest.(check string) label want.answer got.answer;
+    check_objectives ();
+    Alcotest.(check (list int)) (label ^ ": incumbent nodes") want.incumbent_nodes
+      got.incumbent_nodes;
+    Alcotest.(check int) (label ^ ": nodes") want.outcome.E.nodes got.outcome.E.nodes
+  end
+  else if want.outcome.E.stop = None then begin
+    Alcotest.(check string) label want.answer got.answer;
+    check_objectives ();
+    no_more_nodes ()
+  end
+  else begin
+    if not (is_prefix want.objectives got.objectives) then
+      Alcotest.failf "%s: the reference's incumbent objectives [%s] are not a prefix of [%s]"
+        label (String.concat " " want.objectives) (String.concat " " got.objectives);
+    Alcotest.(check (option int)) (label ^ ": wasted") want.outcome.E.wasted
+      got.outcome.E.wasted;
+    (match (got.outcome.E.wirelength, want.outcome.E.wirelength) with
+    | Some g, Some w when g <= w -> ()
+    | g, w ->
+      let s = function None -> "-" | Some v -> Printf.sprintf "%h" v in
+      Alcotest.failf "%s: wire length %s, the reference reached %s" label (s g) (s w));
+    no_more_nodes ()
+  end;
+  (got.outcome, want.outcome)
 
 let test_engine_matches_reference_fx70t () =
   let part = Lazy.force fx_part in
   let default () = E.default_options in
   let limit nl () = { E.default_options with node_limit = Some nl } in
   let no_wl () = { E.default_options with optimize_wirelength = false } in
-  let sdr = check_same "SDR" ~feasible:false default part Sdr.design in
-  let sdr2 = check_same "SDR2" ~feasible:false default part Sdr.sdr2 in
+  let sdr, sdr_ref = check_same "SDR" ~feasible:false default part Sdr.design in
+  let sdr2, sdr2_ref = check_same "SDR2" ~feasible:false default part Sdr.sdr2 in
   List.iter
     (fun nl ->
       ignore
         (check_same (Printf.sprintf "SDR3 at %d nodes" nl) ~feasible:false (limit nl)
            part Sdr.sdr3))
     [ 1; 1024; 30_000 ];
-  let sdr3 = check_same "SDR3 at 250000 nodes" ~feasible:false (limit 250_000) part Sdr.sdr3 in
+  let sdr3, _ =
+    check_same "SDR3 at 250000 nodes" ~feasible:false (limit 250_000) part Sdr.sdr3
+  in
   let cancel_at k () =
     let polls = ref 0 in
     { E.default_options with cancel = (fun () -> incr polls; !polls >= k) }
   in
-  ignore (check_same "SDR2 cancelled at the 20th poll" ~feasible:false (cancel_at 20) part Sdr.sdr2);
+  let cancelled, cancelled_ref =
+    check_same "SDR2 cancelled at the 20th poll" ~feasible:false (cancel_at 20) part
+      Sdr.sdr2
+  in
   List.iter
     (fun (name, spec) ->
       ignore (check_same (name ^ " without wire length") ~feasible:false no_wl part spec))
@@ -348,9 +468,17 @@ let test_engine_matches_reference_fx70t () =
         (check_same ("feasible " ^ name) ~feasible:true default part
            (Sdr.feasibility_variant name)))
     Sdr.module_names;
-  (* pins recorded on the list-based engine *)
-  Alcotest.(check int) "SDR nodes" 47_787 sdr.E.nodes;
-  Alcotest.(check int) "SDR2 nodes" 109_150 sdr2.E.nodes;
+  (* the reference's own counts, then ours with the wire-length bound *)
+  Alcotest.(check int) "SDR nodes, reference" 47_787 sdr_ref.E.nodes;
+  Alcotest.(check int) "SDR2 nodes, reference" 109_150 sdr2_ref.E.nodes;
+  Alcotest.(check int) "SDR nodes" 9_972 sdr.E.nodes;
+  Alcotest.(check int) "SDR2 nodes" 28_048 sdr2.E.nodes;
+  (* the same 20 polls reach further *)
+  Alcotest.(check (option (float 0.))) "cancelled SDR2 wire length, reference"
+    (Some 3680.) cancelled_ref.E.wirelength;
+  Alcotest.(check (option (float 0.))) "cancelled SDR2 wire length" (Some 1568.)
+    cancelled.E.wirelength;
+  (* at the cap both engines stop at the same node *)
   Alcotest.(check int) "SDR3 nodes at 250k" 252_151 sdr3.E.nodes;
   Alcotest.(check (option int)) "SDR3 wasted at 250k" (Some 120) sdr3.E.wasted;
   Alcotest.(check (option (float 0.))) "SDR3 wire length at 250k" (Some 1888.)
@@ -402,9 +530,48 @@ let test_engine_matches_reference_seeded () =
     ignore (check_same (label ^ " feasible") ~feasible:true options part spec)
   done
 
+(* The CPU budget covers both stages: the wire-length stage gets what
+   the waste stage left of it.  With five copies per relocatable region
+   the waste stage takes about a quarter of a 2 s budget, and the
+   wire-length stage does not finish in the rest.  With no budget left
+   (SDR's waste stage ends before the first poll), the wire-length stage
+   is skipped and the waste stage's plan comes back stopped. *)
+let test_engine_budget_spans_stages () =
+  let part = Lazy.force fx_part in
+  let solve time_limit spec =
+    let ring = T.Ring.create () in
+    let options =
+      {
+        E.default_options with
+        time_limit = Some time_limit;
+        trace = T.create ~sink:(T.Ring.sink ring) ();
+      }
+    in
+    let o = E.solve ~options part spec in
+    let stage_two =
+      List.exists
+        (fun (e : T.Event.t) ->
+          match e.T.Event.payload with
+          | T.Event.Restart { stage } -> stage = "wirelength"
+          | _ -> false)
+        (T.Ring.events ring)
+    in
+    (o, stage_two)
+  in
+  let o, stage_two = solve 2. (Sdr.with_copies 5) in
+  Alcotest.(check bool) "entered the wire-length stage" true stage_two;
+  if o.E.elapsed > 2.2 then
+    Alcotest.failf "a 2 s budget ran %.2f s CPU over both stages" o.E.elapsed;
+  let o, stage_two = solve 0. Sdr.design in
+  Alcotest.(check bool) "no budget left: no wire-length stage" false stage_two;
+  Alcotest.(check (option int)) "the waste stage's plan" (Some 90) o.E.wasted;
+  Alcotest.(check bool) "stopped by the budget" true
+    (o.E.stop = Some E.Budget && not o.E.optimal)
+
 (* The flat kernel allocates nothing per candidate scanned: a full SDR2
    solve, candidate tables included, stays far below one boxed float
-   per candidate scanned (about 14 scans per node). *)
+   per candidate scanned (about 17 scans per node).  It reads about 8.6
+   words per node, nearly all of them the tables. *)
 let test_engine_allocation () =
   let part = Lazy.force fx_part in
   ignore (E.solve part Sdr.design);
@@ -427,10 +594,17 @@ let suites =
       ]
       @ Generators.qsuite [ prop_candidates_complete ] );
     ( "search.engine",
-      Generators.qsuite [ prop_engine_matches_bruteforce; prop_engine_plans_valid ]
+      Generators.qsuite
+        [
+          prop_engine_matches_bruteforce;
+          prop_engine_lex_matches_bruteforce;
+          prop_engine_plans_valid;
+        ]
       @ [
           Alcotest.test_case "soft areas best effort" `Quick
             test_soft_areas_best_effort;
+          Alcotest.test_case "CPU budget spans both stages" `Slow
+            test_engine_budget_spans_stages;
           Alcotest.test_case "engine = reference engine" `Slow
             test_engine_matches_reference_fx70t;
           Alcotest.test_case "engine = reference engine (seeded instances)" `Quick
