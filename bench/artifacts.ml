@@ -50,8 +50,9 @@ let quick_entry ~budget ~workers (name, objective_mode, warm_lp) =
   let spec = Lazy.force toy_spec in
   let metrics = R.create () in
   let options =
-    Rfloor.Solver.Options.make ~time_limit:budget ~workers ~metrics
-      ~objective_mode ~warm_lp ()
+    Rfloor.Solver.Options.make ~time_limit:budget
+      ~strategy:(Rfloor.Solver.Strategy.milp ~workers ())
+      ~metrics ~objective_mode ~warm_lp ()
   in
   let o = Rfloor.Solver.solve ~options part spec in
   {

@@ -120,7 +120,7 @@ let run_benches () =
    limit, or optimality first) the node-throughput ratio is reported,
    which degenerates to the same number under equal node counts. *)
 let run_parallel_speedup ?(trace_mode = `Off) ?metrics_registry () =
-  let workers = max 4 (Milp.Parallel_bb.workers_from_env ()) in
+  let workers = max 4 (Milp.Branch_bound.workers_from_env ()) in
   let budget = Reports.budget () in
   Printf.printf
     "\n==== parallel branch-and-bound (FX70T relocation instance, sdr2) ====\n%!";
@@ -177,7 +177,7 @@ let run_parallel_speedup ?(trace_mode = `Off) ?metrics_registry () =
     Milp.Branch_bound.solve ~options:{ opts with trace = tracer_seq } lp
   in
   let par =
-    Milp.Parallel_bb.solve
+    Milp.Branch_bound.solve
       ~options:{ opts with trace = tracer_par }
       ~workers lp
   in

@@ -6,7 +6,7 @@
 open Device
 
 (* Memoized so a malformed RFLOOR_BENCH_BUDGET warns once per process,
-   not once per report.  Mirrors Parallel_bb.workers_from_env: garbage
+   not once per report.  Mirrors Branch_bound.workers_from_env: garbage
    falls back to the default with a diagnostic, non-positive values
    clamp to 1 second. *)
 let budget =
@@ -41,7 +41,7 @@ let budget =
       b
 
 (* RFLOOR_WORKERS parallelizes every MILP solve in the reports. *)
-let workers () = Milp.Parallel_bb.workers_from_env ()
+let workers () = Milp.Branch_bound.workers_from_env ()
 
 let line fmt = Printf.printf (fmt ^^ "\n%!")
 
@@ -260,7 +260,8 @@ let milp () =
   let s = Search.Engine.solve part spec in
   let opts =
     Rfloor.Solver.Options.make ~time_limit:(budget ())
-      ~workers:(workers ()) ()
+      ~strategy:(Rfloor.Solver.Strategy.milp ~workers:(workers ()) ())
+      ()
   in
   let m = Rfloor.Solver.solve ~options:opts part spec in
   line "  search : wasted=%s wl=%s optimal=%b"
@@ -288,7 +289,9 @@ let ablation () =
     line "  %-28s %s" label (Format.asprintf "%a" Rfloor.Solver.pp_outcome o)
   in
   let base =
-    Rfloor.Solver.Options.make ~time_limit:b ~workers:(workers ()) ()
+    Rfloor.Solver.Options.make ~time_limit:b
+      ~strategy:(Rfloor.Solver.Strategy.milp ~workers:(workers ()) ())
+      ()
   in
   run "O, relocation constraint" base;
   run "HO (search seed)"
@@ -425,7 +428,9 @@ let scaling () =
         Rfloor.Solver.solve
           ~options:
             (Rfloor.Solver.Options.make ~time_limit:(budget ())
-               ~workers:(workers ()) ~engine ())
+               ~strategy:
+                 (Rfloor.Solver.Strategy.milp ~workers:(workers ()) ~engine ())
+               ())
           partm toy
       in
       line "    %-4s nodes %6d simplex iters %8d  %6.2fs" label

@@ -34,7 +34,11 @@
 #                                basis (L+U at most 1.5x its nonzeros),
 #                                the full 200-instance LP differential
 #                                (sparse vs frozen dense reference, warm
-#                                vs cold children, cold-vs-warm B&B) at
+#                                vs cold children, cold-vs-warm B&B) and
+#                                the branch-and-bound differentials (the
+#                                1-worker engine bit for bit against the
+#                                frozen sequential loop, and 1/2/4
+#                                workers against it on 200 MILPs) at
 #                                the pinned seed and at seeds 7 and
 #                                424242, then the simplex fixtures and
 #                                the cancellation tests at the pinned
@@ -263,15 +267,17 @@ EOF
 }
 
 simplex_check() {
-    echo "== simplex-check (LU properties, pinned FX70T root LP and basis fill, fixtures, LP differentials)"
+    echo "== simplex-check (LU properties, pinned FX70T root LP and basis fill, fixtures, LP and B&B differentials)"
     seed="${RFLOOR_TEST_SEED:-2015}"
     RFLOOR_TEST_SEED="$seed" dune exec test/test_main.exe -- test simplex_core.lu
     dune exec test/test_main.exe -- test simplex_core.root_lp
     # cases 3-5 of the differential suite are the LP-core trio (sparse
     # vs dense reference, warm child re-solves, cold-vs-warm B&B), at
-    # their default 200 instances
+    # their default 200 instances; case 1 runs 1/2/4 workers against
+    # the frozen sequential loop and case 9 the 1-worker engine bit for
+    # bit against it
     for s in "$seed" 7 424242; do
-        RFLOOR_TEST_SEED="$s" dune exec test/test_main.exe -- test differential 3-5
+        RFLOOR_TEST_SEED="$s" dune exec test/test_main.exe -- test differential 1,3-5,9
     done
     # 1, 7, 12 and 42 are seeds at which the cancellation tests once
     # met an instance solved before the token fired
@@ -279,7 +285,7 @@ simplex_check() {
         RFLOOR_TEST_SEED="$s" dune exec test/test_main.exe -- test milp.simplex
         RFLOOR_TEST_SEED="$s" dune exec test/test_main.exe -- test service.cancel
     done
-    echo "simplex-check passed (L·U=P·B·Q properties, pinned root LP and fill bound, fixtures, LP differentials at seeds $seed, 7, 424242, fixtures and cancellation at seeds $seed, 1, 7, 12, 42)"
+    echo "simplex-check passed (L·U=P·B·Q properties, pinned root LP and fill bound, fixtures, LP and B&B differentials (1-worker engine = reference B&B, workers 1/2/4 vs reference) at seeds $seed, 7, 424242, fixtures and cancellation at seeds $seed, 1, 7, 12, 42)"
 }
 
 search_check() {

@@ -151,7 +151,7 @@ let sink_of_trace trace verbose =
 let workers_arg =
   Arg.(
     value
-    & opt int (Milp.Parallel_bb.workers_from_env ())
+    & opt int (Milp.Branch_bound.workers_from_env ())
     & info [ "workers" ] ~docv:"N"
         ~doc:
           "Branch-and-bound worker domains for the MILP engines (default from \
@@ -990,7 +990,10 @@ let concheck_cmd =
     Rfloor_sync.Recorder.start ();
     let result =
       Rfloor.Solver.solve
-        ~options:(Rfloor.Solver.Options.make ~workers:2 ~time_limit:30. ())
+        ~options:
+          (Rfloor.Solver.Options.make
+             ~strategy:(Rfloor.Solver.Strategy.milp ~workers:2 ())
+             ~time_limit:30. ())
         part spec
     in
     let events = Rfloor_sync.Recorder.stop () in
@@ -1132,7 +1135,7 @@ let run_session ?input ?telemetry ~workers ~cache trace metrics =
 let pool_workers_arg =
   Arg.(
     value
-    & opt int (Milp.Parallel_bb.workers_from_env ())
+    & opt int (Milp.Branch_bound.workers_from_env ())
     & info [ "workers" ] ~docv:"N"
         ~doc:
           "Service worker domains draining the job queue (default from \

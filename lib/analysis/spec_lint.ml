@@ -165,14 +165,41 @@ let demand_checks part (spec : Spec.t) =
           end)
         r.Spec.demand)
     spec.Spec.regions;
+  (* A hard relocation copy is compatible with its region's rectangle
+     (same size, same column types), so it holds at least the region's
+     demand, and a valid plan keeps it disjoint from every other
+     rectangle: each copy adds its region's demand to the sum. *)
+  let hard_copies (r : Spec.region) =
+    List.fold_left
+      (fun acc (rq : Spec.reloc_req) ->
+        if rq.Spec.mode = Spec.Hard && rq.Spec.target = r.Spec.r_name then
+          max acc rq.Spec.copies
+        else acc)
+      0 spec.Spec.relocs
+  in
   List.iter
     (fun (k, n) ->
       let have = Resource.demand_get usable k in
-      if n > have && not (Hashtbl.mem over_kinds k) then
+      let copies =
+        List.filter_map
+          (fun (r : Spec.region) ->
+            let c = hard_copies r and d = Resource.demand_get r.Spec.demand k in
+            if c > 0 && d > 0 then Some (r.Spec.r_name, c, c * d) else None)
+          spec.Spec.regions
+      in
+      let total = List.fold_left (fun acc (_, _, t) -> acc + t) n copies in
+      let named =
+        if copies = [] then ""
+        else
+          Printf.sprintf " and their hard relocation copies (%s)"
+            (String.concat ", "
+               (List.map (fun (r, c, _) -> Printf.sprintf "%d of %s" c r) copies))
+      in
+      if total > have && not (Hashtbl.mem over_kinds k) then
         add
           (D.diagf ~code:"RF005" D.Error D.Design
-             "regions collectively demand %d %s tiles, device has %d usable" n
-             (Resource.kind_to_string k) have))
+             "regions%s collectively demand %d %s tiles, device has %d usable"
+             named total (Resource.kind_to_string k) have))
     (Spec.total_demand spec);
   (List.rev !out, fun (r : Spec.region) -> Hashtbl.mem over_regions r.Spec.r_name)
 

@@ -3,7 +3,9 @@
 
     Checks the Section III invariants of the columnar partition
     (Properties .3/.4, forbidden areas inside the device), region
-    demands against the device's usable resources, that every region
+    demands against the device's usable resources (the collective sum
+    [RF005] counts every hard relocation copy as one more instance of
+    its region's demand), that every region
     admits at least one satisfying rectangle, and that each relocation
     request can count enough type-sequence-compatible columnar windows
     (a cheap sweep over {!Device.Compat} — a necessary condition, so an

@@ -3,7 +3,7 @@
    self-tests that prove the analyzers still have teeth.
 
    Each scenario mirrors a real structure: the incumbent CAS loop of
-   Parallel_bb, its work deque, the service LRU cache (used directly,
+   Branch_bound, its work deque, the service LRU cache (used directly,
    not modeled), and the cancel-vs-drain handoff of the job pool.  A
    deliberately broken incumbent variant (blind write after a stale
    read) must produce a violation, otherwise the explorer itself is
@@ -21,7 +21,7 @@ let lcg seed =
     !s mod bound
 
 (* ------------------------------------------------------------------ *)
-(* Incumbent CAS loop (Parallel_bb.improve): concurrent minimization
+(* Incumbent CAS loop (Branch_bound.improve): concurrent minimization
    must end at the minimum of all proposals.  [cas] models the real
    compare-and-set loop; [blind] models the bug the loop exists to
    prevent — write-after-stale-read loses an update under some
@@ -77,7 +77,7 @@ let incumbent_cas ~blind proposals =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Work deque, steal vs. pop (Parallel_bb's global queue): claims are
+(* Work deque, steal vs. pop (Branch_bound's global queue): claims are
    whole critical sections, so every task must be consumed exactly
    once no matter how two consumers and the producer interleave. *)
 

@@ -3,7 +3,7 @@
     still catch seeded bugs.
 
     Scenarios mirror real structures at the granularity where their
-    interleavings differ: the incumbent CAS loop of [Parallel_bb], its
+    interleavings differ: the incumbent CAS loop of [Branch_bound], its
     work deque, the service LRU cache (exercised directly, not
     modeled) and the pool's cooperative cancel-vs-drain handoff. *)
 

@@ -171,17 +171,11 @@ type options = {
 module Options = struct
   type t = options
 
-  let make ?strategy ?(engine = O) ?(objective_mode = Lexicographic)
+  let make ?(strategy = Strategy.milp ()) ?(objective_mode = Lexicographic)
       ?(time_limit = 60.) ?node_limit ?(paper_literal_l = false)
-      ?(warm_start = true) ?(warm_lp = true) ?(preflight = true) ?(cuts = true)
-      ?(workers = 1) ?(trace = T.Sink.null)
-      ?(metrics = Rfloor_metrics.Registry.null) ?(cancel = Bb.never_cancel) ()
-      =
-    let strategy =
-      match strategy with
-      | Some s -> s
-      | None -> Strategy.milp ~workers ~engine ~warm_start ()
-    in
+      ?(warm_lp = true) ?(preflight = true) ?(cuts = true)
+      ?(trace = T.Sink.null) ?(metrics = Rfloor_metrics.Registry.null)
+      ?(cancel = Bb.never_cancel) () =
     {
       strategy;
       objective_mode;
@@ -288,15 +282,6 @@ let warm_plan cfg part spec =
     in
     (Search.Engine.solve ~options:sopts part spec).Search.Engine.plan
 
-(* Sequential solver for workers <= 1, the domain-parallel one above
-   that.  Both consume the same options and produce the same result
-   type, so everything downstream is solver-agnostic. *)
-let bb_solve cfg bbopts ?incumbent lp =
-  if cfg.mg_workers <= 1 then Bb.solve ~options:bbopts ?incumbent lp
-  else
-    Milp.Parallel_bb.solve ~options:bbopts ~workers:cfg.mg_workers ?incumbent
-      lp
-
 (* Run branch-and-bound on a model, optionally warm-started.  The
    model-lint preflight runs first — once, on the root model; workers
    of a parallel run share that single vetted LP, they never re-lint.
@@ -339,9 +324,9 @@ let run_stage options cfg trace model ~stage_time ~warm ~ext ~add_diags =
           None)
     in
     T.span trace T.Event.Branch_bound (fun () ->
-        bb_solve cfg
-          (bb_options options cfg trace model stage_time ~ext)
-          ?incumbent lp)
+        Bb.solve
+          ~options:(bb_options options cfg trace model stage_time ~ext)
+          ~workers:cfg.mg_workers ?incumbent lp)
   end
 
 let build_model options trace model_options part spec =

@@ -22,7 +22,7 @@ type engine =
 module Strategy : sig
   type t =
     | Milp of {
-        workers : int;  (** [> 1] = {!Milp.Parallel_bb} domains *)
+        workers : int;  (** {!Milp.Branch_bound} worker domains *)
         engine : engine;
         warm_start : bool;
             (** Seed the MILP incumbent from a quick {!Search.Engine}
@@ -87,9 +87,9 @@ type objective_mode =
 
 type options = {
   strategy : Strategy.t;
-      (** Execution strategy (default [Strategy.milp ()]).  Replaces
-          the former [engine]/[warm_start]/[workers] fields; those
-          survive as deprecated keyword arguments of {!Options.make}. *)
+      (** Execution strategy (default [Strategy.milp ()]).  Worker
+          count, MILP engine and warm start are fields of its [Milp]
+          case. *)
   objective_mode : objective_mode;
   time_limit : float option;
       (** Global budget.  For a [Portfolio] strategy this is the
@@ -145,16 +145,13 @@ module Options : sig
 
   val make :
     ?strategy:Strategy.t ->
-    ?engine:engine ->
     ?objective_mode:objective_mode ->
     ?time_limit:float ->
     ?node_limit:int ->
     ?paper_literal_l:bool ->
-    ?warm_start:bool ->
     ?warm_lp:bool ->
     ?preflight:bool ->
     ?cuts:bool ->
-    ?workers:int ->
     ?trace:Rfloor_trace.sink ->
     ?metrics:Rfloor_metrics.Registry.t ->
     ?cancel:(unit -> bool) ->
@@ -166,12 +163,9 @@ module Options : sig
       seconds, no node limit, cuts/preflight on, null trace sink,
       never-firing [cancel]) are defined exactly once.  "No time limit"
       is spelled explicitly: [~time_limit:infinity] (any non-finite
-      value maps to [None] in the record).
-
-      [?engine], [?warm_start] and [?workers] are the deprecated
-      pre-strategy spelling: they are consulted only when [?strategy]
-      is absent, building [Strategy.milp ~workers ~engine ~warm_start ()].
-      When [?strategy] is given they are ignored. *)
+      value maps to [None] in the record).  Worker count, MILP engine
+      and warm start are chosen through the strategy, e.g.
+      [~strategy:(Strategy.milp ~workers:2 ())]. *)
 end
 
 val default_options : options

@@ -1,10 +1,39 @@
-(** Branch-and-bound for mixed-integer linear programs.
+(** Branch-and-bound for mixed-integer linear programs, on one or more
+    OCaml 5 domains.
 
     LP relaxations are solved with {!Simplex}; branching is on the most
     fractional integer variable (optionally weighted by user priorities),
-    depth-first with best-child-first ordering so feasible incumbents
+    depth-first with nearest-child-first ordering so feasible incumbents
     appear early.  Supports time/node limits, a relative MIP gap, warm
-    incumbents, and lexicographic re-optimization via {!val:solve}. *)
+    incumbents, external bounds and cooperative cancellation.
+
+    The open-node frontier is shared between [workers] domains:
+
+    - the incumbent lives in a single {!Atomic.t} cell updated by a
+      lock-free compare-and-set loop, so every worker prunes against
+      the globally best primal bound;
+    - open subproblems are serialized as bound-tightening overlays
+      (full lower/upper-bound arrays) on the root LP; a worker popping
+      one rebuilds nothing — the preprocessed {!Simplex.Core} is
+      immutable after construction and shared read-only by all domains;
+    - each worker dives depth-first on a private stack and periodically
+      donates the shallowest (largest) subtrees to the global deque
+      whenever it runs short, which is work stealing with the donor
+      paying the transfer;
+    - termination is cooperative: workers exit when the deque is empty
+      and no worker is mid-dive, or when a proven gap / time limit /
+      node limit / [options.cancel] token fires (remaining open nodes
+      are returned to the deque so the reported dual bound stays sound;
+      [result.stop] distinguishes a cancel from a budget stop, and a
+      single [Stopped] trace event is emitted for the whole pool).
+
+    With one worker (the default) no domain is spawned and nothing is
+    donated or stolen: the search is deterministic, node for node and
+    event for event.  With more, [nodes] and [simplex_iterations] are
+    summed across workers, and node counts and which optimal solution
+    is returned vary run to run; the status and objective value do not
+    (within [mip_gap]).  The differential test suite enforces both
+    against a frozen copy of the former sequential loop. *)
 
 type status =
   | Optimal  (** incumbent proven optimal (within the MIP gap) *)
@@ -27,8 +56,8 @@ type result = {
   simplex_iterations : int;
   elapsed : float;
       (** Wall-clock seconds ([Unix.gettimeofday]-based).  Wall clock —
-          not CPU time — so that a parallel run ({!Parallel_bb}) reports
-          the time the caller actually waited.  Sampled exactly once
+          not CPU time — so that a run on several workers reports the
+          time the caller actually waited.  Sampled exactly once
           against this call's own start and clamped non-negative, so a
           node handed back by a cooperative stop can never be charged
           twice. *)
@@ -90,18 +119,19 @@ val no_external_bound : unit -> float
 val default_options : options
 
 val solve :
-  ?options:options -> ?worker:int -> ?incumbent:float array -> Lp.t -> result
-(** [solve lp] optimizes the MILP.  [incumbent], if given, must be an
-    integer-feasible assignment; it seeds the primal bound.  [worker]
-    (default 0) tags this solve's trace events and per-worker totals. *)
+  ?options:options -> ?workers:int -> ?incumbent:float array -> Lp.t -> result
+(** [solve lp] optimizes the MILP with [workers] domains (default 1:
+    the calling domain alone, no spawns).  [incumbent], if given, must
+    be an integer-feasible assignment; it seeds the primal bound.
+    [options.trace] events carry the emitting worker's id; sinks
+    serialize concurrent emitters internally, and per-worker node and
+    simplex-iteration totals are flushed to the tracer after the joins.
+    Root Gomory cuts ([options.gomory_rounds]) are generated once on
+    the root model before workers start. *)
 
-val objective_key : Lp.dir -> float -> float
-(** Normalizes an objective value to minimization order (used by callers
-    comparing bounds across directions). *)
-
-val lp_histograms :
-  Rfloor_metrics.Registry.t ->
-  Rfloor_metrics.Registry.Histogram.t * Rfloor_metrics.Registry.Histogram.t
-(** [(iterations_per_lp, lp_seconds)] profiling handles for per-LP
-    observations — shared with {!Parallel_bb} so sequential and
-    parallel solves feed the same series. *)
+val workers_from_env : ?default:int -> ?trace:Rfloor_trace.t -> unit -> int
+(** Worker count from the [RFLOOR_WORKERS] environment variable.
+    A parsable but non-positive value (["0"], ["-2"]) is clamped to 1;
+    an unparsable value (["abc"]) falls back to [default] (1); both emit
+    a [Warning] event on [trace] (default {!Rfloor_trace.disabled}).
+    Shared by [bin/rfloor_cli] and [bench/main]. *)

@@ -73,7 +73,7 @@ let qsuite tests =
 (* Worker counts for the differential matrix: always {1, 2, 4}, plus
    whatever RFLOOR_WORKERS asks for (bin/lint.sh test-matrix). *)
 let worker_counts () =
-  List.sort_uniq compare (Parallel_bb.workers_from_env () :: [ 1; 2; 4 ])
+  List.sort_uniq compare (Branch_bound.workers_from_env () :: [ 1; 2; 4 ])
 
 (* ------------------------------------------------------------------ *)
 (* MILP instance families *)

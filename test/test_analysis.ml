@@ -78,6 +78,66 @@ let test_collective_over_capacity () =
   let ds = Spec_lint.run (Lazy.force toy) spec in
   Alcotest.(check (list string)) "exactly RF005" [ "RF005" ] (error_codes ds)
 
+(* The mini device has one DSP column of 4 tiles.  [a] needs 3 of them
+   and one hard copy of itself, which needs 3 more: no plan exists, yet
+   every single demand fits and the window sweep only warns (RF007). *)
+let test_hard_copies_over_capacity () =
+  let part = Partition.columnar_exn Devices.mini in
+  let spec =
+    Spec.make ~name:"t"
+      ~relocs:[ { Spec.target = "a"; copies = 1; mode = Spec.Hard } ]
+      [
+        { Spec.r_name = "a"; demand = [ (Resource.Dsp, 3); (Resource.Clb, 2) ] };
+        { Spec.r_name = "b"; demand = clb 3 };
+      ]
+  in
+  let ds = Spec_lint.run part spec in
+  Alcotest.(check (list string)) "exactly RF005" [ "RF005" ] (error_codes ds);
+  let msg =
+    (List.find (fun d -> d.D.code = "RF005") ds).D.message
+  in
+  Alcotest.(check bool) ("message names the copies: " ^ msg) true
+    (contains msg "1 of a" && contains msg "6 DSP");
+  let out = Rfloor.Solver.feasible part spec in
+  Alcotest.(check bool) "MILP answers Infeasible" true
+    (out.Rfloor.Solver.status = Rfloor.Solver.Infeasible);
+  Alcotest.(check int) "without a node" 0 out.Rfloor.Solver.nodes
+
+(* Soundness of the collective sum: every seeded spec it flags is
+   proven infeasible by the combinatorial engine. *)
+let test_collective_capacity_sound () =
+  let module G = Generators in
+  let base = G.base_seed () in
+  let flagged = ref 0 and by_copies = ref 0 in
+  for i = 0 to 599 do
+    let seed = G.case_seed base (9_000 + i) in
+    let prng = G.Prng.make seed in
+    let part = G.random_partition prng in
+    let spec =
+      if i mod 2 = 0 then G.random_engine_spec prng part
+      else G.random_reloc_spec prng part
+    in
+    if List.mem "RF005" (error_codes (Spec_lint.run part spec)) then begin
+      incr flagged;
+      let usable = Grid.usable_tiles part.Partition.grid in
+      if
+        List.for_all
+          (fun (k, n) -> n <= Resource.demand_get usable k)
+          (Spec.total_demand spec)
+      then incr by_copies;
+      let o = Search.Engine.feasible part spec in
+      if o.Search.Engine.plan <> None then
+        Alcotest.failf "seed %d: RF005 flags a spec the engine solves" seed;
+      if not o.Search.Engine.optimal then
+        Alcotest.failf "seed %d: RF005 flags a spec the engine cannot decide"
+          seed
+    end
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "hard copies decide some flags (%d of %d)" !by_copies
+       !flagged)
+    true (!by_copies > 0)
+
 let test_unplaceable_region () =
   (* on the clean toy, 5 BRAM tiles fit in the cols 3-6 rectangle *)
   let ds = Spec_lint.run (Lazy.force toy) (spec_with [ (Resource.Bram, 5) ]) in
@@ -101,7 +161,9 @@ let test_unsatisfiable_reloc_copies () =
   let part = Lazy.force toy in
   let relocs = [ { Spec.target = "R"; copies = 99; mode = Spec.Hard } ] in
   let ds = Spec_lint.run part (spec_with ~relocs (clb 4)) in
-  Alcotest.(check (list string)) "exactly RF006" [ "RF006" ] (error_codes ds);
+  (* 100 hard instances of 4 CLB tiles also overflow the 24 usable *)
+  Alcotest.(check (list string)) "RF006, and RF005 for the copies"
+    [ "RF005"; "RF006" ] (error_codes ds);
   (* soft mode: same finding, warning severity *)
   let relocs = [ { Spec.target = "R"; copies = 99; mode = Spec.Soft 1. } ] in
   let ds = Spec_lint.run part (spec_with ~relocs (clb 4)) in
@@ -109,12 +171,13 @@ let test_unsatisfiable_reloc_copies () =
   Alcotest.(check (list string)) "RF006 warning" [ "RF006" ] (codes ds)
 
 let test_likely_unsatisfiable_reloc () =
-  (* the 2x2 CLB class has 9 windows but only 6 pairwise-disjoint ones:
-     copies=6 needs 7 -- under the window count, over the disjoint
-     estimate *)
+  (* the 1x3 CLB class has 12 windows but only 6 pairwise-disjoint ones
+     (one per CLB column): copies=6 needs 7 -- under the window count,
+     over the disjoint estimate, while 7 x 3 tiles stay within the 24
+     usable CLB tiles, so the collective sum (RF005) stays quiet *)
   let part = Lazy.force toy in
   let relocs = [ { Spec.target = "R"; copies = 6; mode = Spec.Hard } ] in
-  let ds = Spec_lint.run part (spec_with ~relocs (clb 4)) in
+  let ds = Spec_lint.run part (spec_with ~relocs (clb 3)) in
   Alcotest.(check (list string)) "no errors" [] (error_codes ds);
   Alcotest.(check (list string)) "RF007 warning" [ "RF007" ] (codes ds)
 
@@ -309,7 +372,8 @@ let test_preflight_reloc_short_circuits () =
   Alcotest.(check bool) "infeasible" true
     (outcome.Rfloor.Solver.status = Rfloor.Solver.Infeasible);
   Alcotest.(check int) "no nodes explored" 0 outcome.Rfloor.Solver.nodes;
-  Alcotest.(check (list string)) "RF006 attached" [ "RF006" ]
+  Alcotest.(check (list string)) "RF006 (and RF005) attached"
+    [ "RF005"; "RF006" ]
     (error_codes outcome.Rfloor.Solver.diagnostics)
 
 let test_preflight_clean_solve () =
@@ -412,6 +476,10 @@ let suites =
         Alcotest.test_case "forbidden outside -> RF003" `Quick test_forbidden_outside_device;
         Alcotest.test_case "over capacity -> RF004" `Quick test_over_capacity_demand;
         Alcotest.test_case "collective capacity -> RF005" `Quick test_collective_over_capacity;
+        Alcotest.test_case "hard copies count -> RF005" `Quick
+          test_hard_copies_over_capacity;
+        Alcotest.test_case "RF005 flags only infeasible specs" `Quick
+          test_collective_capacity_sound;
         Alcotest.test_case "unplaceable -> RF009" `Quick test_unplaceable_region;
         Alcotest.test_case "reloc copies -> RF006" `Quick test_unsatisfiable_reloc_copies;
         Alcotest.test_case "reloc disjoint -> RF007" `Quick test_likely_unsatisfiable_reloc;

@@ -339,7 +339,9 @@ let test_trace_verify_real_solve () =
     T.Sink.of_fn (fun e -> Buffer.add_string buf (T.Event.to_json e ^ "\n"))
   in
   let options =
-    Rfloor.Solver.Options.make ~workers:2 ~time_limit:30. ~trace:sink ()
+    Rfloor.Solver.Options.make
+      ~strategy:(Rfloor.Solver.Strategy.milp ~workers:2 ())
+      ~time_limit:30. ~trace:sink ()
   in
   let r = Rfloor.Solver.solve ~options part spec in
   Alcotest.(check bool) "solved" true (r.Rfloor.Solver.plan <> None);

@@ -1,14 +1,16 @@
 (* Randomized differential tests.
 
-   Sequential {!Branch_bound} vs {!Parallel_bb} across worker counts,
-   presolved vs raw solves, and end-to-end floorplans re-checked by the
-   independent {!Rfloor_analysis.Solution_audit}.  Every failure message
-   leads with the case seed: re-export it as RFLOOR_TEST_SEED to replay
-   the exact instance. *)
+   {!Branch_bound} at one worker vs the frozen sequential loop
+   ({!Reference_bb}) bit for bit, and across worker counts on status and
+   objective; presolved vs raw solves; and end-to-end floorplans
+   re-checked by the independent {!Rfloor_analysis.Solution_audit}.
+   Every failure message leads with the case seed: re-export it as
+   RFLOOR_TEST_SEED to replay the exact instance. *)
 
 open Milp
 module G = Generators
 module Bb = Branch_bound
+module Ref_bb = Reference_bb
 
 let status_name = function
   | Bb.Optimal -> "Optimal"
@@ -34,7 +36,7 @@ let check_incumbent ~seed ~what lp (obj, x) =
 let check_case seed =
   let case = G.milp_case ~seed in
   let lp = case.G.c_lp in
-  let seq = Bb.solve lp in
+  let seq = Ref_bb.solve lp in
   (* known-optimal families: the sequential solver must hit the optimum *)
   (match (case.G.c_optimum, seq.Bb.status, seq.Bb.incumbent) with
   | Some opt, Bb.Optimal, Some (obj, _) ->
@@ -48,7 +50,7 @@ let check_case seed =
   Option.iter (check_incumbent ~seed ~what:"sequential" lp) seq.Bb.incumbent;
   List.iter
     (fun w ->
-      let par = Parallel_bb.solve ~workers:w lp in
+      let par = Bb.solve ~workers:w lp in
       if par.Bb.status <> seq.Bb.status then
         Alcotest.failf "seed %d (%s): status differs with %d workers: sequential %s, parallel %s"
           seed case.G.c_family w (status_name seq.Bb.status) (status_name par.Bb.status);
@@ -218,8 +220,8 @@ let test_warm_child_resolves () =
   Alcotest.(check bool) "some warm child re-solves exercised" true (!checked > 0)
 
 (* Whole-tree cold-vs-warm: disabling warm starts must not change what
-   any solver configuration returns, sequential or across the parallel
-   worker matrix. *)
+   any solver configuration returns, the frozen sequential loop or the
+   engine across the worker matrix. *)
 let test_cold_vs_warm_bb () =
   let base = G.base_seed () in
   let cold_opts = { Bb.default_options with Bb.warm_lp = false } in
@@ -227,8 +229,8 @@ let test_cold_vs_warm_bb () =
     let seed = G.case_seed base (7_000 + i) in
     let case = G.milp_case ~seed in
     let lp = case.G.c_lp in
-    let warm = Bb.solve lp in
-    let cold = Bb.solve ~options:cold_opts lp in
+    let warm = Ref_bb.solve lp in
+    let cold = Ref_bb.solve ~options:cold_opts lp in
     let check_pair what a b =
       if a.Bb.status <> b.Bb.status then
         Alcotest.failf "seed %d (%s): %s: warm status %s, cold status %s" seed
@@ -249,8 +251,8 @@ let test_cold_vs_warm_bb () =
       cold.Bb.incumbent;
     List.iter
       (fun w ->
-        let pw = Parallel_bb.solve ~workers:w lp in
-        let pc = Parallel_bb.solve ~workers:w ~options:cold_opts lp in
+        let pw = Bb.solve ~workers:w lp in
+        let pc = Bb.solve ~workers:w ~options:cold_opts lp in
         check_pair (Printf.sprintf "parallel(%d) warm vs seq warm" w) warm pw;
         check_pair (Printf.sprintf "parallel(%d) warm vs cold" w) pw pc)
       (G.worker_counts ())
@@ -313,7 +315,7 @@ let test_parallel_elapsed_soft () =
   let lp = G.hard_knapsack ~seed in
   let opts = { Bb.default_options with time_limit = Some 30. } in
   let seq = Bb.solve ~options:opts lp in
-  let par = Parallel_bb.solve ~options:opts ~workers:4 lp in
+  let par = Bb.solve ~options:opts ~workers:4 lp in
   (match (seq.Bb.status, par.Bb.status, seq.Bb.incumbent, par.Bb.incumbent) with
   | Bb.Optimal, Bb.Optimal, Some (a, _), Some (b, _) ->
     if Float.abs (a -. b) > obj_tol then
@@ -342,7 +344,7 @@ let test_trace_coherence () =
       let opts =
         { Bb.default_options with trace = tracer; node_limit = Some 2_000 }
       in
-      let r = Parallel_bb.solve ~options:opts ~workers lp in
+      let r = Bb.solve ~options:opts ~workers lp in
       let report =
         Rfloor_trace.report tracer ~nodes:r.Bb.nodes
           ~simplex_iterations:r.Bb.simplex_iterations ~elapsed:r.Bb.elapsed
@@ -408,6 +410,168 @@ let test_trace_coherence () =
         report.Rfloor_trace.Report.elapsed)
     [ 1; 2; 4 ]
 
+(* ------------------------------------------------------------------ *)
+(* The engine at one worker vs the frozen sequential loop.
+
+   [Reference_bb] is the loop the engine replaced.  At one worker the
+   engine must run the very same search: equal status, stop, node and
+   simplex-iteration counts, the best bound and the incumbent to the
+   bit, the same trace events in the same order (timestamps aside), and
+   the same report counters, steal attempts included (a lone worker
+   steals nothing). *)
+
+module T = Rfloor_trace
+
+type observed = {
+  o_fields : (string * string) list;
+  o_events : (int * T.Event.payload) list;
+}
+
+let observe solve (options : Bb.options) lp =
+  let ring = T.Ring.create () in
+  let tracer = T.create ~sink:(T.Ring.sink ring) () in
+  let r : Bb.result = solve { options with Bb.trace = tracer } lp in
+  let rep =
+    T.report tracer ~nodes:r.Bb.nodes
+      ~simplex_iterations:r.Bb.simplex_iterations ~elapsed:r.Bb.elapsed
+  in
+  let hex = Printf.sprintf "%h" in
+  let ints l = String.concat " " (List.map string_of_int l) in
+  {
+    o_fields =
+      [
+        ("status", status_name r.Bb.status);
+        ( "stop",
+          match r.Bb.stop with
+          | None -> "none"
+          | Some Bb.Budget -> "budget"
+          | Some Bb.Cancelled -> "cancelled" );
+        ("nodes", string_of_int r.Bb.nodes);
+        ("simplex iterations", string_of_int r.Bb.simplex_iterations);
+        ("best bound", hex r.Bb.best_bound);
+        ( "incumbent objective",
+          match r.Bb.incumbent with None -> "none" | Some (o, _) -> hex o );
+        ( "incumbent x",
+          match r.Bb.incumbent with
+          | None -> "none"
+          | Some (_, x) -> String.concat " " (Array.to_list (Array.map hex x)) );
+        ("dropped events", string_of_int (T.Ring.dropped ring));
+        ( "report counters",
+          T.Report.(
+            Printf.sprintf
+              "incumbents %d, cuts %d, steal attempts %d, steal successes %d, \
+               tasks donated %d, idle events %d, restarts %d, warnings %d"
+              rep.incumbents rep.cuts rep.steal_attempts rep.steal_successes
+              rep.tasks_donated rep.idle_events rep.restarts rep.warnings) );
+        ( "report workers",
+          ints
+            (List.concat_map
+               (fun (w : T.Report.worker_stat) ->
+                 T.Report.[ w.ws_worker; w.ws_nodes; w.ws_iterations ])
+               rep.T.Report.workers) );
+        ( "report depth histogram",
+          ints
+            (List.concat_map (fun (d, k) -> [ d; k ])
+               rep.T.Report.depth_histogram) );
+        ( "report phase counts",
+          String.concat " "
+            (List.map
+               (fun (p : T.Report.phase_stat) ->
+                 Printf.sprintf "%s:%d"
+                   (T.Event.phase_name p.T.Report.ps_phase)
+                   p.T.Report.ps_count)
+               rep.T.Report.phases) );
+      ];
+    o_events =
+      List.map
+        (fun (e : T.Event.t) -> (e.T.Event.worker, e.T.Event.payload))
+        (T.Ring.events ring);
+  }
+
+let check_same_search ~what options lp =
+  let a = observe (fun options lp -> Ref_bb.solve ~options lp) (options ()) lp in
+  let b = observe (fun options lp -> Bb.solve ~options lp) (options ()) lp in
+  List.iter2
+    (fun (label, va) (_, vb) ->
+      if va <> vb then
+        Alcotest.failf "%s: %s differs: reference %s, engine %s" what label va vb)
+    a.o_fields b.o_fields;
+  let show (w, p) = Format.asprintf "%a" T.Event.pp { T.Event.at = 0.; worker = w; payload = p } in
+  let rec first_diff i xs ys =
+    match (xs, ys) with
+    | [], [] -> ()
+    | x :: xs', y :: ys' ->
+      if compare x y = 0 then first_diff (i + 1) xs' ys'
+      else
+        Alcotest.failf "%s: event %d differs: reference %s, engine %s" what i
+          (show x) (show y)
+    | _ ->
+      Alcotest.failf "%s: %d events from the reference, %d from the engine"
+        what (List.length a.o_events) (List.length b.o_events)
+  in
+  first_diff 0 a.o_events b.o_events
+
+(* Each variant builds fresh options per run, so the cancel token's poll
+   count starts at zero on both sides. *)
+let bb_variants =
+  [
+    ("default", fun () -> Bb.default_options);
+    ("node_limit 5", fun () -> { Bb.default_options with node_limit = Some 5 });
+    ("warm_lp off", fun () -> { Bb.default_options with warm_lp = false });
+    ("gomory_rounds 2", fun () -> { Bb.default_options with gomory_rounds = 2 });
+    ( "cancel at the 8th poll",
+      fun () ->
+        let polls = ref 0 in
+        {
+          Bb.default_options with
+          cancel =
+            (fun () ->
+              incr polls;
+              !polls >= 8);
+        } );
+  ]
+
+let test_one_worker_vs_reference () =
+  let base = G.base_seed () in
+  let instances =
+    List.init 200 (fun i ->
+        let seed = G.case_seed base i in
+        (Printf.sprintf "seed %d (milp_case)" seed, (G.milp_case ~seed).G.c_lp))
+    @ List.init 40 (fun i ->
+          let seed = G.case_seed base (8_000 + i) in
+          (Printf.sprintf "seed %d (hard_knapsack)" seed, G.hard_knapsack ~seed))
+  in
+  List.iter
+    (fun (name, lp) ->
+      List.iter
+        (fun (variant, options) ->
+          check_same_search ~what:(name ^ ", " ^ variant) options lp)
+        bb_variants)
+    instances;
+  (* the paper's instance: FX70T SDR stage 1 with the model's cuts and
+     branching priorities, a few nodes deep *)
+  let model =
+    Rfloor.Model.build
+      ~options:
+        {
+          Rfloor.Model.objective = Rfloor.Model.Wasted_frames_only;
+          paper_literal_l = false;
+          pair_relations = [];
+          extra_waste_cap = None;
+          cuts = true;
+        }
+      (Device.Partition.columnar_exn Device.Devices.virtex5_fx70t)
+      Sdr.design
+  in
+  check_same_search ~what:"FX70T SDR stage 1, node_limit 3"
+    (fun () ->
+      {
+        Bb.default_options with
+        node_limit = Some 3;
+        priorities = Some (Rfloor.Model.branching_priorities model);
+      })
+    (Rfloor.Model.lp model)
+
 let suites =
   [
     ( "differential",
@@ -430,5 +594,7 @@ let suites =
           test_parallel_elapsed_soft;
         Alcotest.test_case "trace events cohere with solver counters" `Quick
           test_trace_coherence;
+        Alcotest.test_case "1-worker engine = reference B&B" `Quick
+          test_one_worker_vs_reference;
       ] );
   ]

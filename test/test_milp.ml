@@ -762,7 +762,7 @@ let test_elapsed_monotone_on_stops () =
     }
   in
   let t0 = Unix.gettimeofday () in
-  let r = Parallel_bb.solve ~options:opts ~workers:2 lp in
+  let r = Branch_bound.solve ~options:opts ~workers:2 lp in
   check "parallel cancel" r (Unix.gettimeofday () -. t0)
 
 (* The cancellation tests stop [Generators.hard_knapsack] after a few

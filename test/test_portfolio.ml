@@ -55,17 +55,6 @@ let test_strategy_parse_errors () =
     [ ""; "bogus"; "milp:"; "milp:x"; "lns:abc"; "portfolio:[]"; "milp@x";
       "portfolio:[milp,nonsense]" ]
 
-let test_strategy_sugar_equivalence () =
-  (* Options.make's deprecated keywords build the same strategy as the
-     explicit spelling. *)
-  let a =
-    (Rfloor.Solver.Options.make ~workers:3 ~engine:(Rfloor.Solver.Ho None) ())
-      .Rfloor.Solver.strategy
-  in
-  let b = Strategy.milp ~workers:3 ~engine:(Rfloor.Solver.Ho None) () in
-  Alcotest.(check string) "deprecated keywords = Strategy.milp"
-    (Strategy.to_string b) (Strategy.to_string a)
-
 (* ------------------------------------------------------------------ *)
 (* RF501: member budget clamped to the portfolio's global deadline *)
 
@@ -294,7 +283,6 @@ let suites =
       [
         Alcotest.test_case "round-trip" `Quick test_strategy_roundtrip;
         Alcotest.test_case "parse errors (RF502)" `Quick test_strategy_parse_errors;
-        Alcotest.test_case "deprecated sugar" `Quick test_strategy_sugar_equivalence;
         Alcotest.test_case "RF501 budget clamp" `Quick test_rf501_budget_clamp;
       ] );
     ( "portfolio.cuts",

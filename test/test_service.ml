@@ -117,7 +117,10 @@ let test_options_key_scope () =
   let key o = fst (C.options_key c o) in
   let k_base = key (Solver.Options.make ~time_limit:5. ()) in
   Alcotest.(check string) "budget/workers excluded" k_base
-    (key (Solver.Options.make ~time_limit:50. ~node_limit:7 ~workers:4 ()));
+    (key
+       (Solver.Options.make ~time_limit:50. ~node_limit:7
+          ~strategy:(Solver.Strategy.milp ~workers:4 ())
+          ()));
   Alcotest.(check bool) "objective mode included" false
     (k_base = key (Solver.Options.make ~objective_mode:Solver.Feasibility_only ()));
   Alcotest.(check bool) "paper_literal_l included" false
@@ -158,7 +161,7 @@ let test_parallel_cancel () =
       cancel = (fun () -> Atomic.fetch_and_add polls 1 >= 20);
     }
   in
-  let r = Milp.Parallel_bb.solve ~options ~workers:4 lp in
+  let r = Bb.solve ~options ~workers:4 lp in
   Alcotest.(check bool) "stop = Cancelled" true (r.Bb.stop = Some Bb.Cancelled);
   let stopped =
     List.filter

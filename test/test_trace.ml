@@ -250,7 +250,7 @@ let test_workers_from_env () =
     with_env "RFLOOR_WORKERS" v @@ fun () ->
     let ring = T.Ring.create () in
     let tracer = T.create ~sink:(T.Ring.sink ring) () in
-    let n = Milp.Parallel_bb.workers_from_env ~default:3 ~trace:tracer () in
+    let n = Milp.Branch_bound.workers_from_env ~default:3 ~trace:tracer () in
     Alcotest.(check int) label expect n;
     let warnings =
       List.length
@@ -267,7 +267,7 @@ let test_workers_from_env () =
   check_case "garbage falls back to default" "abc" 3 1;
   with_env "RFLOOR_WORKERS" "" @@ fun () ->
   Alcotest.(check int) "unset uses default" 3
-    (Milp.Parallel_bb.workers_from_env ~default:3 ())
+    (Milp.Branch_bound.workers_from_env ~default:3 ())
 
 let test_report_json () =
   let ring = T.Ring.create () in
