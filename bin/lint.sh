@@ -38,11 +38,14 @@
 #                                the branch-and-bound differentials (the
 #                                1-worker engine bit for bit against the
 #                                frozen sequential loop, and 1/2/4
-#                                workers against it on 200 MILPs) at
-#                                the pinned seed and at seeds 7 and
-#                                424242, then the simplex fixtures and
-#                                the cancellation tests at the pinned
-#                                seed and at seeds 1, 7, 12 and 42.
+#                                workers against it on 200 MILPs) and
+#                                every milp.* suite (Gomory cuts and
+#                                branch-and-bound read each LP's final
+#                                basis) at the pinned seed and at seeds
+#                                7 and 424242, then the simplex fixtures
+#                                and the cancellation tests at the
+#                                pinned seed and at seeds 1, 7, 12 and
+#                                42.
 #   bin/lint.sh search-check  -- combinatorial-engine gate only: the
 #                                search suites at the pinned seed and at
 #                                seeds 7 and 424242 (the flat engine
@@ -275,9 +278,11 @@ simplex_check() {
     # vs dense reference, warm child re-solves, cold-vs-warm B&B), at
     # their default 200 instances; case 1 runs 1/2/4 workers against
     # the frozen sequential loop and case 9 the 1-worker engine bit for
-    # bit against it
+    # bit against it.  Gomory cuts and branch-and-bound read every LP's
+    # final basis, so every milp.* suite runs at the same seeds.
     for s in "$seed" 7 424242; do
         RFLOOR_TEST_SEED="$s" dune exec test/test_main.exe -- test differential 1,3-5,9
+        RFLOOR_TEST_SEED="$s" dune exec test/test_main.exe -- test 'milp.*'
     done
     # 1, 7, 12 and 42 are seeds at which the cancellation tests once
     # met an instance solved before the token fired
@@ -285,7 +290,7 @@ simplex_check() {
         RFLOOR_TEST_SEED="$s" dune exec test/test_main.exe -- test milp.simplex
         RFLOOR_TEST_SEED="$s" dune exec test/test_main.exe -- test service.cancel
     done
-    echo "simplex-check passed (L·U=P·B·Q properties, pinned root LP and fill bound, fixtures, LP and B&B differentials (1-worker engine = reference B&B, workers 1/2/4 vs reference) at seeds $seed, 7, 424242, fixtures and cancellation at seeds $seed, 1, 7, 12, 42)"
+    echo "simplex-check passed (L·U=P·B·Q properties, pinned root LP and fill bound, LP and B&B differentials (1-worker engine = reference B&B, workers 1/2/4 vs reference) and milp.* at seeds $seed, 7, 424242, fixtures and cancellation at seeds $seed, 1, 7, 12, 42)"
 }
 
 search_check() {

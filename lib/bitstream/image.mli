@@ -3,10 +3,13 @@
 
     [synthesize] produces the partial bitstream of a placed module: one
     frame per (covered tile, minor index).  Payload words depend only on
-    the tile {e type}, the minor index and the module's seed — never on
-    the absolute position — modelling Definition .1's requirement that
-    tiles of one type carry identical configuration data, which is what
-    makes relocation by pure address rewriting possible.
+    the module's seed, the tile {e type} (kind and variant), the minor
+    index and the frame's column and row offsets inside the rectangle —
+    never on the absolute position — modelling Definition .1's
+    requirement that tiles of one type carry identical configuration
+    data, which is what makes relocation by pure address rewriting
+    possible: the same module synthesized at a compatible rectangle
+    elsewhere has the same payload bytes.
 
     An image is flat: one [int array] of packed addresses
     ({!Frame.pack_address}) and one payload string holding every

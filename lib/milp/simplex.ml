@@ -10,6 +10,13 @@
    is a two-pass Harris test that relaxes bounds by a small tolerance
    in pass one and then picks the numerically largest eligible pivot.
 
+   The primal loop prices on a reduced-cost array that every pivot
+   updates from the pivot row the devex update already solves for, so
+   a pivot costs one btran.  The costs' btran and a pass over the
+   columns recompute it only on entry to a phase, after each fresh
+   factorization and after a Bland's-rule pivot, and an optimal or
+   unbounded verdict is always taken on recomputed values.
+
    Besides the classic cold two-phase primal solve there is a dual
    simplex path ({!Core.solve_warm}) for branch-and-bound children: a
    parent-optimal basis stays dual feasible after a branching bound
@@ -142,6 +149,11 @@ module Basis = struct
   type t = { bs_m : int; bs_nm : int; bs_basis : int array; bs_status : int array }
 end
 
+(* How [state.d] stands against the current basis: recomputed from
+   the costs and not pivoted since, carried through pivots by
+   pivot-row updates, or due for a recompute before the next price. *)
+type reduced = Fresh | Updated | Stale
+
 type state = {
   core : P.t;
   total : int; (* n + 2m *)
@@ -155,6 +167,8 @@ type state = {
   y : float array; (* duals, original-row indexed scratch *)
   w : float array; (* ftran image of the entering column, scratch *)
   rho : float array; (* btran image of a unit vector (pivot row), scratch *)
+  d : float array; (* primal reduced costs of the nonbasic columns, length total *)
+  mutable d_state : reduced;
   dw : float array; (* devex reference weights, length total *)
   mutable iters : int;
   mutable ecap : int; (* current eta cap (pushed out on singular refactor) *)
@@ -195,6 +209,7 @@ let factorize st reason =
   | lu ->
     st.lu <- lu;
     st.ecap <- base_eta_cap;
+    st.d_state <- Stale;
     count_factor st reason
   | exception Lu.Singular -> raise Singular_basis
 
@@ -266,38 +281,57 @@ let[@inline] row_coef st j =
   end
   else st.rho.(P.unit_row core j)
 
-(* Devex reference-framework weight update after a basis change: [q]
-   enters, position [r] leaves, [arq] is the pivot element.  Uses the
-   pre-update factorization, so it must run before [Lu.update]. *)
+(* d := c - Aᵀy over the nonbasic columns that can move, y from a
+   fresh btran of the basic costs. *)
+let refresh_reduced st =
+  btran_costs st;
+  for j = 0 to st.total - 1 do
+    if st.basic_row.(j) < 0 && st.lb.(j) < st.ub.(j) then
+      st.d.(j) <- reduced_cost st j
+  done;
+  st.d_state <- Fresh
+
+(* Devex reference-framework weight and reduced-cost update after a
+   basis change: [q] enters, position [r] leaves, [arq] is the pivot
+   element.  Each pivot-row coefficient a_rj serves both: with
+   theta = d_q / a_rq, d_j -= theta * a_rj, the leaving column gets
+   -theta and [q] gets 0.  Uses the pre-update factorization, so it
+   must run before [Lu.update]. *)
 let devex_update st r q arq =
   pivot_row st r;
   let wq = st.dw.(q) in
   let arq2 = arq *. arq in
+  let theta = st.d.(q) /. arq in
   let maxw = ref 0. in
   for j = 0 to st.total - 1 do
     if j <> q && st.basic_row.(j) < 0 && st.lb.(j) < st.ub.(j) then begin
       let arj = row_coef st j in
       if arj <> 0. then begin
+        st.d.(j) <- st.d.(j) -. (theta *. arj);
         let cand = wq *. (arj *. arj) /. arq2 in
         if cand > st.dw.(j) then st.dw.(j) <- cand
       end;
       if st.dw.(j) > !maxw then maxw := st.dw.(j)
     end
   done;
-  st.dw.(st.basis.(r)) <- Float.max (wq /. arq2) 1.;
+  let out = st.basis.(r) in
+  st.d.(q) <- 0.;
+  st.d.(out) <- -.theta;
+  st.d_state <- Updated;
+  st.dw.(out) <- Float.max (wq /. arq2) 1.;
   if !maxw > devex_reset then Array.fill st.dw 0 st.total 1.
 
-(* Entering-variable choice.  Returns (j, sigma) where sigma = +1 to
-   increase from lower bound, -1 to decrease from upper bound.  Devex
-   score d^2 / weight; Bland mode takes the first improving index. *)
+(* Entering-variable choice over [st.d].  Returns (j, sigma) where
+   sigma = +1 to increase from lower bound, -1 to decrease from upper
+   bound.  Devex score d^2 / weight; Bland mode takes the first
+   improving index. *)
 let price st ~bland =
-  btran_costs st;
   let best = ref (-1) and best_sigma = ref 1. and best_score = ref 0. in
   let j = ref 0 in
   while !j < st.total && not (bland && !best >= 0) do
     let jj = !j in
     if st.basic_row.(jj) < 0 && st.lb.(jj) < st.ub.(jj) then begin
-      let d = reduced_cost st jj in
+      let d = st.d.(jj) in
       let at_lb = st.x.(jj) <= st.lb.(jj) +. feas_eps in
       let at_ub = st.x.(jj) >= st.ub.(jj) -. feas_eps in
       let free = (not at_lb) && not at_ub in
@@ -434,7 +468,8 @@ let step st ~bland j sigma =
       done;
     let out = st.basis.(r) in
     st.x.(out) <- (if to_ub then st.ub.(out) else st.lb.(out));
-    if not bland then devex_update st r j st.w.(r);
+    (* a Bland's-rule pivot solves no pivot row to update [d] with *)
+    if bland then st.d_state <- Stale else devex_update st r j st.w.(r);
     Lu.update st.lu r st.w;
     (match st.instr with Some i -> R.Counter.incr i.i_ft | None -> ());
     st.basis.(r) <- j;
@@ -443,7 +478,12 @@ let step st ~bland j sigma =
     maybe_refactor st;
     Step_ok
 
+(* Primal pivots until no column prices in.  The phase's costs are
+   new on entry, so [d] is recomputed first; an optimal or unbounded
+   verdict reached on updated reduced costs is re-priced on recomputed
+   ones before it stands. *)
 let iterate st ~max_iters ~phase1 =
+  st.d_state <- Stale;
   let unbounded = ref false and hit_limit = ref false in
   let continue_ = ref true in
   while !continue_ do
@@ -453,8 +493,11 @@ let iterate st ~max_iters ~phase1 =
     end
     else begin
       let bland = st.degen_streak > bland_after in
+      if st.d_state = Stale then refresh_reduced st;
       match price st ~bland with
-      | None -> continue_ := false
+      | None ->
+        if st.d_state = Fresh then continue_ := false
+        else st.d_state <- Stale
       | Some (j, sigma) -> (
         st.iters <- st.iters + 1;
         match step st ~bland j sigma with
@@ -464,10 +507,11 @@ let iterate st ~max_iters ~phase1 =
             (* phase-1 objective is bounded below by 0; an "unbounded"
               ray here is numerical noise *)
             continue_ := false
-          else begin
+          else if st.d_state = Fresh then begin
             unbounded := true;
             continue_ := false
-          end)
+          end
+          else st.d_state <- Stale)
     end
   done;
   if !unbounded then Unbounded else if !hit_limit then Iter_limit else Optimal
@@ -553,6 +597,8 @@ let make_state ?instr ?(trace = Rfloor_trace.disabled) ?(worker = 0) core wlb
     y = Array.make m 0.;
     w = Array.make m 0.;
     rho = Array.make m 0.;
+    d = Array.make total 0.;
+    d_state = Stale;
     dw = Array.make total 1.;
     iters = 0;
     ecap = base_eta_cap;

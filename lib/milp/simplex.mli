@@ -5,7 +5,11 @@
     variables over an LU-factorized basis ({!Lu}) that is extended by
     product-form updates and refactorized on fill/stability triggers;
     devex pricing with a Bland's-rule fallback against cycling and a
-    Harris-style two-pass ratio test.  Branch-and-bound children can
+    Harris-style two-pass ratio test.  The primal loop prices on reduced
+    costs that each pivot updates from its pivot row (one btran per
+    pivot), recomputed on entry to a phase, after each fresh
+    factorization and after a Bland's-rule pivot; optimal and unbounded
+    verdicts are taken on recomputed values.  Branch-and-bound children can
     re-solve warm from a parent {!Basis.t} snapshot through a dual
     simplex path ({!Core.solve_warm}); any doubt on that path falls
     back to the cold two-phase solve, which stays the correctness

@@ -722,6 +722,31 @@ let test_ill_conditioned_basis () =
     Alcotest.failf "hilbert objective: sparse %.9f, dense reference %.9f"
       r.Simplex.objective reference.Reference_simplex.objective
 
+(* The primal loop carries reduced costs through pivots by updates, and
+   an update can lose a small reduced cost in a large intermediate.
+   Here q enters first on the pivot 2^-27, so theta = -2^13 / 2^-27 =
+   -2^40 and j's reduced cost -2^-15 becomes 2^40 - 2^-15, which rounds
+   to 2^40 (half an ulp there is 2^-14); p then drives q out to its
+   upper bound and the update brings j back to exactly 0, where j does
+   not price in.  Its true reduced cost is still -2^-15, so only the
+   recompute before the optimal verdict moves j to its upper bound. *)
+let test_optimal_verdict_repriced () =
+  let lp = Lp.create ~name:"lost_reduced_cost" () in
+  let q = Lp.add_var lp ~name:"q" ~lb:0. ~ub:10. () in
+  let p = Lp.add_var lp ~name:"p" ~lb:0. ~ub:1e5 () in
+  let j = Lp.add_var lp ~name:"j" ~lb:0. ~ub:1000. () in
+  Lp.add_constr lp [ (Float.ldexp 1. (-27), q); (-1., p); (1., j) ] Lp.Le 0.;
+  Lp.set_objective lp Lp.Minimize
+    [ (-8192., q); (-.Float.ldexp 1. (-15), j) ];
+  let r = Simplex.solve lp in
+  Alcotest.(check bool) "optimal" true (r.Simplex.status = Simplex.Optimal);
+  Alcotest.(check (float 0.)) "q at its upper bound" 10. r.Simplex.x.(q);
+  Alcotest.(check (float 0.)) "j priced in to its upper bound" 1000.
+    r.Simplex.x.(j);
+  Alcotest.(check (float 1e-9)) "objective"
+    (-81920. -. (1000. *. Float.ldexp 1. (-15)))
+    r.Simplex.objective
+
 (* Regression for elapsed accounting around cooperative stops: a
    cancelled solve hands its node back to the open list, and [elapsed]
    must stay a single non-negative sample of this call's own wall
@@ -796,6 +821,8 @@ let suites =
           test_refactor_trigger;
         Alcotest.test_case "ill-conditioned basis stays accurate" `Quick
           test_ill_conditioned_basis;
+        Alcotest.test_case "optimal verdict re-priced on fresh reduced costs"
+          `Quick test_optimal_verdict_repriced;
         Alcotest.test_case "elapsed stays monotone across stops" `Quick
           test_elapsed_monotone_on_stops;
       ] );

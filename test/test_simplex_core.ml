@@ -391,12 +391,12 @@ let test_singular_detected () =
    operation in order reproduces the pivot path exactly, so the
    iteration count, the objective's bits and a digest of x's bits are
    pinned (x86-64 values; OCaml emits no fused multiply-add there).
-   The allocation bound sits twice above the kernel's ~1.8k minor words
-   per iteration: a boxed float per priced column already breaks it
-   (~6k), a closure per column entry (~600k) by far. *)
-let root_iterations = 1084
-let root_objective = "-0x1p-39"
-let root_x_digest = "4f80c95a13ff3bcd889c184a91646a0d"
+   The allocation bound sits about twice above the kernel's ~2.1k minor
+   words per iteration, low enough that a boxed float per priced column
+   breaks it (about 4.3k). *)
+let root_iterations = 1113
+let root_objective = "0x1.8p-38"
+let root_x_digest = "aba779e729111b5832a3a12682224d9d"
 let max_minor_words_per_iter = 4_000.
 
 let fx70t_root_lp () =
