@@ -59,7 +59,9 @@
 #                                the CLI with no node limit, which must
 #                                end proven at 120 wasted frames, wire
 #                                length 1504, in 70539270 nodes (about
-#                                25 s).
+#                                30 s), and a CLI solve of a design with
+#                                a negative net weight, which must exit
+#                                1 with RF302.
 #   bin/lint.sh perf-smoke    -- benchmark gate only: sh perfbench/smoke.sh,
 #                                every BENCHMARK.json workload at 1/20
 #                                scale, untraced and traced, each passing
@@ -312,7 +314,20 @@ search_check() {
     grep -q '^nodes 70539270 ' "$qtmp/sdr3.txt" || {
         echo "search-check: SDR3 proof did not take 70539270 nodes:" >&2
         grep '^nodes ' "$qtmp/sdr3.txt" >&2; exit 1; }
-    echo "search-check passed (search suites at seeds $seed, 7, 424242, SDR3 proven 120 / 1504 in 70539270 nodes)"
+    # a negative net weight breaks the engine's prunes (it once reported
+    # wire length -28.5 as optimal where -48.5 was reachable): the design
+    # must be refused with RF302 before any search
+    printf 'CCCCCC\n' > "$qtmp/neg_device.txt"
+    printf 'region A clb=2\nregion B clb=1\nregion C clb=1\nnet A B 1\nnet B C -10\n' \
+        > "$qtmp/neg_design.txt"
+    status=0
+    dune exec bin/rfloor_cli.exe -- solve --device-file "$qtmp/neg_device.txt" \
+        --design-file "$qtmp/neg_design.txt" --strategy combinatorial \
+        > "$qtmp/neg.txt" 2>&1 || status=$?
+    [ "$status" -eq 1 ] && grep -q 'RF302' "$qtmp/neg.txt" || {
+        echo "search-check: negative net weight not refused with RF302 (exit $status):" >&2
+        cat "$qtmp/neg.txt" >&2; exit 1; }
+    echo "search-check passed (search suites at seeds $seed, 7, 424242, SDR3 proven 120 / 1504 in 70539270 nodes, negative weight refused)"
 }
 
 perf_smoke() {

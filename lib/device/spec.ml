@@ -24,11 +24,21 @@ let make ?(nets = []) ?(relocs = []) ~name regions =
       if r.demand = [] || List.exists (fun (_, n) -> n < 0) r.demand then
         invalid_arg (Printf.sprintf "Spec.make: bad demand for %s" r.r_name))
     regions;
+  (* weights are bus widths and relocation rewards: the combinatorial
+     engine's prunes take them as non-negative, and a NaN or infinite
+     weight leaves no objective to compare *)
+  let bad_weight w = w < 0. || not (Float.is_finite w) in
   List.iter
     (fun n ->
       if not (S.mem n.src set && S.mem n.dst set) then
         invalid_arg
-          (Printf.sprintf "Spec.make: net %s-%s names unknown region" n.src n.dst))
+          (Printf.sprintf "Spec.make: net %s-%s names unknown region" n.src n.dst);
+      if bad_weight n.weight then
+        invalid_arg
+          (Printf.sprintf
+             "Spec.make: net %s-%s has weight %g; weights must be finite and \
+              non-negative"
+             n.src n.dst n.weight))
     nets;
   let seen_targets = ref S.empty in
   List.iter
@@ -39,6 +49,14 @@ let make ?(nets = []) ?(relocs = []) ~name regions =
              rr.target);
       if rr.copies <= 0 then
         invalid_arg "Spec.make: relocation request with non-positive copies";
+      (match rr.mode with
+      | Soft w when bad_weight w ->
+        invalid_arg
+          (Printf.sprintf
+             "Spec.make: relocation request for %s has weight %g; weights must \
+              be finite and non-negative"
+             rr.target w)
+      | Soft _ | Hard -> ());
       if S.mem rr.target !seen_targets then
         invalid_arg
           (Printf.sprintf "Spec.make: duplicate relocation request for %s"

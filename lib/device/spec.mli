@@ -24,8 +24,9 @@ type t = {
 val make :
   ?nets:net list -> ?relocs:reloc_req list -> name:string -> region list -> t
 (** @raise Invalid_argument on duplicate region names, nets or
-    relocation requests naming unknown regions, or non-positive
-    demands/copies. *)
+    relocation requests naming unknown regions, non-positive
+    demands/copies, or a net or soft-relocation weight that is negative,
+    NaN or infinite. *)
 
 val region : t -> string -> region
 (** @raise Not_found *)

@@ -162,7 +162,7 @@ let all_codes =
     ("RF207", Info, "soft relocation request satisfied by fewer areas than requested");
     ("RF208", Error, "invalid placement (missing/duplicate region, overlap, forbidden, or unmet demand)");
     ("RF301", Error, "device file unreadable or malformed");
-    ("RF302", Error, "design file unreadable or malformed");
+    ("RF302", Error, "design file unreadable or malformed, or a weight negative or not finite");
     ("RF303", Error, "MPS model file unreadable or malformed");
     ("RF304", Warning, "RFLOOR_BENCH_BUDGET malformed or non-positive; defaulted/clamped");
     ("RF401", Error, "raw Mutex primitive used outside lib/sync (use Rfloor_sync.Mutex)");

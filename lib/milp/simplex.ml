@@ -378,7 +378,9 @@ let ratio_test st ~bland j sigma =
           if wi > 0. then ((xi -. st.lb.(bi)) /. wi, false)
           else ((st.ub.(bi) -. xi) /. -.wi, true)
         in
-        let t = max t 0. in
+        (* [max t 0.] without the polymorphic [max], which boxes its
+           float arguments; [Float.max] would turn -0. into +0. *)
+        let t = if t >= 0. then t else 0. in
         if t < !limit -. 1e-10 then begin
           limit := t;
           leave := i;
@@ -425,7 +427,8 @@ let ratio_test st ~bland j sigma =
             if wi > 0. then (st.x.(bi) -. st.lb.(bi), false)
             else (st.ub.(bi) -. st.x.(bi), true)
           in
-          let t = max 0. (room /. abs_float wi) in
+          let t = room /. abs_float wi in
+          let t = if 0. >= t then 0. else t in
           if t <= !theta_max && abs_float st.w.(i) > !best_piv then begin
             best_piv := abs_float st.w.(i);
             leave := i;

@@ -126,14 +126,17 @@ let[@inline] coverage pref width1 k x w h =
   let row = k * width1 in
   h * (pref.(row + x + w - 1) - pref.(row + x - 1))
 
-(* [Rect.manhattan_centers] on the fields.  Centres are half-integers,
-   so their differences, the absolute values and the sum are exact in
-   floating point: twice the distance, computed on ints and halved, is
-   the same float. *)
+(* The Manhattan distance between two centres given doubled, as
+   (2x + w, 2y + h).  Centres are half-integers, so their differences,
+   the absolute values and the sum are exact in floating point: twice
+   the distance, computed on ints and halved, is the same float as
+   [Rect.manhattan_centers]. *)
+let[@inline] half_distance ax ay bx by =
+  float_of_int (abs (ax - bx) + abs (ay - by)) *. 0.5
+
+(* [Rect.manhattan_centers] on the fields. *)
 let[@inline] manhattan ax ay aw ah bx by bw bh =
-  float_of_int
-    (abs ((2 * ax) + aw - (2 * bx) - bw) + abs ((2 * ay) + ah - (2 * by) - bh))
-  *. 0.5
+  half_distance ((2 * ax) + aw) ((2 * ay) + ah) ((2 * bx) + bw) ((2 * by) + bh)
 
 let tables (spec : Spec.t) part =
   let frames = Grid.frames part.Partition.grid in
@@ -179,16 +182,19 @@ let tables (spec : Spec.t) part =
   let pref = Candidates.prefix_counts part in
   let width1 = Partition.width part + 1 in
   let min_cov = Array.make (4 * (n + 1)) 0 in
+  let least = Array.make 4 0 in
   for i = n - 1 downto 0 do
     let cs = cands.(i) in
-    for k = 0 to 3 do
-      let m = ref max_int in
-      for c = 0 to ncands i - 1 do
-        let o = Candidates.stride * c in
+    Array.fill least 0 4 max_int;
+    for c = 0 to ncands i - 1 do
+      let o = Candidates.stride * c in
+      for k = 0 to 3 do
         let cov = coverage pref width1 k cs.(o) cs.(o + 2) cs.(o + 3) in
-        if cov < !m then m := cov
-      done;
-      let m = if !m = max_int then 0 else !m in
+        if cov < least.(k) then least.(k) <- cov
+      done
+    done;
+    for k = 0 to 3 do
+      let m = if least.(k) = max_int then 0 else least.(k) in
       min_cov.((4 * i) + k) <-
         min_cov.((4 * (i + 1)) + k) + ((1 + copies.(i)) * m)
     done
@@ -273,8 +279,8 @@ let sites_of part t i c =
    distance over disjoint pairs of such candidates of its two ends (0
    when there is none).  Every complete placement of the stage uses
    them, pairwise disjoint, so [rest.(i)] never exceeds the wire length
-   of the nets it counts (weights are non-negative bus widths, as the
-   partial-sum prune already assumes). *)
+   of the nets it counts (weights are non-negative bus widths, which
+   [Spec.make] enforces and the partial-sum prune also needs). *)
 let wire_floor t budget =
   let n = Array.length t.names and stride = Candidates.stride in
   let slack = budget - t.min_remaining.(0) in
@@ -374,7 +380,8 @@ let plan_of t cur slot0 site_at =
    at every completed choice of copies.  The state is flat: the chosen
    candidate per entity, the chosen site per copy, the placed
    rectangles as (x1, y1, x2, y2) on an int stack, the per-kind tiles
-   used, and the wire length before each entity. *)
+   used, the wire length before each entity, and per entity the
+   doubled centres of its nets' placed ends. *)
 let search ~options ~mode part t =
   Rfloor_trace.span options.trace Rfloor_trace.Event.Branch_bound @@ fun () ->
   let t0 = Sys.time () in
@@ -389,6 +396,7 @@ let search ~options ~mode part t =
   let cur = Array.make n 0 in
   let site_at = Array.make slot0.(n) 0 in
   let wl_at = Array.make (n + 1) 0. in
+  let ends_at = Array.map (fun near -> Array.make (2 * Array.length near) 0) t.near in
   let stack = Array.make (4 * (n + slot0.(n))) 0 and top = ref 0 in
   let used = Array.make 4 0 in
   let pref = t.pref and width1 = t.width1 in
@@ -481,6 +489,14 @@ let search ~options ~mode part t =
       let copies = t.copies.(i) in
       let mult = 1 + copies in
       let rest = t.min_remaining.(i + 1) in
+      let near = t.near.(i) and near_w = t.near_w.(i) and ends = ends_at.(i) in
+      (* the net ends stay put while this entity's candidates are scanned *)
+      if wirelength_stage then
+        for j = 0 to Array.length near - 1 do
+          let ce = t.cands.(near.(j)) and oe = stride * cur.(near.(j)) in
+          ends.(2 * j) <- (2 * ce.(oe)) + ce.(oe + 2);
+          ends.((2 * j) + 1) <- (2 * ce.(oe + 1)) + ce.(oe + 3)
+        done;
       let c = ref 0 in
       while !c < ncands do
         let ci = !c in
@@ -495,15 +511,12 @@ let search ~options ~mode part t =
           let wl =
             if wirelength_stage then begin
               let acc = ref wl_at.(i) in
-              let near = t.near.(i) and near_w = t.near_w.(i) in
+              let cx = (2 * x) + w and cy = (2 * y) + h in
               for j = 0 to Array.length near - 1 do
-                let e = near.(j) in
-                let ce = t.cands.(e) and oe = stride * cur.(e) in
                 acc :=
                   !acc
                   +. near_w.(j)
-                     *. manhattan x y w h ce.(oe) ce.(oe + 1) ce.(oe + 2)
-                          ce.(oe + 3)
+                     *. half_distance cx cy ends.(2 * j) ends.((2 * j) + 1)
               done;
               !acc
             end

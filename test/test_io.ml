@@ -87,6 +87,31 @@ let test_parse_spec_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage line accepted"
 
+(* On a one-row device of six CLB columns, this design with net B-C
+   weighted -10 once solved to wire length -28.5, reported optimal,
+   while -48.5 was reachable: the engine's prunes take weights as
+   non-negative.  A weight that is negative, NaN or infinite is refused
+   with RF302, on nets and on soft relocation requests; 0 is allowed. *)
+let test_parse_spec_weights () =
+  let design w =
+    "region A clb=2\nregion B clb=1\nregion C clb=1\nnet A B 1\nnet B C " ^ w
+    ^ "\n"
+  in
+  let refused label text =
+    match Io.parse_spec text with
+    | Error d -> Alcotest.(check string) label "RF302" d.Rfloor_diag.Diagnostic.code
+    | Ok _ -> Alcotest.failf "%s accepted" label
+  in
+  List.iter
+    (fun w -> refused ("net weight " ^ w) (design w))
+    [ "-10"; "-0.5"; "nan"; "inf"; "-inf" ];
+  List.iter
+    (fun w -> refused ("soft weight " ^ w) ("region A clb=1\nreloc A 1 soft " ^ w ^ "\n"))
+    [ "-1"; "nan"; "inf" ];
+  List.iter
+    (fun text -> match Io.parse_spec text with Error e -> fail_diag e | Ok _ -> ())
+    [ design "0"; "region A clb=1\nreloc A 1 soft 0\n" ]
+
 let test_loaded_device_solves () =
   (* end to end: text -> grid -> partition -> floorplan *)
   match (Io.parse_grid device_text, Io.parse_spec design_text) with
@@ -113,6 +138,7 @@ let suites =
         Alcotest.test_case "parse spec" `Quick test_parse_spec;
         Alcotest.test_case "spec round trip" `Quick test_spec_roundtrip;
         Alcotest.test_case "spec errors" `Quick test_parse_spec_errors;
+        Alcotest.test_case "weights -> RF302" `Quick test_parse_spec_weights;
         Alcotest.test_case "loaded device solves" `Quick test_loaded_device_solves;
       ] );
   ]

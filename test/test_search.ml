@@ -300,7 +300,44 @@ let test_enumerate_matches_reference () =
     let part = Generators.random_partition prng in
     let spec = Generators.random_spec prng part in
     List.iter (fun (r : Spec.region) -> same part r.Spec.demand) spec.Spec.regions
-  done
+  done;
+  (* [Devices.random] fabrics, a third of them with a forbidden area,
+     each also with per-kind frame counts whose wastes span several
+     bytes (the rank sort then runs several passes) and with a negative
+     count (wastes below zero) *)
+  let frame_counts =
+    [
+      Resource.default_frames;
+      (function
+      | Resource.Clb -> 1_000_003
+      | Resource.Bram -> 196_611
+      | Resource.Dsp -> (1 lsl 40) + 1
+      | Resource.Io -> 36);
+      (function Resource.Bram -> -30_000_007 | k -> Resource.default_frames k);
+    ]
+  in
+  let with_forbidden = ref 0 in
+  for i = 0 to 99 do
+    let rng = Random.State.make [| Generators.case_seed base (100 + i) |] in
+    let g = Devices.random rng in
+    if Grid.forbidden g <> [] then incr with_forbidden;
+    let demand =
+      (Resource.Clb, 1 + Random.State.int rng 4)
+      :: List.filter_map
+           (fun k -> if Random.State.bool rng then Some (k, 1) else None)
+           [ Resource.Bram; Resource.Dsp ]
+    in
+    List.iter
+      (fun frames ->
+        let g =
+          Grid.create ~frames ~forbidden:(Grid.forbidden g) ~width:(Grid.width g)
+            ~height:(Grid.height g) (Grid.tile g)
+        in
+        same (Partition.columnar_exn g) demand)
+      frame_counts
+  done;
+  Alcotest.(check bool) "some random fabric has a forbidden area" true
+    (!with_forbidden > 0)
 
 let plan_string (p : Floorplan.t) =
   String.concat " "

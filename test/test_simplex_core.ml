@@ -391,13 +391,14 @@ let test_singular_detected () =
    operation in order reproduces the pivot path exactly, so the
    iteration count, the objective's bits and a digest of x's bits are
    pinned (x86-64 values; OCaml emits no fused multiply-add there).
-   The allocation bound sits about twice above the kernel's ~2.1k minor
+   The allocation bound sits about twice above the kernel's ~0.5k minor
    words per iteration, low enough that a boxed float per priced column
-   breaks it (about 4.3k). *)
+   (about 2.2k words more) or per row of the ratio test (the polymorphic
+   [max] on floats there read 2.1k in all) breaks it. *)
 let root_iterations = 1113
 let root_objective = "0x1.8p-38"
 let root_x_digest = "aba779e729111b5832a3a12682224d9d"
-let max_minor_words_per_iter = 4_000.
+let max_minor_words_per_iter = 1_000.
 
 let fx70t_root_lp () =
   let part = Device.Partition.columnar_exn Device.Devices.virtex5_fx70t in
