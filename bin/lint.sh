@@ -53,15 +53,20 @@
 #                                engine on SDR, SDR2, SDR3 node limits,
 #                                the feasibility variants and 320 seeded
 #                                instances; brute force on tiny
-#                                instances; the node-count pins; the
-#                                allocation bound per node), then the
+#                                instances; the pinned digest of 200
+#                                seeded search trees; the node-count
+#                                pins; the allocation bounds), then the
 #                                full SDR3 lexicographic proof through
 #                                the CLI with no node limit, which must
 #                                end proven at 120 wasted frames, wire
 #                                length 1504, in 70539270 nodes (about
-#                                30 s), and a CLI solve of a design with
-#                                a negative net weight, which must exit
-#                                1 with RF302.
+#                                16–20 s on a 2-vCPU host), a CLI solve of
+#                                a design with a negative net weight,
+#                                which must exit 1 with RF302, and a
+#                                scan of lib/ for Sys.time: budgets and
+#                                elapsed times there are monotonic wall
+#                                time, since process CPU time counts
+#                                every domain.
 #   bin/lint.sh perf-smoke    -- benchmark gate only: sh perfbench/smoke.sh,
 #                                every BENCHMARK.json workload at 1/20
 #                                scale, untraced and traced, each passing
@@ -298,12 +303,18 @@ simplex_check() {
 search_check() {
     echo "== search-check (search suites, full SDR3 lexicographic proof)"
     seed="${RFLOOR_TEST_SEED:-2015}"
+    # process CPU time counts every domain of the process: a budget on
+    # it runs out early next to busy domains
+    if grep -rn 'Sys\.time' lib; then
+        echo "search-check: Sys.time under lib/; time budgets on the monotonic clock" >&2
+        exit 1
+    fi
     # the seeded reference contract and the brute-force properties
     # depend on each seed's instances
     for s in "$seed" 7 424242; do
         RFLOOR_TEST_SEED="$s" dune exec test/test_main.exe -- test 'search.*'
     done
-    # the proof the paper's commercial solver left open after 6 h: a CPU
+    # the proof the paper's commercial solver left open after 6 h: a time
     # budget far above its run time, so only a proof can end it
     qtmp=$(mktemp -d)
     dune exec bin/rfloor_cli.exe -- solve --device fx70t --design sdr3 \
@@ -327,7 +338,7 @@ search_check() {
     [ "$status" -eq 1 ] && grep -q 'RF302' "$qtmp/neg.txt" || {
         echo "search-check: negative net weight not refused with RF302 (exit $status):" >&2
         cat "$qtmp/neg.txt" >&2; exit 1; }
-    echo "search-check passed (search suites at seeds $seed, 7, 424242, SDR3 proven 120 / 1504 in 70539270 nodes, negative weight refused)"
+    echo "search-check passed (search suites at seeds $seed, 7, 424242, SDR3 proven 120 / 1504 in 70539270 nodes, negative weight refused, no Sys.time in lib/)"
 }
 
 perf_smoke() {

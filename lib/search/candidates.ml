@@ -22,10 +22,12 @@ let prefix_counts part =
   done;
   pref
 
-let window_kind_counts pref ~width x w =
-  Array.init 4 (fun ki ->
-      let row = ki * (width + 1) in
-      pref.(row + x + w - 1) - pref.(row + x - 1))
+(* The columns of each kind in window (x, w), into [counts]. *)
+let window_kind_counts pref ~width counts x w =
+  for ki = 0 to 3 do
+    let row = ki * (width + 1) in
+    counts.(ki) <- pref.(row + x + w - 1) - pref.(row + x - 1)
+  done
 
 let demand_by_index demand =
   let d = Array.make 4 0 in
@@ -104,108 +106,159 @@ let radix_order keys n =
   done;
   !src
 
-(* Candidates are counted, then written, in ascending (x, y, w, h)
-   order into buckets of equal waste laid out by increasing waste: a
-   stable counting sort, which gives the (waste, x, y, w, h) order of
-   [enumerate] without comparing rectangles.  The buckets are the ranks
-   of the shapes' (x, w, h) wastes, found by [radix_order]. *)
-let table part demand =
+(* The generator ranks the shapes (x, w, h) of the demand once and
+   writes candidates one waste level at a time.  Within a level it goes
+   x-group by x-group, y ascending, the group's shapes in (w, h) order:
+   the (x, y, w, h) order, so the levels written so far are a prefix of
+   the (waste, x, y, w, h) order of [enumerate].  A shape is packed in
+   one int as (x, w, h) in base (width + 1, height + 1). *)
+type generator = {
+  height : int;
+  forbidden : Rect.t list;
+  dh : int;  (* height + 1 *)
+  dwh : int;  (* (width + 1) * (height + 1) *)
+  shapes : int array;  (* packed, in (x, w, h) order *)
+  keys : int array;  (* per shape: its waste less [least] *)
+  least : int;
+  order : int array;  (* the shapes by increasing waste, stably *)
+  least_cov : int array;
+  mutable next : int;  (* position in [order] of the next level *)
+  mutable data : int array;
+  mutable written : int;
+}
+
+let generator part demand =
   let width = Partition.width part and height = Partition.height part in
   let forbidden = Grid.forbidden part.Partition.grid in
   let pref = prefix_counts part in
   let d = demand_by_index demand in
   let fr = frames_by_index part in
-  (* per window (x, w): its minimal height (0: none), and where its
-     shapes start in generation order: shape (x, w, h) is number
-     [first.(window x w) + h] *)
-  let window x w = (x * (width + 1)) + w in
-  let hmin = Array.make ((width + 1) * (width + 1)) 0 in
-  let first = Array.make (Array.length hmin) 0 in
-  (* the shapes' wastes in generation order: at most width (width + 1) / 2
-     windows of at most [height] shapes each *)
-  let keys = Array.make (width * (width + 1) / 2 * height) 0 in
-  let nshapes = ref 0 and least = ref max_int in
+  (* the shapes of window (x, w) are its heights from its minimal one;
+     a window's shortest shape has a legal position if any of its
+     shapes has one, and covers the least of every kind *)
+  let nshapes = ref 0 and counts = Array.make 4 0 in
+  let least_cov = Array.make 4 max_int in
   for x = 1 to width do
     for w = 1 to width - x + 1 do
-      let counts = window_kind_counts pref ~width x w in
+      window_kind_counts pref ~width counts x w;
       let h0 = min_height_for d counts in
-      hmin.(window x w) <- h0;
-      first.(window x w) <- !nshapes - h0;
+      if h0 > 0 && h0 <= height then begin
+        nshapes := !nshapes + (height - h0 + 1);
+        let y = ref 1 in
+        while !y <= height - h0 + 1 && hits_forbidden forbidden x !y w h0 do
+          incr y
+        done;
+        if !y <= height - h0 + 1 then
+          for k = 0 to 3 do
+            least_cov.(k) <- min least_cov.(k) (h0 * counts.(k))
+          done
+      end
+    done
+  done;
+  let n = !nshapes in
+  let shapes = Array.make n 0 and keys = Array.make n 0 in
+  let dh = height + 1 in
+  let dwh = (width + 1) * dh in
+  let j = ref 0 and least = ref max_int in
+  for x = 1 to width do
+    for w = 1 to width - x + 1 do
+      window_kind_counts pref ~width counts x w;
+      let h0 = min_height_for d counts in
       if h0 > 0 then
         for h = h0 to height do
           let v = waste_of fr d counts h in
-          keys.(!nshapes) <- v;
+          shapes.(!j) <- (x * dwh) + (w * dh) + h;
+          keys.(!j) <- v;
           if v < !least then least := v;
-          incr nshapes
+          incr j
         done
     done
   done;
-  let nshapes = !nshapes and least = !least in
+  let least = !least in
   (* the wastes as offsets from the least: exact as unsigned ints, and
      in the same order *)
-  for j = 0 to nshapes - 1 do
+  for j = 0 to n - 1 do
     keys.(j) <- keys.(j) - least
   done;
-  (* per shape, the rank of its waste among the distinct wastes *)
-  let rank = Array.make nshapes 0 in
-  let levels = Array.make nshapes 0 and m = ref 0 in
-  Array.iter
-    (fun j ->
-      let v = keys.(j) + least in
-      if !m = 0 || levels.(!m - 1) <> v then begin
-        levels.(!m) <- v;
-        incr m
-      end;
-      rank.(j) <- !m - 1)
-    (radix_order keys nshapes);
-  let m = !m in
-  (* next.(r): where the next candidate of waste rank r goes *)
-  let next = Array.make (m + 1) 0 in
-  for x = 1 to width do
+  {
+    height;
+    forbidden;
+    dh;
+    dwh;
+    shapes;
+    keys;
+    least;
+    order = radix_order keys n;
+    least_cov = Array.map (fun c -> if c = max_int then 0 else c) least_cov;
+    next = 0;
+    data = [||];
+    written = 0;
+  }
+
+let written g = g.written
+let data g = g.data
+let exhausted g = g.next = Array.length g.order
+let next_waste g = g.keys.(g.order.(g.next)) + g.least
+let least_coverage g = g.least_cov
+
+let write_level g =
+  let order = g.order and shapes = g.shapes and keys = g.keys in
+  let height = g.height and dh = g.dh and dwh = g.dwh in
+  let start = g.next in
+  let key = keys.(order.(start)) in
+  (* the level's shapes, and at most how many candidates they have *)
+  let stop = ref start and most = ref 0 in
+  while !stop < Array.length order && keys.(order.(!stop)) = key do
+    most := !most + height - (shapes.(order.(!stop)) mod dh) + 1;
+    incr stop
+  done;
+  let stop = !stop in
+  let need = stride * (g.written + !most) in
+  if need > Array.length g.data then begin
+    let data = Array.make (max need (2 * Array.length g.data)) 0 in
+    Array.blit g.data 0 data 0 (stride * g.written);
+    g.data <- data
+  end;
+  let data = g.data and waste = key + g.least and written = ref g.written in
+  let a = ref start in
+  while !a < stop do
+    let x = shapes.(order.(!a)) / dwh in
+    let b = ref (!a + 1) in
+    while !b < stop && shapes.(order.(!b)) / dwh = x do
+      incr b
+    done;
     for y = 1 to height do
-      for w = 1 to width - x + 1 do
-        let h0 = hmin.(window x w) and f = first.(window x w) in
-        if h0 > 0 then
-          for h = h0 to height - y + 1 do
-            if not (hits_forbidden forbidden x y w h) then begin
-              let r = rank.(f + h) + 1 in
-              next.(r) <- next.(r) + 1
-            end
-          done
+      for p = !a to !b - 1 do
+        let s = shapes.(order.(p)) in
+        let w = (s mod dwh) / dh and h = s mod dh in
+        if y + h - 1 <= height && not (hits_forbidden g.forbidden x y w h) then begin
+          let o = stride * !written in
+          data.(o) <- x;
+          data.(o + 1) <- y;
+          data.(o + 2) <- w;
+          data.(o + 3) <- h;
+          data.(o + 4) <- waste;
+          incr written
+        end
       done
-    done
+    done;
+    a := !b
   done;
-  for r = 1 to m do
-    next.(r) <- next.(r) + next.(r - 1)
-  done;
-  let out = Array.make (stride * next.(m)) 0 in
-  for x = 1 to width do
-    for y = 1 to height do
-      for w = 1 to width - x + 1 do
-        let h0 = hmin.(window x w) and f = first.(window x w) in
-        if h0 > 0 then
-          for h = h0 to height - y + 1 do
-            if not (hits_forbidden forbidden x y w h) then begin
-              let r = rank.(f + h) in
-              let o = stride * next.(r) in
-              next.(r) <- next.(r) + 1;
-              out.(o) <- x;
-              out.(o + 1) <- y;
-              out.(o + 2) <- w;
-              out.(o + 3) <- h;
-              out.(o + 4) <- levels.(r)
-            end
-          done
-      done
-    done
-  done;
-  out
+  g.written <- !written;
+  g.next <- stop
+
+let write_first g =
+  while g.written = 0 && not (exhausted g) do
+    write_level g
+  done
 
 let enumerate part demand =
-  let t = table part demand in
-  List.init
-    (Array.length t / stride)
-    (fun i ->
+  let g = generator part demand in
+  while not (exhausted g) do
+    write_level g
+  done;
+  let t = g.data in
+  List.init g.written (fun i ->
       let o = stride * i in
       {
         rect = Rect.make ~x:t.(o) ~y:t.(o + 1) ~w:t.(o + 2) ~h:t.(o + 3);
@@ -213,5 +266,6 @@ let enumerate part demand =
       })
 
 let min_waste part demand =
-  let t = table part demand in
-  if Array.length t = 0 then None else Some t.(4)
+  let g = generator part demand in
+  write_first g;
+  if g.written = 0 then None else Some g.data.(4)

@@ -31,6 +31,10 @@ type outcome = {
   stop : stop_reason option;
 }
 
+(* Seconds on the monotonic clock: process CPU time would also count
+   the work of every other domain. *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
 exception Budget_exhausted
 exception Cancelled_exn
 exception Found_one
@@ -94,11 +98,13 @@ type search_mode =
 (* Per-solve tables, built once and shared by the waste and wire-length
    stages.  Entities are the regions in placement order (decreasing
    frame demand); a candidate is [Candidates.stride] ints (x, y, w, h,
-   waste) of its entity's [Candidates.table]. *)
+   waste) of its entity's generator, which writes its candidates one
+   waste level at a time as the search reaches them. *)
 type tables = {
   names : string array;
   copies : int array;  (* hard free-compatible copies per entity *)
-  cands : int array array;
+  gens : Candidates.generator array;
+  cands : int array array;  (* per entity: its generator's data *)
   unplaceable : bool;  (* some entity has no candidate *)
   min_remaining : int array;
       (* [n + 1]: cheapest candidate wastes summed over entities i.. *)
@@ -115,12 +121,18 @@ type tables = {
   net_a : int array;  (* nets resolved to entity indices, spec order *)
   net_b : int array;
   net_w : float array;
+  boxes : int array array;
+      (* per entity, per block of [block] candidates: the least and
+          greatest doubled centre x, then y, of its written candidates *)
   sites : int array array array;
       (* per entity with copies, per candidate: its hard-copy sites as
           (x, y) pairs, filled on first visit ([unknown] until then) *)
 }
 
 let unknown : int array = [| 0 |]
+
+(* Candidates per block of the wire-length stage's block bound. *)
+let block = 8
 
 let[@inline] coverage pref width1 k x w h =
   let row = k * width1 in
@@ -138,6 +150,47 @@ let[@inline] half_distance ax ay bx by =
 let[@inline] manhattan ax ay aw ah bx by bw bh =
   half_distance ((2 * ax) + aw) ((2 * ay) + ah) ((2 * bx) + bw) ((2 * by) + bh)
 
+(* [a] grown to at least [len] ints, new slots [fill]. *)
+let grow a len fill =
+  if Array.length a >= len then a
+  else begin
+    let b = Array.make len fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+(* Brings entity [i]'s data, block boxes and sites memo up to its
+   generator, whose candidates [from..] were just written. *)
+let extend t i from =
+  let stride = Candidates.stride in
+  let cs = Candidates.data t.gens.(i) in
+  let room = Array.length cs / stride in
+  t.cands.(i) <- cs;
+  t.boxes.(i) <- grow t.boxes.(i) (4 * ((room + block - 1) / block)) 0;
+  if t.copies.(i) > 0 then t.sites.(i) <- grow t.sites.(i) room unknown;
+  let boxes = t.boxes.(i) in
+  for c = from to Candidates.written t.gens.(i) - 1 do
+    let o = stride * c and b = 4 * (c / block) in
+    let cx = (2 * cs.(o)) + cs.(o + 2) and cy = (2 * cs.(o + 1)) + cs.(o + 3) in
+    if c mod block = 0 then begin
+      boxes.(b) <- cx;
+      boxes.(b + 1) <- cx;
+      boxes.(b + 2) <- cy;
+      boxes.(b + 3) <- cy
+    end
+    else begin
+      boxes.(b) <- min boxes.(b) cx;
+      boxes.(b + 1) <- max boxes.(b + 1) cx;
+      boxes.(b + 2) <- min boxes.(b + 2) cy;
+      boxes.(b + 3) <- max boxes.(b + 3) cy
+    end
+  done
+
+let write_level t i =
+  let from = Candidates.written t.gens.(i) in
+  Candidates.write_level t.gens.(i);
+  extend t i from
+
 let tables (spec : Spec.t) part =
   let frames = Grid.frames part.Partition.grid in
   let weight (r : Spec.region) =
@@ -150,16 +203,17 @@ let tables (spec : Spec.t) part =
   let n = Array.length regions in
   let names = Array.map (fun (r : Spec.region) -> r.Spec.r_name) regions in
   let copies = Array.map (hard_copies spec) names in
-  let cands =
+  let gens =
     Array.map
-      (fun (r : Spec.region) -> Candidates.table part r.Spec.demand)
+      (fun (r : Spec.region) -> Candidates.generator part r.Spec.demand)
       regions
   in
-  let ncands i = Array.length cands.(i) / Candidates.stride in
+  (* the cheapest candidate of each entity: its first non-empty level *)
+  Array.iter Candidates.write_first gens;
   let min_remaining = Array.make (n + 1) 0 in
   for i = n - 1 downto 0 do
-    if ncands i > 0 then
-      min_remaining.(i) <- min_remaining.(i + 1) + cands.(i).(4)
+    if Candidates.written gens.(i) > 0 then
+      min_remaining.(i) <- min_remaining.(i + 1) + (Candidates.data gens.(i)).(4)
   done;
   (* Per-kind tile capacity pruning: placed coverage plus a lower bound
      on the coverage of every remaining entity (regions and their
@@ -182,21 +236,11 @@ let tables (spec : Spec.t) part =
   let pref = Candidates.prefix_counts part in
   let width1 = Partition.width part + 1 in
   let min_cov = Array.make (4 * (n + 1)) 0 in
-  let least = Array.make 4 0 in
   for i = n - 1 downto 0 do
-    let cs = cands.(i) in
-    Array.fill least 0 4 max_int;
-    for c = 0 to ncands i - 1 do
-      let o = Candidates.stride * c in
-      for k = 0 to 3 do
-        let cov = coverage pref width1 k cs.(o) cs.(o + 2) cs.(o + 3) in
-        if cov < least.(k) then least.(k) <- cov
-      done
-    done;
+    let least = Candidates.least_coverage gens.(i) in
     for k = 0 to 3 do
-      let m = if least.(k) = max_int then 0 else least.(k) in
       min_cov.((4 * i) + k) <-
-        min_cov.((4 * (i + 1)) + k) + ((1 + copies.(i)) * m)
+        min_cov.((4 * (i + 1)) + k) + ((1 + copies.(i)) * least.(k))
     done
   done;
   let index name =
@@ -224,25 +268,31 @@ let tables (spec : Spec.t) part =
         if a >= 0 && b >= 0 then Some (a, b, nt.Spec.weight) else None)
       spec.Spec.nets
   in
-  {
-    names;
-    copies;
-    cands;
-    unplaceable = Array.exists (fun c -> Array.length c = 0) cands;
-    min_remaining;
-    capacity;
-    min_cov;
-    pref;
-    width1;
-    near = Array.map (fun l -> Array.of_list (List.map fst l)) near;
-    near_w = Array.map (fun l -> Array.of_list (List.map snd l)) near;
-    net_a = Array.of_list (List.map (fun (a, _, _) -> a) resolved);
-    net_b = Array.of_list (List.map (fun (_, b, _) -> b) resolved);
-    net_w = Array.of_list (List.map (fun (_, _, w) -> w) resolved);
-    sites =
-      Array.init n (fun i ->
-          if copies.(i) = 0 then [||] else Array.make (ncands i) unknown);
-  }
+  let t =
+    {
+      names;
+      copies;
+      gens;
+      cands = Array.map Candidates.data gens;
+      unplaceable = Array.exists (fun g -> Candidates.written g = 0) gens;
+      min_remaining;
+      capacity;
+      min_cov;
+      pref;
+      width1;
+      near = Array.map (fun l -> Array.of_list (List.map fst l)) near;
+      near_w = Array.map (fun l -> Array.of_list (List.map snd l)) near;
+      net_a = Array.of_list (List.map (fun (a, _, _) -> a) resolved);
+      net_b = Array.of_list (List.map (fun (_, b, _) -> b) resolved);
+      net_w = Array.of_list (List.map (fun (_, _, w) -> w) resolved);
+      boxes = Array.make n [||];
+      sites = Array.make n [||];
+    }
+  in
+  for i = 0 to n - 1 do
+    extend t i 0
+  done;
+  t
 
 (* The hard-copy sites of candidate [c] of entity [i]: its relocation
    sites other than itself, in [Compat.relocation_sites] order. *)
@@ -285,15 +335,22 @@ let wire_floor t budget =
   let n = Array.length t.names and stride = Candidates.stride in
   let slack = budget - t.min_remaining.(0) in
   let eligible =
-    Array.map
-      (fun cs ->
-        let m = Array.length cs / stride in
-        let k = ref 0 in
-        while !k < m && cs.((stride * !k) + 4) <= cs.(4) + slack do
-          incr k
-        done;
-        !k)
-      t.cands
+    Array.init n (fun i ->
+        let g = t.gens.(i) in
+        let m = Candidates.written g in
+        if m = 0 then 0
+        else begin
+          let top = t.cands.(i).(4) + slack in
+          while (not (Candidates.exhausted g)) && Candidates.next_waste g <= top do
+            write_level t i
+          done;
+          let cs = t.cands.(i) and m = Candidates.written g in
+          let k = ref 0 in
+          while !k < m && cs.((stride * !k) + 4) <= top do
+            incr k
+          done;
+          !k
+        end)
   in
   let delta a b =
     let ca = t.cands.(a) and cb = t.cands.(b) in
@@ -384,7 +441,7 @@ let plan_of t cur slot0 site_at =
    doubled centres of its nets' placed ends. *)
 let search ~options ~mode part t =
   Rfloor_trace.span options.trace Rfloor_trace.Event.Branch_bound @@ fun () ->
-  let t0 = Sys.time () in
+  let t0 = now () in
   let nodes = ref 0 in
   let stopped = ref None in
   let n = Array.length t.names in
@@ -416,7 +473,7 @@ let search ~options ~mode part t =
       | Some nl when !nodes >= nl -> raise Budget_exhausted
       | _ -> ());
       match options.time_limit with
-      | Some tl when Sys.time () -. t0 > tl -> raise Budget_exhausted
+      | Some tl when now () -. t0 > tl -> raise Budget_exhausted
       | _ -> ()
     end
   in
@@ -472,6 +529,38 @@ let search ~options ~mode part t =
     done;
     !ok
   in
+  (* The wire-length test on a whole block of entity [i]'s candidates:
+     each net it ends taken to the block's box of doubled centres.  Each
+     term is at most the one any candidate of the block gets, and float
+     rounding is monotone, so when the block fails the test every
+     candidate in it fails it too. *)
+  let block_fails i b =
+    let boxes = t.boxes.(i) and near = t.near.(i) and near_w = t.near_w.(i)
+    and ends = ends_at.(i) in
+    let x0 = boxes.(4 * b) and x1 = boxes.((4 * b) + 1)
+    and y0 = boxes.((4 * b) + 2) and y1 = boxes.((4 * b) + 3) in
+    let acc = ref wl_at.(i) in
+    for j = 0 to Array.length near - 1 do
+      let ex = ends.(2 * j) and ey = ends.((2 * j) + 1) in
+      let dx = if ex < x0 then x0 - ex else if ex > x1 then ex - x1 else 0 in
+      let dy = if ey < y0 then y0 - ey else if ey > y1 then ey - y1 else 0 in
+      acc := !acc +. (near_w.(j) *. (float_of_int (dx + dy) *. 0.5))
+    done;
+    !acc +. rest_wl.(i + 1) >= !best_wl -. 1e-9
+  in
+  (* Whether entity [i]'s scan at [waste] has a candidate [c]: past the
+     written ones, the next level is written when the waste cap lets the
+     scan reach it (a level may hold no candidate). *)
+  let rec reach i waste c =
+    let g = t.gens.(i) in
+    c < Candidates.written g
+    || (not (Candidates.exhausted g))
+       && waste + Candidates.next_waste g + t.min_remaining.(i + 1) < !cap
+       && begin
+         write_level t i;
+         reach i waste c
+       end
+  in
   let push x y w h =
     let q = !top in
     stack.(q) <- x;
@@ -484,8 +573,7 @@ let search ~options ~mode part t =
     budget_check ();
     if i = n then record waste
     else begin
-      let cs = t.cands.(i) in
-      let ncands = Array.length cs / stride in
+      let g = t.gens.(i) in
       let copies = t.copies.(i) in
       let mult = 1 + copies in
       let rest = t.min_remaining.(i + 1) in
@@ -497,14 +585,29 @@ let search ~options ~mode part t =
           ends.(2 * j) <- (2 * ce.(oe)) + ce.(oe + 2);
           ends.((2 * j) + 1) <- (2 * ce.(oe + 1)) + ce.(oe + 3)
         done;
-      let c = ref 0 in
-      while !c < ncands do
+      (* the candidates written so far, read again when [reach] writes
+         a level *)
+      let cs = ref t.cands.(i) and ncands = ref (Candidates.written g) in
+      let c = ref 0 and scanning = ref true in
+      while
+        !scanning
+        && (!c < !ncands
+           || reach i waste !c
+              && begin
+                cs := t.cands.(i);
+                ncands := Candidates.written g;
+                true
+              end)
+      do
         let ci = !c in
+        let cs = !cs in
         let o = stride * ci in
         let cwaste = cs.(o + 4) in
         c := ci + 1;
         (* waste-sorted: the first candidate over the cap ends the scan *)
-        if waste + cwaste + rest >= !cap then c := ncands
+        if waste + cwaste + rest >= !cap then scanning := false
+        else if wirelength_stage && ci mod block = 0 && block_fails i (ci / block)
+        then c := min (ci + block) !ncands
         else begin
           let x = cs.(o) and y = cs.(o + 1) and w = cs.(o + 2)
           and h = cs.(o + 3) in
@@ -579,7 +682,7 @@ let search ~options ~mode part t =
       Rfloor_trace.stopped options.trace ~worker:0 "cancel"
     | Found_one -> ()
   end;
-  let elapsed = Sys.time () -. t0 in
+  let elapsed = now () -. t0 in
   Rfloor_trace.add_worker_totals options.trace ~worker:0 ~nodes:!nodes
     ~iterations:0;
   ( !best_plan,
@@ -613,7 +716,7 @@ let solve ?(options = default_options) part spec =
   | None, _ | _, None ->
     finish part spec (plan1, waste1, None, opt1, nodes1, el1, stop1)
   | Some _, Some w when options.optimize_wirelength && opt1 -> (
-    (* the CPU budget covers both stages; the node limit is per stage *)
+    (* the time budget covers both stages; the node limit is per stage *)
     match Option.map (fun tl -> tl -. el1) options.time_limit with
     | Some left when left <= 0. ->
       finish part spec (plan1, waste1, None, false, nodes1, el1, Some Budget)

@@ -14,12 +14,16 @@
     engine handles them natively.
 
     Search order: regions in decreasing frame demand (ties in spec
-    order), each over {!Candidates.enumerate}'s candidates, its hard
-    copies right after it on pairwise-disjoint relocation sites taken in
-    increasing site order.  A node is counted on entering each level and
-    on completing each choice of copies; the budget and [cancel] are
-    polled every 1024 nodes.  Both stages share the candidate tables
-    and the memoised relocation sites of one call.
+    order), each over its candidates in {!Candidates.enumerate}'s order
+    (waste, then [(x, y, w, h)]), its hard copies right after it on
+    pairwise-disjoint relocation sites taken in increasing site order.
+    A node is counted on entering each level and on completing each
+    choice of copies; the budget and [cancel] are polled every 1024
+    nodes.  Each region's candidates come from a
+    {!Candidates.generator}, one waste level at a time, when a scan
+    reaches a level its waste cap lets in (or when the bounds below
+    need it); both stages share these tables and the memoised
+    relocation sites of one call.
 
     The wire-length stage prunes a candidate when the placed nets plus
     a lower bound on the nets still open reach the incumbent.  Per net
@@ -27,6 +31,9 @@
     of its two regions whose waste fits under the stage-one optimum, so
     it never cuts off a strictly better floorplan: that stage finds the
     same incumbents and the same plan as without it, in fewer nodes.
+    It also tests blocks of 8 consecutive candidates at once, against
+    the box of their centres: a block skipped holds only candidates the
+    test would fail one by one, so the nodes visited do not change.
     The waste stage and {!feasible} explore the same nodes as ever. *)
 
 type stop_reason =
@@ -35,8 +42,9 @@ type stop_reason =
 
 type options = {
   time_limit : float option;
-      (** CPU seconds for the whole call: the wire-length stage gets
-          what the waste stage leaves, and is skipped (with
+      (** Seconds on the monotonic clock for the whole call, however
+          busy the process's other domains are: the wire-length stage
+          gets what the waste stage leaves, and is skipped (with
           [stop = Some Budget] and the waste stage's plan) when nothing
           is left. *)
   node_limit : int option;
@@ -69,7 +77,7 @@ type outcome = {
   wirelength : float option;
   optimal : bool;  (** proven optimal (not stopped by a budget) *)
   nodes : int;
-  elapsed : float;
+  elapsed : float;  (** monotonic seconds, over both stages *)
   stop : stop_reason option;
       (** Why the search ended early; [None] when it ran to
           completion (including a feasibility stop-at-first hit). *)

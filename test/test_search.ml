@@ -276,6 +276,46 @@ module E = Search.Engine
 module T = Rfloor_trace
 module Ref = Reference_engine
 
+(* [f part demand] on 100 [Devices.random] fabrics from case [first]
+   on, a third of them with a forbidden area, each also with per-kind
+   frame counts whose wastes span several bytes (the rank sort then runs
+   several passes) and with a negative count (wastes below zero). *)
+let random_fabrics first f =
+  let base = Generators.base_seed () in
+  let frame_counts =
+    [
+      Resource.default_frames;
+      (function
+      | Resource.Clb -> 1_000_003
+      | Resource.Bram -> 196_611
+      | Resource.Dsp -> (1 lsl 40) + 1
+      | Resource.Io -> 36);
+      (function Resource.Bram -> -30_000_007 | k -> Resource.default_frames k);
+    ]
+  in
+  let with_forbidden = ref 0 in
+  for i = 0 to 99 do
+    let rng = Random.State.make [| Generators.case_seed base (first + i) |] in
+    let g = Devices.random rng in
+    if Grid.forbidden g <> [] then incr with_forbidden;
+    let demand =
+      (Resource.Clb, 1 + Random.State.int rng 4)
+      :: List.filter_map
+           (fun k -> if Random.State.bool rng then Some (k, 1) else None)
+           [ Resource.Bram; Resource.Dsp ]
+    in
+    List.iter
+      (fun frames ->
+        let g =
+          Grid.create ~frames ~forbidden:(Grid.forbidden g) ~width:(Grid.width g)
+            ~height:(Grid.height g) (Grid.tile g)
+        in
+        f (Partition.columnar_exn g) demand)
+      frame_counts
+  done;
+  Alcotest.(check bool) "some random fabric has a forbidden area" true
+    (!with_forbidden > 0)
+
 let test_enumerate_matches_reference () =
   let same part demand =
     let got =
@@ -301,43 +341,68 @@ let test_enumerate_matches_reference () =
     let spec = Generators.random_spec prng part in
     List.iter (fun (r : Spec.region) -> same part r.Spec.demand) spec.Spec.regions
   done;
-  (* [Devices.random] fabrics, a third of them with a forbidden area,
-     each also with per-kind frame counts whose wastes span several
-     bytes (the rank sort then runs several passes) and with a negative
-     count (wastes below zero) *)
-  let frame_counts =
-    [
-      Resource.default_frames;
-      (function
-      | Resource.Clb -> 1_000_003
-      | Resource.Bram -> 196_611
-      | Resource.Dsp -> (1 lsl 40) + 1
-      | Resource.Io -> 36);
-      (function Resource.Bram -> -30_000_007 | k -> Resource.default_frames k);
-    ]
+  random_fabrics 100 same
+
+(* The level generator, one level at a time: after each write the
+   candidates written are a prefix of [enumerate]'s, all of the level's
+   waste, ending where the waste changes; the last write reaches the
+   end.  [least_coverage], known before any write, is the least
+   coverage per kind over that whole enumeration.  On the SDR demands on
+   the FX70T and on random fabrics, where forbidden areas leave some
+   levels empty. *)
+let test_levels_are_prefixes () =
+  let kinds = [| Resource.Clb; Resource.Bram; Resource.Dsp; Resource.Io |] in
+  let module C = Search.Candidates in
+  let empty = ref 0 in
+  let check part demand =
+    let full = Array.of_list (C.enumerate part demand) in
+    let m = Array.length full in
+    let least = Array.make 4 max_int in
+    Array.iter
+      (fun (c : C.candidate) ->
+        let r = c.C.rect in
+        Array.iteri
+          (fun k kind ->
+            let cols = ref 0 in
+            for x = r.Rect.x to Rect.x2 r do
+              if (Partition.column_type part x).Resource.kind = kind then incr cols
+            done;
+            least.(k) <- min least.(k) (r.Rect.h * !cols))
+          kinds)
+      full;
+    let g = C.generator part demand in
+    Alcotest.(check (array int)) "least coverage"
+      (Array.map (fun c -> if c = max_int then 0 else c) least)
+      (C.least_coverage g);
+    Alcotest.(check int) "nothing written up front" 0 (C.written g);
+    while not (C.exhausted g) do
+      let from = C.written g and v = C.next_waste g in
+      C.write_level g;
+      let upto = C.written g and d = C.data g in
+      if upto = from then incr empty;
+      if upto > m then Alcotest.failf "%d candidates written of %d" upto m;
+      for i = from to upto - 1 do
+        let c = full.(i) and o = C.stride * i in
+        let r = c.C.rect in
+        if
+          [| d.(o); d.(o + 1); d.(o + 2); d.(o + 3); d.(o + 4) |]
+          <> [| r.Rect.x; r.Rect.y; r.Rect.w; r.Rect.h; c.C.waste |]
+          || d.(o + 4) <> v
+        then Alcotest.failf "candidate %d of level %d is not enumerate's" i v
+      done;
+      if upto > 0 && upto < m && full.(upto).C.waste = full.(upto - 1).C.waste then
+        Alcotest.failf "a level ends at candidate %d, inside waste %d" upto v;
+      if (not (C.exhausted g)) && C.next_waste g <= v then
+        Alcotest.failf "level %d is followed by level %d" v (C.next_waste g)
+    done;
+    Alcotest.(check int) "all written" m (C.written g)
   in
-  let with_forbidden = ref 0 in
-  for i = 0 to 99 do
-    let rng = Random.State.make [| Generators.case_seed base (100 + i) |] in
-    let g = Devices.random rng in
-    if Grid.forbidden g <> [] then incr with_forbidden;
-    let demand =
-      (Resource.Clb, 1 + Random.State.int rng 4)
-      :: List.filter_map
-           (fun k -> if Random.State.bool rng then Some (k, 1) else None)
-           [ Resource.Bram; Resource.Dsp ]
-    in
-    List.iter
-      (fun frames ->
-        let g =
-          Grid.create ~frames ~forbidden:(Grid.forbidden g) ~width:(Grid.width g)
-            ~height:(Grid.height g) (Grid.tile g)
-        in
-        same (Partition.columnar_exn g) demand)
-      frame_counts
-  done;
-  Alcotest.(check bool) "some random fabric has a forbidden area" true
-    (!with_forbidden > 0)
+  List.iter
+    (fun (r : Spec.region) -> check (Lazy.force fx_part) r.Spec.demand)
+    Sdr.design.Spec.regions;
+  random_fabrics 200 check;
+  Alcotest.(check bool) "some level has no candidate clear of forbidden areas" true
+    (!empty > 0)
 
 let plan_string (p : Floorplan.t) =
   String.concat " "
@@ -567,7 +632,46 @@ let test_engine_matches_reference_seeded () =
     ignore (check_same (label ^ " feasible") ~feasible:true options part spec)
   done
 
-(* The CPU budget covers both stages: the wire-length stage gets what
+(* Stage two's search tree on 200 seeded instances, pinned as one digest.
+   [check_same] bounds stage-two nodes only from above, so a skip that
+   wrongly drops a subtree holding no improving leaf would pass it;
+   here every node count stays what it was.  Per instance: the nodes of
+   each stage (stage one from a waste-only solve, which explores the
+   same tree), each stage's incumbents as (node, objective bits), and
+   the answer.  A quarter of the solves run under a node limit.  The
+   seeds are fixed, whatever RFLOOR_TEST_SEED says. *)
+let test_engine_tree_digest () =
+  let buf = Buffer.create 65536 in
+  for i = 0 to 199 do
+    let seed = Generators.case_seed 2015 (1000 + i) in
+    let prng = Generators.Prng.make seed in
+    let part = Generators.random_partition prng in
+    let spec = Generators.random_engine_spec prng part in
+    let node_limit = if i mod 4 = 3 then Some (1 + (1024 * (i mod 3))) else None in
+    let options = { E.default_options with node_limit } in
+    let one = E.solve ~options:{ options with optimize_wirelength = false } part spec in
+    let ring = T.Ring.create () in
+    let trace = T.create ~sink:(T.Ring.sink ring) () in
+    let o = E.solve ~options:{ options with trace } part spec in
+    Printf.bprintf buf "%d: %d %d" i one.E.nodes (o.E.nodes - one.E.nodes);
+    List.iter
+      (fun (e : T.Event.t) ->
+        match e.T.Event.payload with
+        | T.Event.Restart _ -> Buffer.add_string buf " |"
+        | T.Event.Incumbent { objective; node } ->
+          Printf.bprintf buf " %d:%h" node objective
+        | _ -> ())
+      (T.Ring.events ring);
+    Printf.bprintf buf " = %s %s %s\n"
+      (match o.E.wasted with None -> "-" | Some w -> string_of_int w)
+      (match o.E.wirelength with None -> "-" | Some l -> Printf.sprintf "%h" l)
+      (match o.E.plan with None -> "-" | Some p -> plan_string p)
+  done;
+  Alcotest.(check string) "digest of 200 seeded search trees"
+    "cdbc8ac5bcf8a746eaf36f4ccae0d850"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
+(* The time budget covers both stages: the wire-length stage gets what
    the waste stage left of it.  With five copies per relocatable region
    the waste stage takes about a quarter of a 2 s budget, and the
    wire-length stage does not finish in the rest.  With no budget left
@@ -598,17 +702,46 @@ let test_engine_budget_spans_stages () =
   let o, stage_two = solve 2. (Sdr.with_copies 5) in
   Alcotest.(check bool) "entered the wire-length stage" true stage_two;
   if o.E.elapsed > 2.2 then
-    Alcotest.failf "a 2 s budget ran %.2f s CPU over both stages" o.E.elapsed;
+    Alcotest.failf "a 2 s budget ran %.2f s over both stages" o.E.elapsed;
   let o, stage_two = solve 0. Sdr.design in
   Alcotest.(check bool) "no budget left: no wire-length stage" false stage_two;
   Alcotest.(check (option int)) "the waste stage's plan" (Some 90) o.E.wasted;
   Alcotest.(check bool) "stopped by the budget" true
     (o.E.stop = Some E.Budget && not o.E.optimal)
 
+(* The budget is wall time of the solve: a domain spinning next to it
+   takes none of it (process CPU time would count both domains and end
+   a 0.5 s budget after about 0.25 s).  SDR3's proof takes far longer
+   than the budget. *)
+let test_engine_budget_is_wall_time () =
+  let part = Lazy.force fx_part in
+  let stop = Atomic.make false in
+  let spinner =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          Domain.cpu_relax ()
+        done)
+  in
+  let clock = T.create () in
+  let t0 = T.now clock in
+  let o =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set stop true;
+        Domain.join spinner)
+      (fun () ->
+        E.solve ~options:{ E.default_options with time_limit = Some 0.5 } part Sdr.sdr3)
+  in
+  let wall = T.now clock -. t0 in
+  Alcotest.(check bool) "stopped by the budget" true (o.E.stop = Some E.Budget);
+  if wall < 0.5 then Alcotest.failf "a 0.5 s budget stopped after %.3f s" wall;
+  if o.E.elapsed > wall then
+    Alcotest.failf "elapsed %.3f s, more than the %.3f s the solve took" o.E.elapsed wall
+
 (* The flat kernel allocates nothing per candidate scanned: a full SDR2
    solve, candidate tables included, stays far below one boxed float
-   per candidate scanned (about 17 scans per node).  It reads about 8.6
-   words per node, nearly all of them the tables. *)
+   per candidate scanned (about 17 scans per node).  It reads about 4.3
+   words per node. *)
 let test_engine_allocation () =
   let part = Lazy.force fx_part in
   ignore (E.solve part Sdr.design);
@@ -620,6 +753,21 @@ let test_engine_allocation () =
     Alcotest.failf "SDR2 allocates %.1f minor words per node (%d nodes), bound 16"
       per_node o.E.nodes
 
+(* The candidate tables are written only as far as the search reaches:
+   an SDR2 solve (after an SDR solve, so one-time set-up is not counted)
+   allocates about 78k major words; writing every table in full would
+   take about 538k.  Minor words cannot show this: arrays of more than
+   256 words go straight to the major heap. *)
+let test_engine_major_words () =
+  let part = Lazy.force fx_part in
+  ignore (E.solve part Sdr.design);
+  let _, _, before = Gc.counters () in
+  ignore (E.solve part Sdr.sdr2);
+  let _, _, after = Gc.counters () in
+  let words = after -. before in
+  if words > 160_000. then
+    Alcotest.failf "SDR2 allocates %.0f major words, bound 160000" words
+
 let suites =
   [
     ( "search.candidates",
@@ -628,6 +776,8 @@ let suites =
         Alcotest.test_case "unplaceable" `Quick test_candidates_unplaceable;
         Alcotest.test_case "enumerate = reference enumeration" `Quick
           test_enumerate_matches_reference;
+        Alcotest.test_case "levels are prefixes of enumerate" `Quick
+          test_levels_are_prefixes;
       ]
       @ Generators.qsuite [ prop_candidates_complete ] );
     ( "search.engine",
@@ -640,13 +790,18 @@ let suites =
       @ [
           Alcotest.test_case "soft areas best effort" `Quick
             test_soft_areas_best_effort;
-          Alcotest.test_case "CPU budget spans both stages" `Slow
+          Alcotest.test_case "time budget spans both stages" `Slow
             test_engine_budget_spans_stages;
+          Alcotest.test_case "time budget is wall time" `Slow
+            test_engine_budget_is_wall_time;
           Alcotest.test_case "engine = reference engine" `Slow
             test_engine_matches_reference_fx70t;
           Alcotest.test_case "engine = reference engine (seeded instances)" `Quick
             test_engine_matches_reference_seeded;
+          Alcotest.test_case "search trees of 200 seeded instances" `Quick
+            test_engine_tree_digest;
           Alcotest.test_case "allocation per node" `Quick test_engine_allocation;
+          Alcotest.test_case "major words of the tables" `Quick test_engine_major_words;
         ] );
     ( "search.sdr",
       [
