@@ -6,10 +6,6 @@
      dune exec bench/main.exe -- --bench-only
      dune exec bench/main.exe -- --parallel-only
      dune exec bench/main.exe -- --portfolio-only
-     dune exec bench/main.exe -- --artifact LABEL [--artifact-dir D]
-                                 [--instances quick|fx70t]
-                                              -- write BENCH_LABEL.json for
-                                                 rfloor_cli bench-compare
      RFLOOR_BENCH_BUDGET=60 ...               -- per-solve budget, seconds
      RFLOOR_WORKERS=4 ...                     -- parallel B&B worker domains *)
 
@@ -371,38 +367,25 @@ let () =
   if List.mem "--list" args then
     List.iter print_endline Reports.names
   else
-    match find_flag "--artifact" args with
-    | Some label ->
-      let dir = Option.value ~default:"." (find_flag "--artifact-dir" args) in
-      let instances =
-        match find_flag "--instances" args with
-        | None | Some "quick" -> `Quick
-        | Some "fx70t" -> `Fx70t
-        | Some v ->
-          Printf.eprintf "bad --instances %s (expected quick or fx70t)\n" v;
-          exit 1
-      in
-      ignore (Artifacts.run ~label ~dir ~instances ())
-    | None -> (
-      match find_report args with
-      | Some name -> (
-        match Reports.by_name name with
-        | Some f -> f ()
-        | None ->
-          Printf.eprintf "unknown report %s; use --list\n" name;
-          exit 1)
+    match find_report args with
+    | Some name -> (
+      match Reports.by_name name with
+      | Some f -> f ()
       | None ->
-        if List.mem "--portfolio-only" args then
-          run_portfolio_bench ()
-        else if List.mem "--parallel-only" args then begin
+        Printf.eprintf "unknown report %s; use --list\n" name;
+        exit 1)
+    | None ->
+      if List.mem "--portfolio-only" args then
+        run_portfolio_bench ()
+      else if List.mem "--parallel-only" args then begin
+        run_parallel_speedup ();
+        run_portfolio_bench ()
+      end
+      else begin
+        if not (List.mem "--report-only" args) then begin
+          run_benches ();
           run_parallel_speedup ();
           run_portfolio_bench ()
-        end
-        else begin
-          if not (List.mem "--report-only" args) then begin
-            run_benches ();
-            run_parallel_speedup ();
-            run_portfolio_bench ()
-          end;
-          if not (List.mem "--bench-only" args) then Reports.all ()
-        end)
+        end;
+        if not (List.mem "--bench-only" args) then Reports.all ()
+      end

@@ -276,7 +276,7 @@ let milp () =
   | Some a, Some b -> line "  MISMATCH: search %d vs milp %d" a b
   | _ -> line "  (incomparable)");
   let lp_text = Rfloor.Solver.export_lp part spec in
-  line "  LP export: %d lines (CPLEX LP format; also see bench artifacts)"
+  line "  LP export: %d lines (CPLEX LP format)"
     (List.length (String.split_on_char '\n' lp_text))
 
 let ablation () =

@@ -11,13 +11,10 @@
 #                                the same instances on every axis
 #   bin/lint.sh trace-check   -- tracing gate only: solve a pinned tiny
 #                                instance with --trace jsonl, validate
-#                                the capture, and check the result is
-#                                byte-identical with tracing off
-#   bin/lint.sh bench-smoke   -- bench-artifact gate only: run the quick
-#                                (mini-device) bench set on a 2s budget,
-#                                validate the artifact and require a
-#                                clean self-compare.  Never touches the
-#                                FX70T instances.
+#                                the capture, check the result is
+#                                byte-identical with tracing off, and
+#                                require trace-validate and trace-export
+#                                to refuse an event at time 1e999
 #   bin/lint.sh serve-smoke   -- service gate only: script an NDJSON
 #                                session against tiny/mini devices and
 #                                assert one canonical-key cache hit
@@ -129,20 +126,8 @@ cd "$(dirname "$0")/.."
 # one trap for every gate's scratch space (a later trap would replace
 # an earlier one and leak its directory); obsv-check also parks its
 # serve PID here so a failing assertion never leaks the process
-tmp="" btmp="" stmp="" ctmp="" ptmp="" otmp="" ltmp="" qtmp="" osrv=""
-trap '{ [ -n "$osrv" ] && kill "$osrv" 2>/dev/null; rm -rf "$tmp" "$btmp" "$stmp" "$ctmp" "$ptmp" "$otmp" "$ltmp" "$qtmp"; } || true' EXIT
-
-bench_smoke() {
-    echo "== bench-smoke (quick instance set, 2s budget)"
-    btmp=$(mktemp -d)
-    RFLOOR_BENCH_BUDGET=2 dune exec bench/main.exe -- \
-        --artifact smoke --artifact-dir "$btmp" --instances quick
-    dune exec bin/rfloor_cli.exe -- trace-validate --kind bench \
-        "$btmp/BENCH_smoke.json"
-    dune exec bin/rfloor_cli.exe -- bench-compare \
-        "$btmp/BENCH_smoke.json" "$btmp/BENCH_smoke.json"
-    echo "bench-smoke passed (artifact valid, self-compare clean)"
-}
+tmp="" stmp="" ctmp="" ptmp="" otmp="" ltmp="" qtmp="" osrv=""
+trap '{ [ -n "$osrv" ] && kill "$osrv" 2>/dev/null; rm -rf "$tmp" "$stmp" "$ctmp" "$ptmp" "$otmp" "$ltmp" "$qtmp"; } || true' EXIT
 
 trace_check() {
     echo "== trace-check (tiny pinned instance, milp, 2 workers)"
@@ -179,7 +164,19 @@ EOF
             exit 1
         fi
     done
-    echo "trace-check passed (schema valid, result identical with tracing off)"
+    # JSON has no infinities: an event at time 1e999 must be refused, not
+    # validated and then exported as "ts":null
+    printf '%s\n%s\n' '{"t":0.5,"w":0,"ev":"span_start","phase":"build"}' \
+        '{"t":1e999,"w":0,"ev":"span_end","phase":"build"}' > "$tmp/inf.jsonl"
+    for cmd in "trace-validate" "trace-export -o $tmp/inf.json"; do
+        status=0
+        dune exec bin/rfloor_cli.exe -- $cmd "$tmp/inf.jsonl" \
+            > "$tmp/inf.out" 2>&1 || status=$?
+        [ "$status" -eq 1 ] || {
+            echo "trace-check: $cmd accepted an infinite time (exit $status):" >&2
+            cat "$tmp/inf.out" >&2; exit 1; }
+    done
+    echo "trace-check passed (schema valid, result identical with tracing off, infinite time refused)"
 }
 
 serve_smoke() {
@@ -663,11 +660,6 @@ if [ "${1:-}" = "trace-check" ]; then
     exit 0
 fi
 
-if [ "${1:-}" = "bench-smoke" ]; then
-    bench_smoke
-    exit 0
-fi
-
 if [ "${1:-}" = "test-matrix" ]; then
     seed="${RFLOOR_TEST_SEED:-2015}"
     for workers in 1 2 4; do
@@ -695,8 +687,6 @@ search_check
 portfolio_check
 
 trace_check
-
-bench_smoke
 
 perf_smoke
 

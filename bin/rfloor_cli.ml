@@ -653,7 +653,7 @@ let trace_validate_cmd =
       & info [] ~docv:"FILE"
           ~doc:
             "JSONL trace (from --trace jsonl:FILE), metrics snapshot (from \
-             --metrics json:FILE) or bench artifact (BENCH_*.json).")
+             --metrics json:FILE) or trace-event JSON (from trace-export).")
   in
   let kind_arg =
     Arg.(
@@ -662,37 +662,33 @@ let trace_validate_cmd =
           (enum
              [
                ("auto", `Auto); ("trace", `Trace); ("metrics", `Metrics);
-               ("bench", `Bench); ("perfetto", `Perfetto);
+               ("perfetto", `Perfetto);
              ])
           `Auto
       & info [ "kind" ] ~docv:"KIND"
           ~doc:
             "What the file claims to be: $(b,trace), $(b,metrics), \
-             $(b,bench), $(b,perfetto), or $(b,auto) (dispatch on the \
-             embedded schema field).")
+             $(b,perfetto), or $(b,auto) (dispatch on the embedded schema \
+             field).")
   in
   let run file kind =
     let text = read_whole_file file in
     let kind =
       match kind with
-      | (`Trace | `Metrics | `Bench | `Perfetto) as k -> k
+      | (`Trace | `Metrics | `Perfetto) as k -> k
       (* a JSONL trace is not a single JSON document (or, for a
          one-event trace, has no "schema" member), so parsing the whole
          file and inspecting "schema" is an unambiguous dispatcher *)
       | `Auto -> (
-        match Rfloor_metrics.Json.parse text with
+        match Rfloor_json.parse text with
         | Error _ -> `Trace
         | Ok doc -> (
-          match Rfloor_metrics.Json.member "schema" doc with
-          | Some (Rfloor_metrics.Json.Str s)
+          match Rfloor_json.member "schema" doc with
+          | Some (Rfloor_json.Str s)
             when s = Rfloor_metrics.Registry.schema_version ->
             `Metrics
-          | Some (Rfloor_metrics.Json.Str s)
-            when s = Rfloor_metrics.Artifact.schema_version ->
-            `Bench
           | _ ->
-            if Rfloor_metrics.Json.member "traceEvents" doc <> None then
-              `Perfetto
+            if Rfloor_json.member "traceEvents" doc <> None then `Perfetto
             else `Trace))
     in
     match kind with
@@ -710,17 +706,13 @@ let trace_validate_cmd =
       match Rfloor_metrics.Registry.validate_json text with
       | Ok n -> Format.printf "%s: %d metrics, schema valid@." file n
       | Error e -> die "%s: invalid metrics snapshot: %s" file e)
-    | `Bench -> (
-      match Rfloor_metrics.Artifact.validate text with
-      | Ok n -> Format.printf "%s: %d bench entries, schema valid@." file n
-      | Error e -> die "%s: invalid bench artifact: %s" file e)
   in
   Cmd.v
     (Cmd.info "trace-validate"
        ~doc:
          "Validate a solver observability file against its schema: a JSONL \
           trace (every line parses, spans balanced), a metrics snapshot or a \
-          bench artifact.  Exits non-zero otherwise.")
+          trace-event JSON export.  Exits non-zero otherwise.")
     Term.(const run $ file_arg $ kind_arg)
 
 (* ---------------- trace-export / trace-report ---------------- *)
@@ -835,7 +827,7 @@ let scrape_cmd =
   (* --pretty: the /statusz document as lines a human can read at a
      glance; anything that is not a statusz body passes through *)
   let print_pretty body =
-    let module J = Rfloor_metrics.Json in
+    let module J = Rfloor_json in
     let num k j = Option.bind (J.member k j) (function J.Num n -> Some n | _ -> None) in
     let str k j = Option.bind (J.member k j) (function J.Str s -> Some s | _ -> None) in
     match J.parse (String.trim body) with
@@ -1022,82 +1014,6 @@ let concheck_cmd =
           non-zero on any error-severity finding.")
     Term.(const run $ seed_arg $ max_replays_arg)
 
-(* ---------------- bench-compare ---------------- *)
-
-let bench_compare_cmd =
-  let module A = Rfloor_metrics.Artifact in
-  let old_arg =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"OLD" ~doc:"Baseline bench artifact (BENCH_*.json).")
-  in
-  let new_arg =
-    Arg.(
-      required
-      & pos 1 (some file) None
-      & info [] ~docv:"NEW" ~doc:"Candidate bench artifact to gate.")
-  in
-  let d = A.default_thresholds in
-  let slowdown_arg =
-    Arg.(
-      value
-      & opt float d.A.max_slowdown
-      & info [ "max-slowdown" ] ~docv:"RATIO"
-          ~doc:"Fail when an instance's elapsed time grows beyond this ratio.")
-  in
-  let node_growth_arg =
-    Arg.(
-      value
-      & opt float d.A.max_node_growth
-      & info [ "max-node-growth" ] ~docv:"RATIO"
-          ~doc:"Fail when an instance's node count grows beyond this ratio.")
-  in
-  let min_seconds_arg =
-    Arg.(
-      value
-      & opt float d.A.min_seconds
-      & info [ "min-seconds" ] ~docv:"SECONDS"
-          ~doc:
-            "Noise floor: ignore slowdowns when both runs are faster than \
-             this.")
-  in
-  let run old_file new_file max_slowdown max_node_growth min_seconds =
-    let load file =
-      let text = read_whole_file file in
-      match A.validate text with
-      | Error e -> die "%s: invalid bench artifact: %s" file e
-      | Ok _ -> (
-        match A.of_string text with
-        | Ok a -> a
-        | Error e -> die "%s: invalid bench artifact: %s" file e)
-    in
-    let old_ = load old_file and new_ = load new_file in
-    let thresholds = { A.max_slowdown; max_node_growth; min_seconds } in
-    match A.compare ~thresholds ~old_ new_ with
-    | [] ->
-      Format.printf "no regressions: %s (%s) vs %s (%s), %d instances@."
-        old_.A.a_label old_.A.a_git_rev new_.A.a_label new_.A.a_git_rev
-        (List.length old_.A.a_entries)
-    | regressions ->
-      List.iter (fun r -> Format.printf "REGRESSION: %s@." r) regressions;
-      Format.printf "%d regression(s): %s (%s) vs %s (%s)@."
-        (List.length regressions) old_.A.a_label old_.A.a_git_rev
-        new_.A.a_label new_.A.a_git_rev;
-      exit 1
-  in
-  Cmd.v
-    (Cmd.info "bench-compare"
-       ~doc:
-         "Diff two bench artifacts (from bench --artifact LABEL) and exit \
-          non-zero when the new one regresses: a solve got slower beyond \
-          --max-slowdown, explored disproportionately more nodes, lost \
-          solution quality (wasted frames / objective) or dropped status \
-          (optimal to feasible, feasible to infeasible...).")
-    Term.(
-      const run $ old_arg $ new_arg $ slowdown_arg $ node_growth_arg
-      $ min_seconds_arg)
-
 (* ---------------- serve / batch ---------------- *)
 
 let run_session ?input ?telemetry ~workers ~cache trace metrics =
@@ -1192,7 +1108,7 @@ let batch_cmd =
 let online_cmd =
   let module W = Rfloor_online.Workload in
   let module L = Rfloor_online.Layout in
-  let module J = Rfloor_metrics.Json in
+  let module J = Rfloor_json in
   let seed_arg =
     Arg.(
       value & opt int 2015
@@ -1356,8 +1272,8 @@ let main_cmd =
     [
       partition_cmd; solve_cmd; feasibility_cmd; export_cmd; lint_cmd;
       relocate_cmd; sites_cmd; trace_validate_cmd; trace_export_cmd;
-      trace_report_cmd; trace_verify_cmd; concheck_cmd; bench_compare_cmd;
-      serve_cmd; batch_cmd; scrape_cmd; online_cmd;
+      trace_report_cmd; trace_verify_cmd; concheck_cmd; serve_cmd; batch_cmd;
+      scrape_cmd; online_cmd;
     ]
 
 let () = exit (Cmd.eval main_cmd)

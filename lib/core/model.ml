@@ -58,9 +58,7 @@ type t = {
   options : options;
   entities : entity array;
   priorities : float array;
-  waste_terms : Lp.term list;
   waste_constant : float;
-  wl_terms : Lp.term list;
   viol_terms : (float * Lp.term) list;
   pair_vars : ((int * int) * (Lp.var * Lp.var * Lp.var)) list;
   q_vars : ((int * Rect.t) * Lp.var) list;
@@ -74,8 +72,6 @@ type t = {
 let lp t = t.lp
 let cuts_applied t = t.cuts_applied
 let entity_names t = Array.to_list (Array.map (fun e -> e.e_name) t.entities)
-let wasted_frames_terms t = t.waste_terms
-let wirelength_terms t = t.wl_terms
 let violation_terms t = t.viol_terms
 let branching_priorities t = t.priorities
 
@@ -662,9 +658,7 @@ let build ?(options = default_options) part (spec : Spec.t) =
     options;
     entities;
     priorities;
-    waste_terms = !waste_terms;
     waste_constant = !waste_constant;
-    wl_terms = !wl_terms;
     viol_terms;
     pair_vars = !pair_vars;
     q_vars = !q_vars;

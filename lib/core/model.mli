@@ -69,11 +69,6 @@ val entity_names : t -> string list
 
 val branching_priorities : t -> float array
 
-val wasted_frames_terms : t -> Milp.Lp.term list
-(** Linear expression of total wasted frames (regions only). *)
-
-val wirelength_terms : t -> Milp.Lp.term list
-
 val violation_terms : t -> (float * Milp.Lp.term) list
 (** Per soft area: (weight, violation variable term). *)
 

@@ -20,13 +20,11 @@ let kind_of_char = function
 let pp_kind ppf k = Format.pp_print_string ppf (kind_to_string k)
 
 let equal_kind (a : kind) b = a = b
-let compare_kind (a : kind) b = compare a b
 
 type tile_type = { kind : kind; variant : int }
 
 let tile_type ?(variant = 0) kind = { kind; variant }
 let equal_tile_type (a : tile_type) b = a = b
-let compare_tile_type (a : tile_type) b = compare a b
 
 let pp_tile_type ppf { kind; variant } =
   if variant = 0 then pp_kind ppf kind

@@ -20,14 +20,12 @@ val kind_of_char : char -> kind option
 val kind_to_char : kind -> char
 val pp_kind : Format.formatter -> kind -> unit
 val equal_kind : kind -> kind -> bool
-val compare_kind : kind -> kind -> int
 
 type tile_type = { kind : kind; variant : int }
 (** Definition .1 tile type: resources plus configuration-data identity. *)
 
 val tile_type : ?variant:int -> kind -> tile_type
 val equal_tile_type : tile_type -> tile_type -> bool
-val compare_tile_type : tile_type -> tile_type -> int
 val pp_tile_type : Format.formatter -> tile_type -> unit
 
 val default_frames : kind -> int

@@ -58,7 +58,7 @@ let parse text =
             | Some c -> c
             | None -> fail "bad \\u escape"
           in
-          (* non-ASCII folded to '?', same policy as the trace parser *)
+          (* non-ASCII folded to '?' *)
           if code < 0x80 then Buffer.add_char b (Char.chr code)
           else Buffer.add_char b '?'
         | _ -> fail "unknown escape");

@@ -1,11 +1,15 @@
-(** Minimal JSON values: enough to parse and re-emit the metrics
-    snapshots and bench artifacts this library defines.
+(** The repository's one JSON codec: metrics snapshots, the
+    [/statusz] document, the Perfetto export, [rfloor-service/1]
+    frames and JSONL trace lines all parse here.
 
-    The parser accepts full JSON (nested objects, arrays, escapes);
-    duplicate object keys are rejected, as are non-finite number
-    literals (there are none in JSON anyway — the writers in this
-    library encode [nan]/[inf] as [null], matching
-    {!Rfloor_trace.Event.to_json}). *)
+    It lives in its own dependency-free library, like {!Rfloor_diag},
+    so that {!Rfloor_trace} below the metrics layer can share it.
+
+    The parser accepts full JSON (nested objects, arrays, escapes).  It
+    rejects duplicate object keys, trailing characters and non-finite
+    number literals such as [1e999] (JSON has no infinities; the
+    writer here and the trace's JSONL printer encode [nan]/[inf] as
+    [null]).  A [\u] escape above ASCII folds to ['?']. *)
 
 type t =
   | Null
@@ -26,6 +30,10 @@ val to_string : t -> string
 
 val num_to_string : float -> string
 (** The number rendering {!to_string} uses ([null] for non-finite). *)
+
+val escape : string -> string
+(** The body of a JSON string literal, without its quotes: ['"'],
+    ['\\'] and control characters escaped, everything else verbatim. *)
 
 (** {1 Accessors} — each returns [Error] naming the missing/mistyped
     field, for building validators. *)

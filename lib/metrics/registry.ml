@@ -309,7 +309,7 @@ let prom_float f =
   if f = infinity then "+Inf"
   else if f = neg_infinity then "-Inf"
   else if Float.is_nan f then "NaN"
-  else Json.num_to_string f
+  else Rfloor_json.num_to_string f
 
 let to_prometheus (snap : Snapshot.t) =
   let b = Buffer.create 1024 in
@@ -355,84 +355,85 @@ let to_prometheus (snap : Snapshot.t) =
 (* ---- versioned JSON ---- *)
 
 let labels_json labels =
-  Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) labels)
+  Rfloor_json.Obj (List.map (fun (k, v) -> (k, Rfloor_json.Str v)) labels)
 
 let to_json_value (snap : Snapshot.t) =
+  let open Rfloor_json in
   let metric (m : Snapshot.metric) =
     match m with
     | Snapshot.Counter c ->
-      Json.Obj
-        [ ("name", Json.Str c.name); ("kind", Json.Str "counter");
-          ("help", Json.Str c.help); ("labels", labels_json c.labels);
-          ("value", Json.Num (float_of_int c.value)) ]
+      Obj
+        [ ("name", Str c.name); ("kind", Str "counter");
+          ("help", Str c.help); ("labels", labels_json c.labels);
+          ("value", Num (float_of_int c.value)) ]
     | Snapshot.Gauge g ->
-      Json.Obj
-        [ ("name", Json.Str g.name); ("kind", Json.Str "gauge");
-          ("help", Json.Str g.help); ("labels", labels_json g.labels);
-          ("value", if Float.is_finite g.value then Json.Num g.value else Json.Null) ]
+      Obj
+        [ ("name", Str g.name); ("kind", Str "gauge");
+          ("help", Str g.help); ("labels", labels_json g.labels);
+          ("value", if Float.is_finite g.value then Num g.value else Null) ]
     | Snapshot.Histogram h ->
-      Json.Obj
-        [ ("name", Json.Str h.name); ("kind", Json.Str "histogram");
-          ("help", Json.Str h.help); ("labels", labels_json h.labels);
+      Obj
+        [ ("name", Str h.name); ("kind", Str "histogram");
+          ("help", Str h.help); ("labels", labels_json h.labels);
           ( "buckets",
-            Json.Arr
+            Arr
               (Array.to_list
                  (Array.map
                     (fun (le, cum) ->
-                      Json.Arr
-                        [ (if Float.is_finite le then Json.Num le else Json.Null);
-                          Json.Num (float_of_int cum) ])
+                      Arr
+                        [ (if Float.is_finite le then Num le else Null);
+                          Num (float_of_int cum) ])
                     h.buckets)) );
-          ("sum", if Float.is_finite h.sum then Json.Num h.sum else Json.Null);
-          ("count", Json.Num (float_of_int h.count)) ]
+          ("sum", if Float.is_finite h.sum then Num h.sum else Null);
+          ("count", Num (float_of_int h.count)) ]
   in
-  Json.Obj
-    [ ("schema", Json.Str schema_version);
-      ("metrics", Json.Arr (List.map metric snap)) ]
+  Obj
+    [ ("schema", Str schema_version);
+      ("metrics", Arr (List.map metric snap)) ]
 
-let to_json snap = Json.to_string (to_json_value snap)
+let to_json snap = Rfloor_json.to_string (to_json_value snap)
 
 (* ---- validation ---- *)
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
 let validate_labels v =
-  match Json.member "labels" v with
+  match Rfloor_json.member "labels" v with
   | None -> Ok []
-  | Some (Json.Obj fields) ->
+  | Some (Rfloor_json.Obj fields) ->
     let rec go acc = function
       | [] -> Ok (List.rev acc)
-      | (k, Json.Str s) :: rest -> go ((k, s) :: acc) rest
+      | (k, Rfloor_json.Str s) :: rest -> go ((k, s) :: acc) rest
       | (k, _) :: _ -> Error (Printf.sprintf "label %S must be a string" k)
     in
     go [] fields
   | Some _ -> Error "field \"labels\" must be an object"
 
 let validate_metric v =
-  let* name = Json.get_string "name" v in
+  let* name = Rfloor_json.get_string "name" v in
   if name = "" then Error "empty metric name"
   else
-    let* kind = Json.get_string "kind" v in
+    let* kind = Rfloor_json.get_string "kind" v in
     let* labels = validate_labels v in
     let* () =
       match kind with
       | "counter" ->
-        let* value = Json.get_int "value" v in
+        let* value = Rfloor_json.get_int "value" v in
         if value < 0 then
           Error (Printf.sprintf "counter %s has negative value %d" name value)
         else Ok ()
       | "gauge" ->
-        let* _ = Json.get_num_opt "value" v in
+        let* _ = Rfloor_json.get_num_opt "value" v in
         Ok ()
       | "histogram" ->
-        let* buckets = Json.get_arr "buckets" v in
-        let* count = Json.get_int "count" v in
+        let* buckets = Rfloor_json.get_arr "buckets" v in
+        let* count = Rfloor_json.get_int "count" v in
         if count < 0 then
           Error (Printf.sprintf "histogram %s has negative count" name)
         else if buckets = [] then
           Error (Printf.sprintf "histogram %s has no buckets" name)
         else
-          let* _ = Json.get_num_opt "sum" v in
+          let* _ = Rfloor_json.get_num_opt "sum" v in
           let rec check prev_le prev_cum last_null = function
             | [] ->
               if not last_null then
@@ -445,7 +446,7 @@ let validate_metric v =
                      "histogram %s: final cumulative count %d <> count %d" name
                      prev_cum count)
               else Ok ()
-            | Json.Arr [ le; Json.Num cum ] :: rest ->
+            | Rfloor_json.Arr [ le; Rfloor_json.Num cum ] :: rest ->
               if last_null then
                 Error
                   (Printf.sprintf "histogram %s: bucket after +Inf" name)
@@ -462,8 +463,8 @@ let validate_metric v =
                        "histogram %s: cumulative bucket counts decrease" name)
                 else (
                   match le with
-                  | Json.Null -> check prev_le cum true rest
-                  | Json.Num le ->
+                  | Rfloor_json.Null -> check prev_le cum true rest
+                  | Rfloor_json.Num le ->
                     if (match prev_le with Some p -> le <= p | None -> false)
                     then
                       Error
@@ -488,11 +489,11 @@ let validate_metric v =
     Ok (name, labels)
 
 let validate_json_value doc =
-  let* schema = Json.get_string "schema" doc in
+  let* schema = Rfloor_json.get_string "schema" doc in
   if schema <> schema_version then
     Error (Printf.sprintf "unknown schema %S (expected %S)" schema schema_version)
   else
-    let* metrics = Json.get_arr "metrics" doc in
+    let* metrics = Rfloor_json.get_arr "metrics" doc in
     let rec go seen n = function
       | [] -> Ok n
       | m :: rest ->
@@ -504,6 +505,6 @@ let validate_json_value doc =
     go [] 0 metrics
 
 let validate_json text =
-  match Json.parse text with
+  match Rfloor_json.parse text with
   | Error e -> Error e
   | Ok doc -> validate_json_value doc

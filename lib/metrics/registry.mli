@@ -17,7 +17,8 @@
 
     Snapshots export two ways: Prometheus text exposition
     ({!to_prometheus}) and versioned JSON ({!to_json}, schema
-    ["rfloor-metrics/1"], validated by {!validate_json}). *)
+    ["rfloor-metrics/1"], validated by {!validate_json}); both JSON
+    directions go through {!Rfloor_json}. *)
 
 type t
 
@@ -104,15 +105,9 @@ val to_json : Snapshot.t -> string
 (** One versioned JSON object.  [+Inf] bucket bounds encode as [null];
     non-finite sums likewise. *)
 
-val to_json_value : Snapshot.t -> Json.t
-
 val validate_json : string -> (int, string) result
 (** Schema check of a {!to_json} document: schema version, unique
     (name, labels) series, non-negative counters and counts, strictly
     increasing bucket bounds with a trailing [null], non-decreasing
     cumulative bucket counts topping out at the series count.  Returns
     the number of metrics. *)
-
-val validate_json_value : Json.t -> (int, string) result
-(** {!validate_json} on an already-parsed document (used by the bench
-    artifact validator on embedded snapshots). *)

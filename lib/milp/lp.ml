@@ -8,7 +8,7 @@ type sense = Le | Ge | Eq
 
 type term = float * var
 
-type row = { c_name : string; c_terms : term list; c_sense : sense; mutable c_rhs : float }
+type row = { c_name : string; c_terms : term list; c_sense : sense; c_rhs : float }
 
 type vinfo = {
   v_name : string;
@@ -154,8 +154,6 @@ let check_row t i fn =
 let constr_name t i = check_row t i "constr_name"; t.rows.(i).c_name
 let constr_terms t i = check_row t i "constr_terms"; t.rows.(i).c_terms
 let constr_sense t i = check_row t i "constr_sense"; t.rows.(i).c_sense
-let constr_rhs t i = check_row t i "constr_rhs"; t.rows.(i).c_rhs
-let set_rhs t i rhs = check_row t i "set_rhs"; t.rows.(i).c_rhs <- rhs
 
 let iter_constrs t f =
   for i = 0 to t.nrows - 1 do
@@ -186,7 +184,7 @@ let copy t =
   {
     t with
     vars = Array.map (fun v -> { v with v_name = v.v_name }) t.vars;
-    rows = Array.map (fun r -> { r with c_rhs = r.c_rhs }) t.rows;
+    rows = Array.copy t.rows;
     obj = Array.copy t.obj;
   }
 
@@ -263,7 +261,3 @@ let validate ?(eps = 1e-6) t x =
       done
     | Some _ -> ());
     match !bad with None -> Ok () | Some msg -> Error msg
-
-let pp_stats ppf t =
-  Format.fprintf ppf "%s: %d vars (%d integer), %d rows" t.p_name t.nvars
-    (num_integer_vars t) t.nrows

@@ -59,8 +59,6 @@ val objective_coeff : t -> var -> float
 val constr_name : t -> int -> string
 val constr_terms : t -> int -> term list
 val constr_sense : t -> int -> sense
-val constr_rhs : t -> int -> float
-val set_rhs : t -> int -> float -> unit
 
 val iter_constrs : t -> (int -> term list -> sense -> float -> unit) -> unit
 
@@ -93,5 +91,3 @@ val is_integral : ?eps:float -> t -> float array -> bool
 
 val validate : ?eps:float -> t -> float array -> (unit, string) result
 (** Feasibility check (rows, bounds, integrality) with diagnostics. *)
-
-val pp_stats : Format.formatter -> t -> unit

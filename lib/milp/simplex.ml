@@ -90,7 +90,6 @@ module P = struct
   }
 
   let num_vars t = t.n
-  let num_rows t = t.m
 
   let of_lp lp =
     let n = Lp.num_vars lp in

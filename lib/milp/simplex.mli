@@ -67,7 +67,6 @@ module Core : sig
 
   val of_lp : Lp.t -> t
   val num_vars : t -> int
-  val num_rows : t -> int
 
   val solve :
     ?max_iters:int -> ?lb:float array -> ?ub:float array -> t -> outcome

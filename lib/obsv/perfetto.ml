@@ -15,7 +15,7 @@
    track.  Timestamps are microseconds, the format's native unit. *)
 
 module T = Rfloor_trace
-module J = Rfloor_metrics.Json
+module J = Rfloor_json
 
 let member_prefix = "member:"
 let slot_of_worker w = w / 1000

@@ -3,7 +3,7 @@
    obsv library needs no dependency on lib/service — the service layer
    hands us a pool_view, we hand back the JSON. *)
 
-module J = Rfloor_metrics.Json
+module J = Rfloor_json
 
 let version = "rfloor-statusz/1"
 

@@ -37,7 +37,7 @@ val render :
   ?pool:pool_view ->
   ?layout:layout_view ->
   ?jobs:Progress.snapshot list ->
-  ?cache_json:Rfloor_metrics.Json.t option ->
+  ?cache_json:Rfloor_json.t option ->
   unit ->
   string
 (** The document, newline-terminated compact JSON. *)

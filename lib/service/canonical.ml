@@ -28,7 +28,6 @@ type t = {
   index_of : (string, int) Hashtbl.t;
 }
 
-let region_count t = Array.length t.order
 let region_name t i = t.order.(i)
 
 let region_index t name =

@@ -29,7 +29,6 @@ type t = {
 
 val of_instance : Device.Partition.t -> Device.Spec.t -> t
 
-val region_count : t -> int
 val region_name : t -> int -> string
 
 val region_index : t -> string -> int

@@ -1,4 +1,4 @@
-module J = Rfloor_metrics.Json
+module J = Rfloor_json
 module Solver = Rfloor.Solver
 module Rect = Device.Rect
 

@@ -242,8 +242,6 @@ module Shared = struct
 end
 
 module Domain = struct
-  let self_id = self_int
-
   let spawn ?name f =
     match Sys_atomic.get current with
     | None -> Sys_domain.spawn f

@@ -129,7 +129,4 @@ module Domain : sig
 
   val spawn : ?name:string -> (unit -> 'a) -> 'a Stdlib.Domain.t
   val join : 'a Stdlib.Domain.t -> 'a
-
-  val self_id : unit -> int
-  (** The current domain's id as an integer. *)
 end

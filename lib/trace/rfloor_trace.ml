@@ -101,22 +101,6 @@ module Event = struct
 
   (* ---- JSONL ---- *)
 
-  let json_escape s =
-    let b = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\r' -> Buffer.add_string b "\\r"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
   let json_float f =
     if Float.is_finite f then Printf.sprintf "%.9g" f else "null"
 
@@ -137,180 +121,39 @@ module Event = struct
         Printf.sprintf ",\"rounds\":%d,\"cuts\":%d" rounds cuts
       | Steal { tasks } -> Printf.sprintf ",\"tasks\":%d" tasks
       | Worker_idle -> ""
-      | Restart { stage } -> Printf.sprintf ",\"stage\":\"%s\"" (json_escape stage)
+      | Restart { stage } ->
+        Printf.sprintf ",\"stage\":\"%s\"" (Rfloor_json.escape stage)
       | Stopped { reason } | Lp_refactor { reason } ->
-        Printf.sprintf ",\"reason\":\"%s\"" (json_escape reason)
+        Printf.sprintf ",\"reason\":\"%s\"" (Rfloor_json.escape reason)
       | Lp_warm { result } ->
-        Printf.sprintf ",\"result\":\"%s\"" (json_escape result)
+        Printf.sprintf ",\"result\":\"%s\"" (Rfloor_json.escape result)
       | Move { module_name; src; dst } ->
         Printf.sprintf ",\"module\":\"%s\",\"src\":\"%s\",\"dst\":\"%s\""
-          (json_escape module_name) (json_escape src) (json_escape dst)
+          (Rfloor_json.escape module_name) (Rfloor_json.escape src)
+          (Rfloor_json.escape dst)
       | Warning msg | Message msg ->
-        Printf.sprintf ",\"msg\":\"%s\"" (json_escape msg)
+        Printf.sprintf ",\"msg\":\"%s\"" (Rfloor_json.escape msg)
     in
     Printf.sprintf "{%s,\"ev\":\"%s\"%s}" common (name e.payload) tail
 
-  (* ---- minimal JSON-object parser for validation ---- *)
-
-  type jv = Num of float | Str of string | Null | Bool of bool
-
-  exception Bad of string
-
-  let parse_object line =
-    let n = String.length line in
-    let pos = ref 0 in
-    let peek () = if !pos < n then Some line.[!pos] else None in
-    let skip_ws () =
-      while
-        !pos < n
-        && (match line.[!pos] with ' ' | '\t' | '\r' | '\n' -> true | _ -> false)
-      do
-        incr pos
-      done
-    in
-    let expect c =
-      skip_ws ();
-      match peek () with
-      | Some c' when c' = c -> incr pos
-      | Some c' -> raise (Bad (Printf.sprintf "expected %c, got %c" c c'))
-      | None -> raise (Bad (Printf.sprintf "expected %c, got end of line" c))
-    in
-    let parse_string () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        if !pos >= n then raise (Bad "unterminated string");
-        let c = line.[!pos] in
-        incr pos;
-        if c = '"' then Buffer.contents b
-        else if c = '\\' then begin
-          if !pos >= n then raise (Bad "dangling escape");
-          let e = line.[!pos] in
-          incr pos;
-          (match e with
-          | '"' -> Buffer.add_char b '"'
-          | '\\' -> Buffer.add_char b '\\'
-          | '/' -> Buffer.add_char b '/'
-          | 'n' -> Buffer.add_char b '\n'
-          | 'r' -> Buffer.add_char b '\r'
-          | 't' -> Buffer.add_char b '\t'
-          | 'b' -> Buffer.add_char b '\b'
-          | 'f' -> Buffer.add_char b '\012'
-          | 'u' ->
-            if !pos + 4 > n then raise (Bad "truncated \\u escape");
-            let hex = String.sub line !pos 4 in
-            pos := !pos + 4;
-            let code =
-              try int_of_string ("0x" ^ hex)
-              with _ -> raise (Bad "bad \\u escape")
-            in
-            if code < 0x80 then Buffer.add_char b (Char.chr code)
-            else Buffer.add_char b '?'
-          | _ -> raise (Bad "unknown escape"));
-          go ()
-        end
-        else begin
-          Buffer.add_char b c;
-          go ()
-        end
-      in
-      go ()
-    in
-    let parse_value () =
-      skip_ws ();
-      match peek () with
-      | Some '"' -> Str (parse_string ())
-      | Some ('t' | 'f' | 'n') ->
-        let kw k v =
-          let l = String.length k in
-          if !pos + l <= n && String.sub line !pos l = k then begin
-            pos := !pos + l;
-            v
-          end
-          else raise (Bad "bad literal")
-        in
-        if line.[!pos] = 't' then kw "true" (Bool true)
-        else if line.[!pos] = 'f' then kw "false" (Bool false)
-        else kw "null" Null
-      | Some _ ->
-        let start = !pos in
-        while
-          !pos < n
-          &&
-          match line.[!pos] with
-          | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-          | _ -> false
-        do
-          incr pos
-        done;
-        if !pos = start then raise (Bad "expected a value");
-        let s = String.sub line start (!pos - start) in
-        (match float_of_string_opt s with
-        | Some f -> Num f
-        | None -> raise (Bad (Printf.sprintf "bad number %S" s)))
-      | None -> raise (Bad "expected a value, got end of line")
-    in
-    try
-      expect '{';
-      skip_ws ();
-      let fields = ref [] in
-      (match peek () with
-      | Some '}' -> incr pos
-      | _ ->
-        let rec pairs () =
-          skip_ws ();
-          let k = parse_string () in
-          expect ':';
-          let v = parse_value () in
-          if List.mem_assoc k !fields then
-            raise (Bad (Printf.sprintf "duplicate field %S" k));
-          fields := (k, v) :: !fields;
-          skip_ws ();
-          match peek () with
-          | Some ',' -> incr pos; pairs ()
-          | Some '}' -> incr pos
-          | _ -> raise (Bad "expected , or }")
-        in
-        pairs ());
-      skip_ws ();
-      if !pos <> n then raise (Bad "trailing characters after object");
-      Ok (List.rev !fields)
-    with Bad m -> Error m
-
   let of_json line =
-    match parse_object line with
+    match Rfloor_json.parse line with
     | Error m -> Error m
-    | Ok fields -> (
-      let take seen k =
-        seen := k :: !seen;
-        List.assoc_opt k fields
-      in
+    | Ok (Rfloor_json.Obj fields as doc) -> (
       let seen = ref [] in
-      let num k =
-        match take seen k with
-        | Some (Num f) -> Ok f
-        | Some _ -> Error (Printf.sprintf "field %S must be a number" k)
-        | None -> Error (Printf.sprintf "missing field %S" k)
+      let take get k =
+        seen := k :: !seen;
+        get k doc
       in
-      let int_ k =
-        match num k with
-        | Error _ as e -> e
-        | Ok f ->
-          if Float.is_integer f then Ok (int_of_float f)
-          else Error (Printf.sprintf "field %S must be an integer" k)
-      in
-      let str k =
-        match take seen k with
-        | Some (Str s) -> Ok s
-        | Some _ -> Error (Printf.sprintf "field %S must be a string" k)
-        | None -> Error (Printf.sprintf "missing field %S" k)
-      in
+      let num = take Rfloor_json.get_num in
+      let int_ = take Rfloor_json.get_int in
+      let str = take Rfloor_json.get_string in
       let num_or_null k =
-        match take seen k with
-        | Some (Num f) -> Ok f
-        | Some Null -> Ok Float.nan
-        | Some _ -> Error (Printf.sprintf "field %S must be a number or null" k)
-        | None -> Error (Printf.sprintf "missing field %S" k)
+        if List.mem_assoc k fields then
+          Result.map
+            (Option.value ~default:Float.nan)
+            (take Rfloor_json.get_num_opt k)
+        else Error (Printf.sprintf "missing field %S" k)
       in
       let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
       let* at = num "t" in
@@ -330,9 +173,7 @@ module Event = struct
           (* [iters] (cumulative per-worker LP iterations) is optional so
              traces recorded before it existed still parse *)
           let* iters =
-            match take seen "iters" with
-            | None -> Ok 0
-            | Some _ -> int_ "iters"
+            if List.mem_assoc "iters" fields then int_ "iters" else Ok 0
           in
           if depth < 0 then Error "negative depth"
           else if iters < 0 then Error "negative iters"
@@ -384,6 +225,7 @@ module Event = struct
         if at < 0. then Error "negative timestamp"
         else if worker < 0 then Error "negative worker id"
         else Ok { at; worker; payload })
+    | Ok _ -> Error "an event must be a JSON object"
 end
 
 (* ------------------------------------------------------------------ *)

@@ -107,9 +107,11 @@ module Event : sig
       [{"t":0.0123,"w":0,"ev":"node","depth":3,"bound":41.5}]. *)
 
   val of_json : string -> (t, string) result
-  (** Parses and schema-checks one JSONL line: known ["ev"] tag, all
-      required fields present with the right types, no unknown fields.
-      The inverse of {!to_json}. *)
+  (** Parses one JSONL line with {!Rfloor_json.parse}, which refuses
+      duplicate fields, trailing characters and non-finite numbers, and
+      schema-checks the object: known ["ev"] tag, all required fields
+      present with the right types, no unknown fields.  The inverse of
+      {!to_json}. *)
 end
 
 (** {1 Sinks} *)

@@ -1,11 +1,11 @@
 (* Unit tests for Rfloor_metrics: registry semantics (idempotent
    registration, null no-ops, domain-safe updates), Prometheus/JSON
-   export, the trace-event fold, and bench artifacts with regression
-   gating. *)
+   export and the trace-event fold; and for Rfloor_json, the codec the
+   JSON export, the service frames and the JSONL trace share: seeded
+   print/parse round trips and malformed documents. *)
 
 module R = Rfloor_metrics.Registry
-module A = Rfloor_metrics.Artifact
-module Json = Rfloor_metrics.Json
+module G = Generators
 module T = Rfloor_trace
 module E = T.Event
 
@@ -247,116 +247,68 @@ let test_solver_populates_metrics () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "solver snapshot invalid: %s" e
 
-(* ---- bench artifacts ---- *)
+(* ---- the JSON codec ---- *)
 
-let entry ?(status = "optimal") ?(objective = Some 4.) ?(wasted = Some 4.)
-    ?(nodes = 100) ?(elapsed = 1.0) name =
-  {
-    A.e_instance = name;
-    e_status = status;
-    e_objective = objective;
-    e_wasted = wasted;
-    e_nodes = nodes;
-    e_simplex_iterations = 10 * nodes;
-    e_elapsed = elapsed;
-    e_report = None;
-    e_metrics = None;
-  }
-
-let artifact ?(label = "test") entries =
-  {
-    A.a_label = label;
-    a_created = 1700000000.;
-    a_git_rev = "deadbee";
-    a_workers = 1;
-    a_budget = 30.;
-    a_entries = entries;
-  }
-
-let test_artifact_roundtrip () =
-  let reg = R.create () in
-  R.Counter.incr (R.counter reg "c_total");
-  let a =
-    artifact
-      [
-        {
-          (entry "i1") with
-          A.e_metrics = Some (R.to_json_value (R.snapshot reg));
-        };
-        entry ~status:"feasible" ~objective:None "i2";
-      ]
+(* A random document of depth at most [depth]: strings carry quotes,
+   backslashes and control characters; numbers are integers below 1e15
+   and fractions with at most 12 significant digits, the ones
+   [to_string] renders exactly. *)
+let rec random_json prng depth =
+  let module P = G.Prng in
+  let str () =
+    String.init (P.range prng 0 6) (fun _ ->
+        P.pick prng
+          [| 'a'; 'Z'; '7'; ' '; '"'; '\\'; '/'; '\n'; '\r'; '\t'; '\001';
+             '\031'; '\127' |])
   in
-  let text = A.to_string a in
-  check_sub "schema tag" "\"schema\":\"rfloor-bench/1\"" text;
-  (match A.validate text with
-  | Ok n -> Alcotest.(check int) "2 entries" 2 n
-  | Error e -> Alcotest.failf "artifact rejected: %s" e);
-  match A.of_string text with
-  | Error e -> Alcotest.failf "of_string failed: %s" e
-  | Ok a' ->
-    Alcotest.(check string) "label" a.A.a_label a'.A.a_label;
-    Alcotest.(check string) "rev" a.A.a_git_rev a'.A.a_git_rev;
-    Alcotest.(check int) "entries" 2 (List.length a'.A.a_entries);
-    (* round-trip is lossless: serialize again, compare, and the diff
-       gate sees no change *)
-    Alcotest.(check string) "canonical serialization" text (A.to_string a');
-    Alcotest.(check int) "self-compare clean" 0
-      (List.length (A.compare ~old_:a a'))
+  match P.int prng (if depth = 0 then 4 else 6) with
+  | 0 -> Rfloor_json.Null
+  | 1 -> Rfloor_json.Bool (P.bool prng)
+  | 2 ->
+    let k = P.range prng (-999_999_999_999_999) 999_999_999_999_999 in
+    if P.bool prng then Rfloor_json.Num (float_of_int k)
+    else
+      Rfloor_json.Num
+        (float_of_int (k mod 1_000_000_000) /. P.pick prng [| 8.; 1000.; 1e6 |])
+  | 3 -> Rfloor_json.Str (str ())
+  | 4 ->
+    Rfloor_json.Arr
+      (List.init (P.range prng 0 4) (fun _ -> random_json prng (depth - 1)))
+  | _ ->
+    (* keys are unique in a document: each starts with its own index *)
+    Rfloor_json.Obj
+      (List.init (P.range prng 0 4) (fun i ->
+           (string_of_int i ^ str (), random_json prng (depth - 1))))
 
-let test_artifact_regressions () =
-  let old_ = artifact [ entry ~elapsed:1.0 "i1"; entry "i2" ] in
-  (* identical artifacts: gate passes *)
-  Alcotest.(check int) "identical clean" 0 (List.length (A.compare ~old_ old_));
-  (* injected 3x slowdown on i1: flagged under the default 1.5x *)
-  let slow = artifact [ entry ~elapsed:3.0 "i1"; entry "i2" ] in
-  (match A.compare ~old_ slow with
-  | [ r ] -> check_sub "names instance" "i1" r
-  | rs -> Alcotest.failf "expected 1 slowdown, got %d" (List.length rs));
-  (* ...but passes under a permissive threshold *)
-  Alcotest.(check int) "threshold respected" 0
-    (List.length
-       (A.compare
-          ~thresholds:{ A.default_thresholds with A.max_slowdown = 4.0 }
-          ~old_ slow));
-  (* sub-noise-floor slowdowns are ignored even at 10x *)
-  let fast_old = artifact [ entry ~elapsed:0.001 "i1" ] in
-  let fast_new = artifact [ entry ~elapsed:0.01 "i1" ] in
-  Alcotest.(check int) "noise floor" 0
-    (List.length (A.compare ~old_:fast_old fast_new));
-  (* status drop, quality loss, node blowup, missing instance *)
-  let worse =
-    artifact
-      [
-        entry ~status:"feasible" ~elapsed:1.0 "i1";
-        entry ~wasted:(Some 9.) ~objective:(Some 9.) "i2";
-      ]
-  in
-  let rs = A.compare ~old_ worse in
-  Alcotest.(check bool) "status drop flagged" true
-    (List.exists (has_sub "i1") rs);
-  Alcotest.(check bool) "quality loss flagged" true
-    (List.exists (has_sub "i2") rs);
-  (match A.compare ~old_ (artifact [ entry ~nodes:1000 "i1"; entry "i2" ]) with
-  | [ r ] -> check_sub "node blowup" "i1" r
-  | rs -> Alcotest.failf "expected 1 node regression, got %d" (List.length rs));
-  match A.compare ~old_ (artifact [ entry "i1" ]) with
-  | [ r ] -> check_sub "missing instance" "i2" r
-  | rs -> Alcotest.failf "expected 1 missing, got %d" (List.length rs)
-
-let test_artifact_validate_rejects () =
-  let reject label doc =
-    match A.validate doc with
-    | Ok _ -> Alcotest.failf "%s accepted" label
-    | Error _ -> ()
-  in
-  reject "not json" "nope";
-  reject "wrong schema" {|{"schema":"rfloor-bench/999"}|};
-  reject "missing entries"
-    {|{"schema":"rfloor-bench/1","label":"x","created":0,"git_rev":"r","workers":1,"budget":1}|};
-  reject "bad status"
-    {|{"schema":"rfloor-bench/1","label":"x","created":0,"git_rev":"r","workers":1,"budget":1,"entries":[{"instance":"i","status":"great","nodes":0,"simplex_iterations":0,"elapsed":0}]}|};
-  reject "bad embedded metrics"
-    {|{"schema":"rfloor-bench/1","label":"x","created":0,"git_rev":"r","workers":1,"budget":1,"entries":[{"instance":"i","status":"optimal","nodes":0,"simplex_iterations":0,"elapsed":0,"metrics":{"schema":"rfloor-metrics/999","metrics":[]}}]}|}
+let test_json_codec () =
+  let base = G.base_seed () in
+  for i = 0 to 499 do
+    let seed = G.case_seed base (11_000 + i) in
+    let v = random_json (G.Prng.make seed) 3 in
+    let text = Rfloor_json.to_string v in
+    match Rfloor_json.parse text with
+    | Ok v' when v' = v -> ()
+    | Ok v' ->
+      Alcotest.failf "seed %d: %s came back as %s" seed text
+        (Rfloor_json.to_string v')
+    | Error e -> Alcotest.failf "seed %d: %s rejected: %s" seed text e
+  done;
+  List.iter
+    (fun (label, doc) ->
+      match Rfloor_json.parse doc with
+      | Ok _ -> Alcotest.failf "%s accepted: %s" label doc
+      | Error _ -> ())
+    [
+      ("duplicate key", {|{"a":1,"a":2}|});
+      ("trailing characters", {|{"a":1} x|});
+      ("dangling escape", {|"ab\|});
+      ("truncated \\u", {|"\u00"|});
+      ("infinite literal", "1e999");
+      ("negative infinite literal", "[-1e999]");
+      ("bare minus", "-");
+    ];
+  Alcotest.(check bool) "non-ASCII \\u escape folds to '?'" true
+    (Rfloor_json.parse {|"caf\u00e9"|} = Ok (Rfloor_json.Str "caf?"))
 
 let suites =
   [
@@ -377,13 +329,9 @@ let suites =
         Alcotest.test_case "solver populates lp/pivot histograms" `Quick
           test_solver_populates_metrics;
       ] );
-    ( "bench-artifact",
+    ( "json",
       [
-        Alcotest.test_case "round trip and self-compare" `Quick
-          test_artifact_roundtrip;
-        Alcotest.test_case "regression gate: slowdown, status, nodes" `Quick
-          test_artifact_regressions;
-        Alcotest.test_case "schema rejection" `Quick
-          test_artifact_validate_rejects;
+        Alcotest.test_case "print-parse round trip, rejections" `Quick
+          test_json_codec;
       ] );
   ]

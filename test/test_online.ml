@@ -471,7 +471,7 @@ let test_churn_replay_pinned () =
 (* rfloor-service/1 online frames, end to end through Session.run *)
 
 let test_service_online_roundtrip () =
-  let module J = Rfloor_metrics.Json in
+  let module J = Rfloor_json in
   let input = Filename.temp_file "rfloor_online" ".ndjson" in
   let output = Filename.temp_file "rfloor_online" ".out" in
   let oc = open_out input in

@@ -103,15 +103,18 @@ let solve_stage1 ~cuts part spec =
         }
       part spec
   in
-  Bb.solve
-    ~options:
-      {
-        Bb.default_options with
-        time_limit = Some 1.;
-        node_limit = Some 800;
-        priorities = Some (Rfloor.Model.branching_priorities model);
-      }
-    (Rfloor.Model.lp model)
+  ( model,
+    Bb.solve
+      ~options:
+        {
+          Bb.default_options with
+          time_limit = Some 1.;
+          node_limit = Some 800;
+          priorities = Some (Rfloor.Model.branching_priorities model);
+        }
+      (Rfloor.Model.lp model) )
+
+let obj r = match r.Bb.incumbent with Some (v, _) -> v | None -> nan
 
 let cuts_diff_count () =
   match Sys.getenv_opt "RFLOOR_CUTS_DIFF" with
@@ -121,7 +124,34 @@ let cuts_diff_count () =
     | _ -> 200)
   | None -> 200
 
+(* The relocation twin, the one fixed input: three soft copies of a
+   2-DSP region on a 4-row DSP column beside a CLB column.  The copies
+   are interchangeable and compete for the one DSP column, so both cut
+   families fire.  Its node counts follow the LU's pivot path, so only
+   the verdict, the optimum and the firing are pinned. *)
+let check_reloc_twin () =
+  let open Device in
+  let part =
+    Partition.columnar_exn
+      (Grid.of_columns ~name:"reloc-twin" ~rows:4
+         [ Resource.tile_type Resource.Dsp; Resource.tile_type Resource.Clb ])
+  in
+  let spec =
+    Spec.make ~name:"reloc-twin"
+      ~relocs:[ { Spec.target = "R1"; copies = 3; mode = Spec.Soft 1. } ]
+      [ { Spec.r_name = "R1"; demand = [ (Resource.Dsp, 2) ] } ]
+  in
+  let model, on = solve_stage1 ~cuts:true part spec in
+  let _, off = solve_stage1 ~cuts:false part spec in
+  Alcotest.(check bool) "twin proved with and without cuts" true
+    (on.Bb.status = Bb.Optimal && off.Bb.status = Bb.Optimal);
+  Alcotest.(check (float 1e-6)) "twin optimum unchanged by cuts" (obj off)
+    (obj on);
+  Alcotest.(check bool) "cut families fire on the twin" true
+    (Rfloor.Model.cuts_applied model > 0)
+
 let test_cuts_differential () =
+  check_reloc_twin ();
   let base = G.base_seed () in
   let count = cuts_diff_count () in
   let compared = ref 0 in
@@ -130,14 +160,11 @@ let test_cuts_differential () =
     let prng = G.Prng.make seed in
     let part = G.random_partition prng in
     let spec = G.random_reloc_spec prng part in
-    let on = solve_stage1 ~cuts:true part spec in
-    let off = solve_stage1 ~cuts:false part spec in
+    let _, on = solve_stage1 ~cuts:true part spec in
+    let _, off = solve_stage1 ~cuts:false part spec in
     match (on.Bb.status, off.Bb.status) with
     | Bb.Optimal, Bb.Optimal ->
       incr compared;
-      let obj r =
-        match r.Bb.incumbent with Some (v, _) -> v | None -> nan
-      in
       if abs_float (obj on -. obj off) > 1e-6 then
         Alcotest.failf
           "seed %d: cuts changed the stage-1 optimum (%.6f with vs %.6f without)"

@@ -21,19 +21,40 @@ let sample_events =
     { E.at = 0.011; worker = 1; payload = E.Stopped { reason = "cancel" } };
   ]
 
+(* The JSONL wire format of [sample_events], byte for byte: [%.6f]
+   times, [%.9g] bounds and objectives, [null] for a nan bound. *)
+let sample_lines =
+  [
+    {|{"t":0.000000,"w":0,"ev":"span_start","phase":"build"}|};
+    {|{"t":0.001000,"w":0,"ev":"span_end","phase":"build"}|};
+    {|{"t":0.002000,"w":1,"ev":"node","depth":3,"bound":41.5,"iters":120}|};
+    {|{"t":0.003000,"w":1,"ev":"node","depth":0,"bound":null}|};
+    {|{"t":0.004000,"w":0,"ev":"incumbent","obj":42,"node":17}|};
+    {|{"t":0.005000,"w":0,"ev":"cut","rounds":2,"cuts":5}|};
+    {|{"t":0.006000,"w":2,"ev":"steal","tasks":4}|};
+    {|{"t":0.007000,"w":2,"ev":"idle"}|};
+    {|{"t":0.008000,"w":0,"ev":"restart","stage":"stage2-wirelength"}|};
+    {|{"t":0.009000,"w":0,"ev":"warning","msg":"a \"quoted\"\nwarning"}|};
+    {|{"t":0.010000,"w":0,"ev":"message","msg":"hello"}|};
+    {|{"t":0.011000,"w":1,"ev":"stopped","reason":"cancel"}|};
+  ]
+
 (* nan bounds render as null and come back as nan, so compare via the
    serialized form, which is canonical. *)
 let test_json_roundtrip () =
-  List.iter
-    (fun e ->
+  List.iter2
+    (fun e line ->
       let s = E.to_json e in
+      Alcotest.(check string)
+        (Printf.sprintf "wire format %s" (E.name e.E.payload))
+        line s;
       match E.of_json s with
       | Error m -> Alcotest.failf "of_json rejected %s: %s" s m
       | Ok e' ->
         Alcotest.(check string)
           (Printf.sprintf "roundtrip %s" (E.name e.E.payload))
           s (E.to_json e'))
-    sample_events
+    sample_events sample_lines
 
 let test_json_rejects () =
   let bad =
@@ -48,6 +69,13 @@ let test_json_rejects () =
       ("node without depth", {|{"t":0.1,"w":0,"ev":"node","bound":1.5}|});
       ("trailing garbage", {|{"t":0.1,"w":0,"ev":"idle"} extra|});
       ("duplicate field", {|{"t":0.1,"t":0.2,"w":0,"ev":"idle"}|});
+      ("infinite time", {|{"t":1e999,"w":0,"ev":"idle"}|});
+      ( "infinite bound",
+        {|{"t":0.1,"w":0,"ev":"node","depth":1,"bound":1e999}|} );
+      ( "negative infinite bound",
+        {|{"t":0.1,"w":0,"ev":"node","depth":1,"bound":-1e999}|} );
+      ("nested object", {|{"t":0.1,"w":0,"ev":"message","msg":{"a":1}}|});
+      ("array line", {|[{"t":0.1,"w":0,"ev":"idle"}]|});
     ]
   in
   List.iter
