@@ -36,10 +36,10 @@
 #                                1-worker engine bit for bit against the
 #                                frozen sequential loop, and 1/2/4
 #                                workers against it on 200 MILPs) and
-#                                every milp.* suite (Gomory cuts and
-#                                branch-and-bound read each LP's final
-#                                basis) at the pinned seed and at seeds
-#                                7 and 424242, then the simplex fixtures
+#                                every milp.* suite (branch-and-bound
+#                                reads each LP's final basis) at the
+#                                pinned seed and at seeds 7 and
+#                                424242, then the simplex fixtures
 #                                and the cancellation tests at the
 #                                pinned seed and at seeds 1, 7, 12 and
 #                                42.
@@ -60,10 +60,12 @@
 #                                16–20 s on a 2-vCPU host), a CLI solve of
 #                                a design with a negative net weight,
 #                                which must exit 1 with RF302, and a
-#                                scan of lib/ for Sys.time: budgets and
-#                                elapsed times there are monotonic wall
-#                                time, since process CPU time counts
-#                                every domain.
+#                                scan of lib/ for Sys.time,
+#                                Unix.gettimeofday and Unix.time:
+#                                budgets and elapsed times there are on
+#                                the monotonic clock, since process CPU
+#                                time counts every domain and the wall
+#                                clock steps.
 #   bin/lint.sh perf-smoke    -- benchmark gate only: sh perfbench/smoke.sh,
 #                                every BENCHMARK.json workload at 1/20
 #                                scale, untraced and traced, each passing
@@ -145,14 +147,14 @@ net filter decoder 32
 EOF
     dune exec bin/rfloor_cli.exe -- solve \
         --device-file "$tmp/device.txt" --design-file "$tmp/design.txt" \
-        --engine milp --workers 2 --time 30 \
+        --strategy milp:2 --time 30 \
         --trace "jsonl:$tmp/trace.jsonl" > "$tmp/out.traced" 2> "$tmp/report.txt"
     dune exec bin/rfloor_cli.exe -- trace-validate "$tmp/trace.jsonl"
     grep -q 'phase breakdown:' "$tmp/report.txt" || {
         echo "trace-check: no phase breakdown in the traced report" >&2; exit 1; }
     dune exec bin/rfloor_cli.exe -- solve \
         --device-file "$tmp/device.txt" --design-file "$tmp/design.txt" \
-        --engine milp --workers 2 --time 30 \
+        --strategy milp:2 --time 30 \
         --trace off > "$tmp/out.plain"
     for key in 'engine:' 'wasted frames:'; do
         a=$(grep "$key" "$tmp/out.traced" || true)
@@ -243,7 +245,7 @@ net filter decoder 32
 EOF
     dune exec bin/rfloor_cli.exe -- solve \
         --device-file "$ctmp/device.txt" --design-file "$ctmp/design.txt" \
-        --engine milp --workers 2 --time 30 \
+        --strategy milp:2 --time 30 \
         --trace "jsonl:$ctmp/trace.jsonl" > /dev/null
     dune exec bin/rfloor_cli.exe -- trace-verify "$ctmp/trace.jsonl"
     # 4. the verifier must still have teeth: seeded defects must fail
@@ -282,8 +284,8 @@ simplex_check() {
     # vs dense reference, warm child re-solves, cold-vs-warm B&B), at
     # their default 200 instances; case 1 runs 1/2/4 workers against
     # the frozen sequential loop and case 9 the 1-worker engine bit for
-    # bit against it.  Gomory cuts and branch-and-bound read every LP's
-    # final basis, so every milp.* suite runs at the same seeds.
+    # bit against it.  Branch-and-bound reads every LP's final basis,
+    # so every milp.* suite runs at the same seeds.
     for s in "$seed" 7 424242; do
         RFLOOR_TEST_SEED="$s" dune exec test/test_main.exe -- test differential 1,3-5,9
         RFLOOR_TEST_SEED="$s" dune exec test/test_main.exe -- test 'milp.*'
@@ -300,10 +302,11 @@ simplex_check() {
 search_check() {
     echo "== search-check (search suites, full SDR3 lexicographic proof)"
     seed="${RFLOOR_TEST_SEED:-2015}"
-    # process CPU time counts every domain of the process: a budget on
-    # it runs out early next to busy domains
-    if grep -rn 'Sys\.time' lib; then
-        echo "search-check: Sys.time under lib/; time budgets on the monotonic clock" >&2
+    # process CPU time counts every domain of the process, so a budget
+    # on it runs out early next to busy domains; the wall clock steps
+    # (NTP), so a budget on it fires early or late
+    if grep -rnE 'Sys\.time|Unix\.(gettimeofday|time)\b' lib; then
+        echo "search-check: Sys.time or a wall clock under lib/; time budgets on the monotonic clock (Rfloor_trace.clock)" >&2
         exit 1
     fi
     # the seeded reference contract and the brute-force properties
@@ -335,7 +338,7 @@ search_check() {
     [ "$status" -eq 1 ] && grep -q 'RF302' "$qtmp/neg.txt" || {
         echo "search-check: negative net weight not refused with RF302 (exit $status):" >&2
         cat "$qtmp/neg.txt" >&2; exit 1; }
-    echo "search-check passed (search suites at seeds $seed, 7, 424242, SDR3 proven 120 / 1504 in 70539270 nodes, negative weight refused, no Sys.time in lib/)"
+    echo "search-check passed (search suites at seeds $seed, 7, 424242, SDR3 proven 120 / 1504 in 70539270 nodes, negative weight refused, no Sys.time or wall clock in lib/)"
 }
 
 perf_smoke() {
@@ -347,8 +350,8 @@ perf_smoke() {
 portfolio_check() {
     echo "== portfolio-check (strategy grammar, cut differential, race cancellation)"
     seed="${RFLOOR_TEST_SEED:-2015}"
-    # 1. Strategy round-trips, RF502 parse errors, deprecated sugar,
-    #    RF501 member-budget clamp
+    # 1. Strategy round-trips, RF502 parse errors, RF501 member-budget
+    #    clamp
     RFLOOR_TEST_SEED="$seed" dune exec test/test_main.exe -- \
         test portfolio.strategy
     # 2. the symmetry/packing cut families never change a proved
@@ -502,7 +505,7 @@ EOF
     #    JSONL -> perfetto, a direct perfetto capture, and the report
     dune exec bin/rfloor_cli.exe -- solve \
         --device-file "$otmp/device.txt" --design-file "$otmp/design.txt" \
-        --engine milp --workers 2 --time 2.5 \
+        --strategy milp:2 --time 2.5 \
         --trace "jsonl:$otmp/trace.jsonl" > /dev/null
     dune exec bin/rfloor_cli.exe -- trace-export "$otmp/trace.jsonl" \
         -o "$otmp/trace.perfetto.json"
@@ -517,7 +520,7 @@ EOF
         echo "obsv-check: trace-report lacks the critical path" >&2; exit 1; }
     dune exec bin/rfloor_cli.exe -- solve \
         --device-file "$otmp/device.txt" --design-file "$otmp/design.txt" \
-        --engine milp --workers 2 --time 2.5 \
+        --strategy milp:2 --time 2.5 \
         --trace "perfetto:$otmp/direct.json" > /dev/null
     dune exec bin/rfloor_cli.exe -- trace-validate "$otmp/direct.json"
     echo "obsv-check passed (endpoints live under a real job, >= $nprog progress frames, RF602 survived, perfetto valid)"

@@ -148,15 +148,6 @@ let sink_of_trace trace verbose =
   | Trace_off ->
     ((if verbose then text else Rfloor_trace.Sink.null), fun () -> ())
 
-let workers_arg =
-  Arg.(
-    value
-    & opt int (Milp.Branch_bound.workers_from_env ())
-    & info [ "workers" ] ~docv:"N"
-        ~doc:
-          "Branch-and-bound worker domains for the MILP engines (default from \
-           \\$(b,RFLOOR_WORKERS), else 1 = sequential).")
-
 (* --metrics off|text|prom:FILE|json:FILE *)
 type metrics_dest =
   | Metrics_off
@@ -275,16 +266,15 @@ let partition_cmd =
 
 (* ---------------- solve ---------------- *)
 
-let engine_arg =
-  let parse = function
-    | ("search" | "milp" | "milp-ho" | "sa" | "tessellation") as s -> Ok s
-    | s -> Error (`Msg ("unknown engine " ^ s))
-  in
+let baseline_arg =
   Arg.(
     value
-    & opt (conv (parse, Format.pp_print_string)) "search"
+    & opt (some (enum [ ("sa", `Sa); ("tessellation", `Tessellation) ])) None
     & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:"One of search (exact), milp (paper's O), milp-ho (HO), sa, tessellation.")
+        ~doc:
+          "A baseline heuristic instead of a solver strategy: $(b,sa) \
+           (simulated annealing) or $(b,tessellation) (kernel tessellation). \
+           $(b,--strategy) wins when both are given.")
 
 let strategy_conv =
   let parse s =
@@ -300,15 +290,14 @@ let strategy_conv =
 let strategy_arg =
   Arg.(
     value
-    & opt (some strategy_conv) None
+    & opt (some ~none:"combinatorial" strategy_conv) None
     & info [ "strategy" ] ~docv:"STRATEGY"
         ~doc:
-          "Solver strategy: $(b,milp[:W]), $(b,milp-ho[:W]), \
+          "Solver strategy: $(b,milp[:W]) (the paper's O model on W \
+           branch-and-bound worker domains), $(b,milp-ho[:W]) (HO), \
            $(b,combinatorial), $(b,lns[:SEED]), or \
            $(b,portfolio:[s1,s2,...]) racing several members (each may \
-           carry an $(b,@SECONDS) budget).  Supersedes $(b,--engine) \
-           search/milp/milp-ho and $(b,--workers), which survive as sugar \
-           for $(b,combinatorial) and $(b,milp:W).")
+           carry an $(b,@SECONDS) budget).")
 
 let print_plan part spec label plan wasted wirelength proven =
   Format.printf "engine: %s@." label;
@@ -331,10 +320,10 @@ let deadline_arg =
     & opt (some float) None
     & info [ "deadline" ] ~docv:"SECONDS"
         ~doc:
-          "Cooperative cancellation deadline for the MILP engines: when it \
-           passes, the branch-and-bound loop stops cleanly at the next node \
-           and reports the incumbent found so far (distinct from $(b,--time), \
-           which is the solver's own budget).")
+          "Cooperative cancellation deadline, in seconds on the monotonic \
+           clock: when it passes, the strategy stops cleanly at its next \
+           check and reports the incumbent found so far (distinct from \
+           $(b,--time), which is the solver's own budget).")
 
 (* Shared by the solve and feasibility commands: every strategy-driven
    run reports through the one [Solver.outcome]. *)
@@ -355,22 +344,9 @@ let print_outcome part spec strategy (r : Rfloor.Solver.outcome) ~tracing =
   if tracing then
     Format.eprintf "%a" Rfloor_trace.Report.pp r.Rfloor.Solver.report
 
-let resolve_strategy ~strategy ~engine ~workers =
-  match strategy with
-  | Some st -> Some st
-  | None -> (
-    match engine with
-    | "search" -> Some (Rfloor.Solver.Strategy.combinatorial ())
-    | "milp" -> Some (Rfloor.Solver.Strategy.milp ~workers:(max 1 workers) ())
-    | "milp-ho" ->
-      Some
-        (Rfloor.Solver.Strategy.milp ~workers:(max 1 workers)
-           ~engine:(Rfloor.Solver.Ho None) ())
-    | _ -> None (* sa / tessellation baselines *))
-
 let solve_cmd =
-  let run device device_file design design_file engine strategy time deadline
-      verbose trace metrics workers telemetry =
+  let run device device_file design design_file baseline strategy time deadline
+      verbose trace metrics telemetry =
     let grid = load_device device device_file in
     let spec = load_design design design_file in
     let part = partition_of grid in
@@ -392,14 +368,25 @@ let solve_cmd =
     @@ fun () ->
     Fun.protect ~finally:close_sink @@ fun () ->
     Fun.protect ~finally:finish_metrics @@ fun () ->
-    match resolve_strategy ~strategy ~engine ~workers with
-    | Some strategy ->
+    match (strategy, baseline) with
+    | None, Some `Sa ->
+      let r = Baselines.Annealing.solve part spec in
+      print_plan part spec "simulated annealing" r.Baselines.Annealing.plan
+        r.Baselines.Annealing.wasted r.Baselines.Annealing.wirelength false
+    | None, Some `Tessellation ->
+      let r = Baselines.Vipin_fahmy.solve part spec in
+      print_plan part spec "kernel tessellation heuristic" r.Baselines.Vipin_fahmy.plan
+        r.Baselines.Vipin_fahmy.wasted r.Baselines.Vipin_fahmy.wirelength false
+    | Some _, _ | None, None ->
+      let strategy =
+        Option.value strategy ~default:(Rfloor.Solver.Strategy.combinatorial ())
+      in
       let cancel =
         match deadline with
         | None -> Milp.Branch_bound.never_cancel
         | Some d ->
-          let t0 = Unix.gettimeofday () in
-          fun () -> Unix.gettimeofday () -. t0 > d
+          let t0 = Rfloor_trace.clock () in
+          fun () -> Rfloor_trace.clock () -. t0 > d
       in
       (* with telemetry on, the solve registers itself so /statusz can
          list it with live incumbent/bound/gap *)
@@ -422,24 +409,13 @@ let solve_cmd =
       let r = Rfloor.Solver.solve ~options:opts part spec in
       Option.iter (Rfloor_obsv.Progress.remove board) entry;
       print_outcome part spec strategy r ~tracing
-    | None -> (
-      match engine with
-      | "sa" ->
-        let r = Baselines.Annealing.solve part spec in
-        print_plan part spec "simulated annealing" r.Baselines.Annealing.plan
-          r.Baselines.Annealing.wasted r.Baselines.Annealing.wirelength false
-      | "tessellation" ->
-        let r = Baselines.Vipin_fahmy.solve part spec in
-        print_plan part spec "kernel tessellation heuristic" r.Baselines.Vipin_fahmy.plan
-          r.Baselines.Vipin_fahmy.wasted r.Baselines.Vipin_fahmy.wirelength false
-      | _ -> assert false)
   in
   Cmd.v
     (Cmd.info "solve" ~doc:"Floorplan a design on a device.")
     Term.(
       const run $ device_arg $ device_file_arg $ design_arg $ design_file_arg
-      $ engine_arg $ strategy_arg $ time_arg $ deadline_arg $ verbose_arg
-      $ trace_arg $ metrics_arg $ workers_arg $ telemetry_arg)
+      $ baseline_arg $ strategy_arg $ time_arg $ deadline_arg $ verbose_arg
+      $ trace_arg $ metrics_arg $ telemetry_arg)
 
 (* ---------------- feasibility ---------------- *)
 

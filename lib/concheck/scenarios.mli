@@ -7,29 +7,20 @@
     work deque, the service LRU cache (exercised directly, not
     modeled) and the pool's cooperative cancel-vs-drain handoff. *)
 
-val incumbent_cas : blind:bool -> int list -> Explorer.scenario
-(** Concurrent minimization of a shared incumbent.  [blind:true]
-    replaces the CAS with a write-after-stale-read — the lost-update
-    bug the explorer must be able to find. *)
-
-val deque_steal_vs_pop : int list -> Explorer.scenario
-(** One producer, two claiming consumers over a shared deque;
-    every task must be consumed exactly once. *)
-
-val lru_hit_vs_evict : unit -> Explorer.scenario
-(** Writer inserting three entries into a capacity-2
-    {!Rfloor_service.Cache} races a reader hitting the first two keys;
-    size bound, key uniqueness and hit coherence must hold under every
-    schedule. *)
-
-val cancel_vs_drain : steps:int -> Explorer.scenario
-(** A worker polling a cancel flag between unit steps races the
-    canceller; the job finishes exactly once and "stopped" implies the
-    flag was set. *)
-
 val all : seed:int -> Explorer.scenario list
 (** The correct-by-construction suite, with scenario data varied
-    deterministically by [seed]. *)
+    deterministically by [seed]:
+    - concurrent minimization of a shared incumbent through the CAS
+      loop;
+    - one producer and two claiming consumers over a shared deque,
+      where every task must be consumed exactly once;
+    - a writer inserting three entries into a capacity-2
+      {!Rfloor_service.Cache} against a reader hitting the first two
+      keys: size bound, key uniqueness and hit coherence hold under
+      every schedule;
+    - a worker polling a cancel flag between unit steps against the
+      canceller: the job finishes exactly once, and "stopped" implies
+      the flag was set. *)
 
 val run_all :
   ?max_replays:int ->

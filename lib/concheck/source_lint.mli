@@ -11,8 +11,6 @@
 val scan_text : path:string -> string -> Rfloor_diag.Diagnostic.t list
 (** Scan one source text; [path] is used for locations only. *)
 
-val scan_file : string -> Rfloor_diag.Diagnostic.t list
-
 val scan_roots : string list -> Rfloor_diag.Diagnostic.t list
 (** Scan every [.ml]/[.mli] under the given directories (files are
     accepted too), skipping [_build], [.git] and any directory named

@@ -161,7 +161,6 @@ type options = {
   node_limit : int option;
   paper_literal_l : bool;
   warm_lp : bool;
-  preflight : bool;
   cuts : bool;
   trace : T.sink;
   metrics : Rfloor_metrics.Registry.t;
@@ -173,7 +172,7 @@ module Options = struct
 
   let make ?(strategy = Strategy.milp ()) ?(objective_mode = Lexicographic)
       ?(time_limit = 60.) ?node_limit ?(paper_literal_l = false)
-      ?(warm_lp = true) ?(preflight = true) ?(cuts = true)
+      ?(warm_lp = true) ?(cuts = true)
       ?(trace = T.Sink.null) ?(metrics = Rfloor_metrics.Registry.null)
       ?(cancel = Bb.never_cancel) () =
     {
@@ -185,7 +184,6 @@ module Options = struct
       node_limit;
       paper_literal_l;
       warm_lp;
-      preflight;
       cuts;
       trace;
       metrics;
@@ -258,7 +256,6 @@ let pair_relations spec = function
 
 let bb_options options cfg trace model stage_time ~ext =
   {
-    Bb.default_options with
     Bb.time_limit = stage_time;
     node_limit = options.node_limit;
     priorities = Some (Model.branching_priorities model);
@@ -292,9 +289,7 @@ let warm_plan cfg part spec =
 let run_stage options cfg trace model ~stage_time ~warm ~ext ~add_diags =
   let lp = Model.lp model in
   let lint =
-    if options.preflight then
-      T.span trace T.Event.Lint (fun () -> Rfloor_analysis.Preflight.model lp)
-    else []
+    T.span trace T.Event.Lint (fun () -> Rfloor_analysis.Preflight.model lp)
   in
   add_diags lint;
   if Diag.has_errors lint then
@@ -351,7 +346,7 @@ let status_of_bb = function
   | Bb.Infeasible -> Infeasible
   | Bb.Unbounded | Bb.Unknown -> Unknown
 
-let finish options trace part spec model (r : Bb.result) extra_nodes extra_iters
+let finish trace part spec model (r : Bb.result) extra_nodes extra_iters
     extra_time diags =
   let plan, fc, wasted, wirelength =
     T.span trace T.Event.Decode (fun () ->
@@ -371,14 +366,14 @@ let finish options trace part spec model (r : Bb.result) extra_nodes extra_iters
      findings here would point at a model or decoder bug *)
   let audit =
     match plan with
-    | Some p when options.preflight ->
+    | Some p ->
       T.span trace T.Event.Audit (fun () ->
           let ds = Rfloor_analysis.Solution_audit.run part spec p in
           List.iter
             (fun d -> T.messagef trace "audit: %a" Diag.pp d)
             ds;
           ds)
-    | _ -> []
+    | None -> []
   in
   let nodes = r.Bb.nodes + extra_nodes in
   let simplex_iterations = r.Bb.simplex_iterations + extra_iters in
@@ -422,7 +417,7 @@ let solve_milp options cfg trace part spec ~add_diags ~diags =
       build_model options trace (model_options Model.Feasibility None) part
         spec
     in
-    finish options trace part spec model
+    finish trace part spec model
       (run_stage options cfg trace model ~stage_time:cfg.mg_budget ~warm
          ~ext:false ~add_diags)
       0 0 0. !diags
@@ -431,7 +426,7 @@ let solve_milp options cfg trace part spec ~add_diags ~diags =
       build_model options trace (model_options (Model.Weighted w) None) part
         spec
     in
-    finish options trace part spec model
+    finish trace part spec model
       (run_stage options cfg trace model ~stage_time:cfg.mg_budget ~warm
          ~ext:false ~add_diags)
       0 0 0. !diags
@@ -448,7 +443,7 @@ let solve_milp options cfg trace part spec ~add_diags ~diags =
         ~add_diags
     in
     match r1.Bb.incumbent with
-    | None -> finish options trace part spec m1 r1 0 0 0. !diags
+    | None -> finish trace part spec m1 r1 0 0 0. !diags
     | Some (w1, x1) ->
       T.messagef trace "stage 1: wasted frames = %.0f (%s)" w1
         (match r1.Bb.status with
@@ -489,7 +484,7 @@ let solve_milp options cfg trace part spec ~add_diags ~diags =
         | None -> { r2 with Bb.incumbent = r1.Bb.incumbent }
       in
       let out =
-        finish options trace part spec m2 r2 r1.Bb.nodes
+        finish trace part spec m2 r2 r1.Bb.nodes
           r1.Bb.simplex_iterations r1.Bb.elapsed !diags
       in
       (match (out.plan, out.wasted) with
@@ -587,13 +582,13 @@ let run_lns options ~seed ~budget ~cancel ~publish trace part spec diags =
 let conclusive o = o.status = Optimal || o.status = Infeasible
 
 let run_portfolio options trace part spec ~add_diags ~diags members =
-  let t0 = Unix.gettimeofday () in
+  let t0 = T.clock () in
   let global = options.time_limit in
   let deadline = Option.map (fun l -> t0 +. l) global in
   let base_cancel () =
     options.cancel ()
     || (match deadline with
-       | Some d -> Unix.gettimeofday () > d
+       | Some d -> T.clock () > d
        | None -> false)
   in
   let board : Floorplan.t Rfloor_portfolio.board =
@@ -661,7 +656,7 @@ let run_portfolio options trace part spec ~add_diags ~diags members =
     Rfloor_portfolio.race ~cancel:base_cancel ~conclusive
       (List.mapi member_thunk members)
   in
-  let elapsed = Unix.gettimeofday () -. t0 in
+  let elapsed = T.clock () -. t0 in
   let outcomes =
     List.filter_map
       (fun (c : outcome Rfloor_portfolio.completion) ->
@@ -832,10 +827,9 @@ let solve ?(options = default_options) part (spec : Spec.t) =
     List.iter (fun d -> T.messagef trace "preflight: %a" Diag.pp d) ds;
     diags := !diags @ ds
   in
-  if options.preflight then
-    add_diags
-      (T.span trace T.Event.Lint (fun () ->
-           Rfloor_analysis.Preflight.spec part spec));
+  add_diags
+    (T.span trace T.Event.Lint (fun () ->
+         Rfloor_analysis.Preflight.spec part spec));
   if Diag.has_errors !diags then
     {
       plan = None;

@@ -92,8 +92,9 @@ type options = {
           case. *)
   objective_mode : objective_mode;
   time_limit : float option;
-      (** Global budget.  For a [Portfolio] strategy this is the
-          race's wall-clock deadline, shared by all members; a member's
+      (** Global budget, in seconds on the monotonic clock.  For a
+          [Portfolio] strategy this is the race's deadline, shared by
+          all members; a member's
           own [time_limit] can only shrink its share (RF501 warns and
           clamps a larger request). *)
   node_limit : int option;
@@ -105,12 +106,6 @@ type options = {
           solve, so results never depend on it.  Distinct from the
           strategy's [warm_start], which seeds the MILP incumbent from
           the combinatorial engine. *)
-  preflight : bool;
-      (** Run the {!Rfloor_analysis} spec and model lints before
-          solving and audit the decoded plan after (default [true]).
-          Error-severity findings short-circuit to [Infeasible] with
-          the diagnostics attached to the outcome.  The model lint runs
-          once on the root model regardless of worker count. *)
   cuts : bool;
       (** Add the {!Milp.Cuts} families (relocation-symmetry chains,
           portion-packing/capacity rows) at model build time (default
@@ -150,7 +145,6 @@ module Options : sig
     ?node_limit:int ->
     ?paper_literal_l:bool ->
     ?warm_lp:bool ->
-    ?preflight:bool ->
     ?cuts:bool ->
     ?trace:Rfloor_trace.sink ->
     ?metrics:Rfloor_metrics.Registry.t ->
@@ -160,7 +154,7 @@ module Options : sig
   (** The single construction point for solver options — the CLI, the
       service, the bench and the examples all build through it, so the
       defaults ([Strategy.milp ()], [Lexicographic], [time_limit] 60
-      seconds, no node limit, cuts/preflight on, null trace sink,
+      seconds, no node limit, cuts on, null trace sink,
       never-firing [cancel]) are defined exactly once.  "No time limit"
       is spelled explicitly: [~time_limit:infinity] (any non-finite
       value maps to [None] in the record).  Worker count, MILP engine
@@ -206,6 +200,11 @@ type outcome = {
 
 val solve :
   ?options:options -> Device.Partition.t -> Device.Spec.t -> outcome
+(** Runs the {!Rfloor_analysis} spec lint, then the strategy, then an
+    audit of the decoded plan.  Each MILP stage lints its root model
+    once, whatever the worker count.  Error-severity lint findings
+    short-circuit to [Infeasible] with the diagnostics attached to the
+    outcome. *)
 
 val feasible :
   ?options:options -> Device.Partition.t -> Device.Spec.t -> outcome

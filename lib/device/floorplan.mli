@@ -15,7 +15,6 @@ type t = { placements : placement list; fc_areas : fc_area list }
 val empty : t
 val make : placement list -> fc_area list -> t
 
-val placement_of : t -> string -> placement option
 val rect_of : t -> string -> Rect.t option
 val all_rects : t -> Rect.t list
 (** Region rectangles followed by free-compatible areas. *)
@@ -50,8 +49,5 @@ val render : Partition.t -> t -> string
 (** ASCII floorplan in the style of Figures 4-5: regions as digits or
     letters, free-compatible areas as the lowercase initial of their
     region, forbidden tiles as ['#']. *)
-
-val legend : t -> (char * string) list
-(** Mark characters used by {!render}, in rendering order. *)
 
 val pp : Format.formatter -> t -> unit

@@ -38,8 +38,6 @@ val column_type : t -> int -> Resource.tile_type
 
 val column_tid : t -> int -> int
 
-val portion_of_column : t -> int -> portion
-
 val width : t -> int
 val height : t -> int
 

@@ -18,7 +18,6 @@ val all_kinds : kind list
 val kind_to_string : kind -> string
 val kind_of_char : char -> kind option
 val kind_to_char : kind -> char
-val pp_kind : Format.formatter -> kind -> unit
 val equal_kind : kind -> kind -> bool
 
 type tile_type = { kind : kind; variant : int }

@@ -234,12 +234,22 @@ let get_num k v =
   | Some _ -> Error (Printf.sprintf "field %S must be a number" k)
   | None -> Error (Printf.sprintf "missing field %S" k)
 
+(* [int_of_float] is unspecified outside the int range: on x86-64, 1e19
+   reads as 0 and 2^62 as [min_int]. *)
+let int_of_num f =
+  if Float.is_integer f && f >= Float.of_int min_int
+     && f < -.Float.of_int min_int
+  then Some (int_of_float f)
+  else None
+
 let get_int k v =
   match get_num k v with
   | Error _ as e -> e
-  | Ok f ->
-    if Float.is_integer f then Ok (int_of_float f)
-    else Error (Printf.sprintf "field %S must be an integer" k)
+  | Ok f -> (
+    match int_of_num f with
+    | Some n -> Ok n
+    | None ->
+      Error (Printf.sprintf "field %S must be an integer in the int range" k))
 
 let get_arr k v =
   match member k v with

@@ -41,9 +41,16 @@ val escape : string -> string
 val member : string -> t -> t option
 (** [member k (Obj ...)] — [None] on absent key or non-object. *)
 
+val int_of_num : float -> int option
+(** [Some n] when the number is integral and inside the int range
+    ([[-2^62, 2^62)] on 64-bit hosts), [None] otherwise: the one
+    checked conversion for every integer read from JSON. *)
+
 val get_string : string -> t -> (string, string) result
 val get_num : string -> t -> (float, string) result
 val get_int : string -> t -> (int, string) result
+(** Through {!int_of_num}. *)
+
 val get_arr : string -> t -> (t list, string) result
 
 val get_num_opt : string -> t -> (float option, string) result

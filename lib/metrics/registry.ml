@@ -446,17 +446,12 @@ let validate_metric v =
                      "histogram %s: final cumulative count %d <> count %d" name
                      prev_cum count)
               else Ok ()
-            | Rfloor_json.Arr [ le; Rfloor_json.Num cum ] :: rest ->
-              if last_null then
+            | Rfloor_json.Arr [ le; Rfloor_json.Num cum ] :: rest -> (
+              match Rfloor_json.int_of_num cum with
+              | _ when last_null ->
                 Error
                   (Printf.sprintf "histogram %s: bucket after +Inf" name)
-              else if not (Float.is_integer cum) || cum < 0. then
-                Error
-                  (Printf.sprintf
-                     "histogram %s: bucket count must be a non-negative integer"
-                     name)
-              else
-                let cum = int_of_float cum in
+              | Some cum when cum >= 0 ->
                 if cum < prev_cum then
                   Error
                     (Printf.sprintf
@@ -477,6 +472,11 @@ let validate_metric v =
                       (Printf.sprintf
                          "histogram %s: bucket bound must be a number or null"
                          name))
+              | _ ->
+                Error
+                  (Printf.sprintf
+                     "histogram %s: bucket count must be a non-negative integer"
+                     name))
             | _ ->
               Error
                 (Printf.sprintf

@@ -64,10 +64,8 @@ val histogram :
   string ->
   Histogram.t
 (** [buckets] are finite strictly-increasing upper bounds; an implicit
-    [+Inf] bucket is always appended.  Default: {!seconds_buckets}. *)
-
-val seconds_buckets : float array
-(** Wall-time buckets, 100 µs … 60 s, roughly ×3 spaced. *)
+    [+Inf] bucket is always appended.  Default: wall-time buckets,
+    100 µs … 60 s, roughly ×3 spaced. *)
 
 val count_buckets : float array
 (** Event-count buckets (simplex pivots per LP, nodes, ...), 10 … 1e5. *)

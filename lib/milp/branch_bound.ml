@@ -17,16 +17,16 @@ type result = {
 type options = {
   time_limit : float option;
   node_limit : int option;
-  mip_gap : float;
-  int_eps : float;
   priorities : float array option;
   trace : Rfloor_trace.t;
-  gomory_rounds : int;
   metrics : Rfloor_metrics.Registry.t;
   cancel : unit -> bool;
   warm_lp : bool;
   external_bound : unit -> float;
 }
+
+let mip_gap = 1e-6
+let int_eps = 1e-6
 
 let never_cancel () = false
 let no_external_bound () = infinity
@@ -35,11 +35,8 @@ let default_options =
   {
     time_limit = None;
     node_limit = None;
-    mip_gap = 1e-6;
-    int_eps = 1e-6;
     priorities = None;
     trace = Rfloor_trace.disabled;
-    gomory_rounds = 0;
     metrics = Rfloor_metrics.Registry.null;
     cancel = never_cancel;
     warm_lp = true;
@@ -85,7 +82,7 @@ let frac x = x -. Float.round x
 
 (* Pick the branching variable: among fractional integer variables,
    highest priority first, then most fractional. *)
-let pick_branch ~int_eps ~priorities int_vars x =
+let pick_branch ~priorities int_vars x =
   let best = ref None in
   List.iter
     (fun v ->
@@ -120,20 +117,7 @@ let solve ?(options = default_options) ?(workers = 1) ?incumbent lp =
   let instr =
     if mlive then Some (Simplex.instruments options.metrics) else None
   in
-  let t0 = Unix.gettimeofday () in
-  (* Root branch-and-cut runs once, before any worker exists; ditto any
-     caller-side preflight (Core.Solver lints the root model exactly
-     once and hands us the vetted LP). *)
-  let lp =
-    if options.gomory_rounds <= 0 then lp
-    else begin
-      let lp' = Lp.copy lp in
-      let added = Gomory.add_root_cuts ~rounds:options.gomory_rounds lp' in
-      Rfloor_trace.cuts_added trace ~worker:0
-        ~rounds:options.gomory_rounds ~cuts:added;
-      lp'
-    end
-  in
+  let t0 = Rfloor_trace.clock () in
   let dir = Lp.objective_dir lp in
   (* objective values in minimization order; negation is its own
      inverse, so [unkey] maps keys back to the original direction *)
@@ -229,14 +213,14 @@ let solve ?(options = default_options) ?(workers = 1) ?incumbent lp =
     let ik = (Sync.Atomic.get inc).i_key in
     let e = options.external_bound () in
     let k = if Float.is_finite e then min ik (key e) else ik in
-    k -. (options.mip_gap *. max 1. (abs_float k))
+    k -. (mip_gap *. max 1. (abs_float k))
   in
   let out_of_budget () =
     Sync.Atomic.get over_budget
     ||
     let over =
       (match options.time_limit with
-      | Some tl -> Unix.gettimeofday () -. t0 > tl
+      | Some tl -> Rfloor_trace.clock () -. t0 > tl
       | None -> false)
       || match options.node_limit with
          | Some nl -> Sync.Atomic.get nodes >= nl
@@ -306,7 +290,7 @@ let solve ?(options = default_options) ?(workers = 1) ?incumbent lp =
             local_nodes.(w) <- local_nodes.(w) + 1;
             Rfloor_trace.node_explored trace ~iters:local_iters.(w) ~worker:w
               ~depth:node.t_depth ~bound:(unkey node.t_bound);
-            let t_lp = if mlive then Unix.gettimeofday () else 0. in
+            let t_lp = if mlive then Rfloor_trace.clock () else 0. in
             let warm = if options.warm_lp then node.t_basis else None in
             let solve_node () =
               Simplex.Core.solve_warm ~lb:node.t_lb ~ub:node.t_ub ?warm
@@ -320,7 +304,7 @@ let solve ?(options = default_options) ?(workers = 1) ?incumbent lp =
             in
             if mlive then begin
               Rfloor_metrics.Registry.Histogram.observe h_lp_seconds
-                (Unix.gettimeofday () -. t_lp);
+                (Rfloor_trace.clock () -. t_lp);
               Rfloor_metrics.Registry.Histogram.observe h_lp_iters
                 (float_of_int r.Simplex.iterations)
             end;
@@ -338,8 +322,8 @@ let solve ?(options = default_options) ?(workers = 1) ?incumbent lp =
               if bound >= cutoff () then ()
               else
                 match
-                  pick_branch ~int_eps:options.int_eps
-                    ~priorities:options.priorities int_vars r.Simplex.x
+                  pick_branch ~priorities:options.priorities int_vars
+                    r.Simplex.x
                 with
                 | None ->
                   let x = Array.copy r.Simplex.x in
@@ -350,7 +334,7 @@ let solve ?(options = default_options) ?(workers = 1) ?incumbent lp =
                       ~objective:(unkey obj_key) ~node:(Sync.Atomic.get nodes)
                 | Some v ->
                   let f = r.Simplex.x.(v) in
-                  let fl = Float.round (floor (f +. options.int_eps)) in
+                  let fl = Float.round (floor (f +. int_eps)) in
                   let down () =
                     let ub = Array.copy node.t_ub in
                     ub.(v) <- min ub.(v) fl;
@@ -449,6 +433,6 @@ let solve ?(options = default_options) ?(workers = 1) ?incumbent lp =
     simplex_iterations = Sync.Atomic.get iters;
     (* single monotone sample, clamped: re-queued nodes from a
        cooperative stop never double-charge the elapsed time *)
-    elapsed = Float.max 0. (Unix.gettimeofday () -. t0);
+    elapsed = Float.max 0. (Rfloor_trace.clock () -. t0);
     stop;
   }

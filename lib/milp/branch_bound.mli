@@ -32,7 +32,7 @@
     event for event.  With more, [nodes] and [simplex_iterations] are
     summed across workers, and node counts and which optimal solution
     is returned vary run to run; the status and objective value do not
-    (within [mip_gap]).  The differential test suite enforces both
+    (within {!mip_gap}).  The differential test suite enforces both
     against a frozen copy of the former sequential loop. *)
 
 type status =
@@ -55,32 +55,35 @@ type result = {
   nodes : int;
   simplex_iterations : int;
   elapsed : float;
-      (** Wall-clock seconds ([Unix.gettimeofday]-based).  Wall clock —
-          not CPU time — so that a run on several workers reports the
-          time the caller actually waited.  Sampled exactly once
-          against this call's own start and clamped non-negative, so a
-          node handed back by a cooperative stop can never be charged
-          twice. *)
+      (** Seconds on the monotonic clock ({!Rfloor_trace.clock}).
+          Elapsed time, not CPU time, so that a run on several workers
+          reports the time the caller actually waited.  Sampled exactly
+          once against this call's own start, so a node handed back by
+          a cooperative stop can never be charged twice. *)
   stop : stop_reason option;
       (** Why the search ended early; [None] when it ran to completion
           (status [Optimal], [Infeasible] or [Unbounded]).  [Cancelled]
           wins when both a cancel and a budget stop raced. *)
 }
 
+val mip_gap : float
+(** Relative gap for pruning and termination: 1e-6. *)
+
+val int_eps : float
+(** Integrality tolerance: 1e-6. *)
+
 type options = {
-  time_limit : float option;  (** wall-clock seconds *)
+  time_limit : float option;
+      (** Seconds on the monotonic clock ({!Rfloor_trace.clock}),
+          measured from the call's start. *)
   node_limit : int option;
-  mip_gap : float;  (** relative gap for pruning/termination, default 1e-6 *)
-  int_eps : float;  (** integrality tolerance, default 1e-6 *)
   priorities : float array option;
       (** Branching priorities per variable; higher branches first. *)
   trace : Rfloor_trace.t;
-      (** Structured observability: per-node events, incumbents, root
-          cuts, warnings.  Default {!Rfloor_trace.disabled} (zero cost).
+      (** Structured observability: per-node events, incumbents,
+          warnings.  Default {!Rfloor_trace.disabled} (zero cost).
           To recover the old [log : string -> unit] behaviour, build a
           tracer over {!Rfloor_trace.Sink.of_log_fn}. *)
-  gomory_rounds : int;
-      (** rounds of root-node Gomory cuts (branch and cut); default 0 *)
   metrics : Rfloor_metrics.Registry.t;
       (** Aggregate profiling: per-LP simplex iteration-count and
           wall-time histograms ([rfloor_simplex_iterations_per_lp],
@@ -125,9 +128,7 @@ val solve :
     be an integer-feasible assignment; it seeds the primal bound.
     [options.trace] events carry the emitting worker's id; sinks
     serialize concurrent emitters internally, and per-worker node and
-    simplex-iteration totals are flushed to the tracer after the joins.
-    Root Gomory cuts ([options.gomory_rounds]) are generated once on
-    the root model before workers start. *)
+    simplex-iteration totals are flushed to the tracer after the joins. *)
 
 val workers_from_env : ?default:int -> ?trace:Rfloor_trace.t -> unit -> int
 (** Worker count from the [RFLOOR_WORKERS] environment variable.

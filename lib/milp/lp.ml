@@ -152,8 +152,6 @@ let check_row t i fn =
     invalid_arg (Printf.sprintf "Lp.%s: row %d out of range [0,%d)" fn i t.nrows)
 
 let constr_name t i = check_row t i "constr_name"; t.rows.(i).c_name
-let constr_terms t i = check_row t i "constr_terms"; t.rows.(i).c_terms
-let constr_sense t i = check_row t i "constr_sense"; t.rows.(i).c_sense
 
 let iter_constrs t f =
   for i = 0 to t.nrows - 1 do
@@ -223,11 +221,6 @@ let bounds_violation t x =
     worst := max !worst (max (v_lb -. x.(v)) (x.(v) -. v_ub))
   done;
   max 0. !worst
-
-let is_integral ?(eps = 1e-6) t x =
-  List.for_all
-    (fun v -> abs_float (x.(v) -. Float.round x.(v)) <= eps)
-    (integer_vars t)
 
 let validate ?(eps = 1e-6) t x =
   if Array.length x <> t.nvars then

@@ -57,8 +57,6 @@ val objective_terms : t -> term list
 val objective_coeff : t -> var -> float
 
 val constr_name : t -> int -> string
-val constr_terms : t -> int -> term list
-val constr_sense : t -> int -> sense
 
 val iter_constrs : t -> (int -> term list -> sense -> float -> unit) -> unit
 
@@ -66,7 +64,7 @@ val fold_constrs :
   t -> init:'a -> ('a -> int -> term list -> sense -> float -> 'a) -> 'a
 (** [fold_constrs t ~init f] folds [f] over the rows in index order —
     the iteration primitive for analysis passes, so they need no index
-    loops over {!constr_terms}. *)
+    loops over the rows. *)
 
 val integer_vars : t -> var list
 (** Variables of kind [Integer] or [Binary], ascending. *)
@@ -76,18 +74,12 @@ val relax : t -> t
 
 val copy : t -> t
 
-val eval_terms : float array -> term list -> float
-(** [eval_terms x terms] is [sum coeff * x.(v)]. *)
-
 val constr_violation : t -> float array -> float
 (** Maximum violation of any row under assignment [x]; [0.] if feasible. *)
 
 val bounds_violation : t -> float array -> float
 
 val objective_value : t -> float array -> float
-
-val is_integral : ?eps:float -> t -> float array -> bool
-(** All integer variables within [eps] (default [1e-6]) of an integer. *)
 
 val validate : ?eps:float -> t -> float array -> (unit, string) result
 (** Feasibility check (rows, bounds, integrality) with diagnostics. *)

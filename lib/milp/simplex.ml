@@ -146,6 +146,8 @@ module Basis = struct
      the child's bounds at install time, which is exactly what a
      branching bound flip needs. *)
   type t = { bs_m : int; bs_nm : int; bs_basis : int array; bs_status : int array }
+
+  let basic_columns t = Array.copy t.bs_basis
 end
 
 (* How [state.d] stands against the current basis: recomputed from
@@ -544,29 +546,13 @@ let snapshot st =
     bs_status = status }
 
 (* Shared optimal exit: final refactorization for numerical hygiene
-   (skipped when the factorization is already fresh), basis reporting
-   for cut generation, warm snapshot, objective in the problem's own
-   direction. *)
-let finish_optimal st ?basis_sink ?snapshot_sink () =
+   (skipped when the factorization is already fresh), warm snapshot,
+   objective in the problem's own direction. *)
+let finish_optimal st ?snapshot_sink () =
   let core = st.core in
-  let n = core.P.n and m = core.P.m in
+  let n = core.P.n in
   if Lu.eta_count st.lu > 0 then
     (try refactor st "final" with Singular_basis -> ());
-  (match basis_sink with
-  | None -> ()
-  | Some sink ->
-    (* basis info for cut generation: basic column per row plus, for
-       every structural/slack column, whether it sits at its upper
-       bound; artificials are fixed at 0 and never reported at upper *)
-    let at_upper =
-      Array.init (n + m) (fun j ->
-          st.basic_row.(j) < 0
-          && Float.is_finite st.ub.(j)
-          && st.x.(j) >= st.ub.(j) -. feas_eps
-          && not (st.x.(j) <= st.lb.(j) +. feas_eps && st.lb.(j) = st.ub.(j)))
-    in
-    let values = Array.sub st.x 0 (n + m) in
-    sink := Some (Array.copy st.basis, at_upper, values));
   (match snapshot_sink with
   | None -> ()
   | Some sink -> sink := Some (snapshot st));
@@ -624,7 +610,7 @@ let working_bounds core lb ub =
 let default_max_iters core =
   20_000 + (60 * (core.P.m + core.P.n))
 
-let solve_core ?max_iters ?lb ?ub ?basis_sink ?snapshot_sink ?instr
+let solve_core ?max_iters ?lb ?ub ?snapshot_sink ?instr
     ?(trace = Rfloor_trace.disabled) ?(worker = 0) (core : P.t) =
   let n = core.P.n and m = core.P.m in
   let max_iters =
@@ -718,7 +704,7 @@ let solve_core ?max_iters ?lb ?ub ?basis_sink ?snapshot_sink ?instr
       | Iter_limit -> fail_status Iter_limit
       | Infeasible -> fail_status Infeasible
       | Unbounded -> fail_status Unbounded
-      | Optimal -> finish_optimal st ?basis_sink ?snapshot_sink ())
+      | Optimal -> finish_optimal st ?snapshot_sink ())
   end
 
 (* ------------------------------------------------------------------ *)
@@ -738,7 +724,7 @@ let solve_core ?max_iters ?lb ?ub ?basis_sink ?snapshot_sink ?instr
    - "overshoot": the entering variable would pass its own bound;
    - "cleanup": the closing primal pass did not end optimal. *)
 let try_warm ~max_iters ~warm ?instr ~trace ~worker ~wlb ~wub
-    ?basis_sink ?snapshot_sink (core : P.t) =
+    ?snapshot_sink (core : P.t) =
   let n = core.P.n and m = core.P.m in
   if warm.Basis.bs_m <> m || warm.Basis.bs_nm <> n + m then Error "shape"
   else begin
@@ -914,7 +900,7 @@ let try_warm ~max_iters ~warm ?instr ~trace ~worker ~wlb ~wub
             st.degen_streak <- 0;
             match iterate st ~max_iters ~phase1:false with
             | Optimal ->
-              Ok (finish_optimal st ?basis_sink ?snapshot_sink ())
+              Ok (finish_optimal st ?snapshot_sink ())
             | Iter_limit | Infeasible | Unbounded -> Error "cleanup")
         end
     end
@@ -928,13 +914,13 @@ let solve ?max_iters ?(trace = Rfloor_trace.disabled)
   Rfloor_trace.span trace Rfloor_trace.Event.Lp_solve (fun () ->
       let mlive = R.live metrics in
       let instr = if mlive then Some (instruments metrics) else None in
-      let t0 = if mlive then Unix.gettimeofday () else 0. in
+      let t0 = if mlive then Rfloor_trace.clock () else 0. in
       let r = solve_core ?max_iters ?instr ~trace (P.of_lp lp) in
       if mlive then begin
         R.Histogram.observe
           (R.histogram metrics ~help:"Wall time per LP relaxation solve"
              "rfloor_lp_solve_seconds")
-          (Unix.gettimeofday () -. t0);
+          (Rfloor_trace.clock () -. t0);
         R.Histogram.observe
           (R.histogram metrics ~help:"Simplex iterations per LP relaxation"
              ~buckets:R.count_buckets "rfloor_simplex_iterations_per_lp")
@@ -946,11 +932,6 @@ module Core = struct
   include P
 
   let solve ?max_iters ?lb ?ub t = solve_core ?max_iters ?lb ?ub t
-
-  let solve_with_basis ?max_iters ?lb ?ub t =
-    let sink = ref None in
-    let outcome = solve_core ?max_iters ?lb ?ub ~basis_sink:sink t in
-    (outcome, !sink)
 
   let solve_warm ?max_iters ?lb ?ub ?warm ?instr
       ?(trace = Rfloor_trace.disabled) ?(worker = 0) t =

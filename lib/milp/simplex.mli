@@ -44,6 +44,11 @@ module Basis : sig
   (** Opaque immutable basis snapshot: the basic column of every row
       plus the bound status of every structural/slack column.  Safe to
       share across domains. *)
+
+  val basic_columns : t -> int array
+  (** A fresh copy of the basic column of every row.  Columns are
+      numbered structurals first, then one slack per row, then one
+      artificial per row. *)
 end
 
 val solve :
@@ -72,18 +77,6 @@ module Core : sig
     ?max_iters:int -> ?lb:float array -> ?ub:float array -> t -> outcome
   (** [solve ~lb ~ub core] solves with structural variable bounds
       overridden by [lb]/[ub] (full arrays of length [num_vars]). *)
-
-  val solve_with_basis :
-    ?max_iters:int ->
-    ?lb:float array ->
-    ?ub:float array ->
-    t ->
-    outcome * (int array * bool array * float array) option
-  (** Like {!solve}; on an optimal finish additionally returns
-      [(basis, at_upper, values)]: the basic column of each row, whether
-      each structural/slack column rests at its upper bound, and the
-      structural+slack values — what {!Gomory} needs to derive cuts.
-      Columns are numbered structurals first, then one slack per row. *)
 
   val solve_warm :
     ?max_iters:int ->

@@ -20,9 +20,9 @@ let git_rev =
         if line = "" then "unknown" else line
       with _ -> "unknown"))
 
-let started_at = Unix.gettimeofday ()
+let started_at = Rfloor_trace.clock ()
 
-let uptime () = Unix.gettimeofday () -. started_at
+let uptime () = Rfloor_trace.clock () -. started_at
 
 let register reg =
   let info =

@@ -9,11 +9,9 @@
 val version : string
 (** The binary's version string (also the CLI's [--version]). *)
 
-val started_at : float
-(** Process start, [Unix.gettimeofday] scale (module load time). *)
-
 val uptime : unit -> float
-(** Seconds since {!started_at}. *)
+(** Seconds on the monotonic clock since this module was loaded
+    (process start). *)
 
 val register : Rfloor_metrics.Registry.t -> unit
 val touch_uptime : Rfloor_metrics.Registry.t -> unit

@@ -48,7 +48,7 @@ let clamp_interval ~id v =
 type entry = {
   e_id : string;
   e_strategy : string;
-  e_started : float;  (* Unix.gettimeofday at registration *)
+  e_started : float;  (* Rfloor_trace.clock at registration *)
   e_m : Sync.Mutex.t;
   (* all below under [e_m] *)
   e_live : bool Sync.Shared.t;
@@ -163,7 +163,7 @@ let snapshot e =
       {
         p_id = e.e_id;
         p_strategy = e.e_strategy;
-        p_elapsed = Unix.gettimeofday () -. e.e_started;
+        p_elapsed = Rfloor_trace.clock () -. e.e_started;
         p_nodes = Sync.Shared.get e.e_nodes;
         p_lp_iterations =
           List.fold_left (fun acc (_, i) -> acc + i) 0 (Sync.Shared.get e.e_iters);
@@ -192,7 +192,7 @@ let register board ~id ~strategy =
     {
       e_id = id;
       e_strategy = strategy;
-      e_started = Unix.gettimeofday ();
+      e_started = Rfloor_trace.clock ();
       e_m = Sync.Mutex.create ~name:"obsv.entry" ();
       e_live = Sync.Shared.make ~name:"obsv.entry.live" true;
       e_nodes = Sync.Shared.make ~name:"obsv.entry.nodes" 0;
@@ -255,7 +255,7 @@ module Ticker = struct
       Sync.Domain.spawn ~name:"obsv.ticker" (fun () ->
           while not (Sync.Atomic.get tk_stop) do
             Unix.sleepf quantum;
-            let now = Unix.gettimeofday () in
+            let now = Rfloor_trace.clock () in
             let due =
               Sync.Mutex.protect tk_m (fun () ->
                   List.filter
@@ -282,7 +282,7 @@ module Ticker = struct
             s_interval = interval;
             s_due =
               Sync.Shared.make ~name:"obsv.ticker.due"
-                (Unix.gettimeofday () +. interval);
+                (Rfloor_trace.clock () +. interval);
             s_fn = fn;
           }
         in

@@ -25,7 +25,6 @@ type 'r completion = {
   c_label : string;
   c_index : int;
   c_result : ('r, exn) result;
-  c_elapsed : float;
   c_winner : bool;
 }
 
@@ -42,7 +41,6 @@ let race ?(cancel = fun () -> false) ~conclusive members =
        plain array safe. *)
     let slots = Array.make n None in
     let run i m () =
-      let t0 = Unix.gettimeofday () in
       let result = try Ok (m.m_run ~cancelled) with e -> Error e in
       let won =
         match result with
@@ -60,7 +58,6 @@ let race ?(cancel = fun () -> false) ~conclusive members =
             c_label = m.m_label;
             c_index = i;
             c_result = result;
-            c_elapsed = Unix.gettimeofday () -. t0;
             c_winner = won;
           }
     in

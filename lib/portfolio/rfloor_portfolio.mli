@@ -52,7 +52,6 @@ type 'r completion = {
   c_label : string;
   c_index : int;  (** position in the members list *)
   c_result : ('r, exn) result;  (** [Error] if the member raised *)
-  c_elapsed : float;  (** wall-clock seconds for this member *)
   c_winner : bool;  (** this member ended the race *)
 }
 

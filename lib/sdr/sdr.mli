@@ -8,9 +8,6 @@
 
 val matched_filter : string
 val carrier_recovery : string
-val demodulator : string
-val signal_decoder : string
-val video_decoder : string
 
 val module_names : string list
 (** Pipeline order. *)

@@ -31,10 +31,6 @@ type outcome = {
   stop : stop_reason option;
 }
 
-(* Seconds on the monotonic clock: process CPU time would also count
-   the work of every other domain. *)
-let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
-
 exception Budget_exhausted
 exception Cancelled_exn
 exception Found_one
@@ -441,7 +437,7 @@ let plan_of t cur slot0 site_at =
    doubled centres of its nets' placed ends. *)
 let search ~options ~mode part t =
   Rfloor_trace.span options.trace Rfloor_trace.Event.Branch_bound @@ fun () ->
-  let t0 = now () in
+  let t0 = Rfloor_trace.clock () in
   let nodes = ref 0 in
   let stopped = ref None in
   let n = Array.length t.names in
@@ -473,7 +469,7 @@ let search ~options ~mode part t =
       | Some nl when !nodes >= nl -> raise Budget_exhausted
       | _ -> ());
       match options.time_limit with
-      | Some tl when now () -. t0 > tl -> raise Budget_exhausted
+      | Some tl when Rfloor_trace.clock () -. t0 > tl -> raise Budget_exhausted
       | _ -> ()
     end
   in
@@ -682,7 +678,7 @@ let search ~options ~mode part t =
       Rfloor_trace.stopped options.trace ~worker:0 "cancel"
     | Found_one -> ()
   end;
-  let elapsed = now () -. t0 in
+  let elapsed = Rfloor_trace.clock () -. t0 in
   Rfloor_trace.add_worker_totals options.trace ~worker:0 ~nodes:!nodes
     ~iterations:0;
   ( !best_plan,

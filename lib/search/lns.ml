@@ -188,8 +188,8 @@ let key part spec st =
   (Floorplan.wasted_frames part spec plan, Floorplan.wirelength spec plan)
 
 let solve ?(options = default_options) part (spec : Spec.t) =
-  let t0 = Unix.gettimeofday () in
-  let elapsed () = Unix.gettimeofday () -. t0 in
+  let t0 = Rfloor_trace.clock () in
+  let elapsed () = Rfloor_trace.clock () -. t0 in
   let rng = Prng.make options.seed in
   let trace = options.trace in
   let hard = hard_reqs spec in

@@ -16,7 +16,7 @@
 
 type options = {
   seed : int;  (** PRNG seed; same seed, same trajectory *)
-  time_limit : float option;  (** wall-clock seconds *)
+  time_limit : float option;  (** seconds on the monotonic clock *)
   iter_limit : int option;  (** disrupt-and-repair iterations *)
   trace : Rfloor_trace.t;
   cancel : unit -> bool;

@@ -29,8 +29,6 @@ type t = {
 
 val of_instance : Device.Partition.t -> Device.Spec.t -> t
 
-val region_name : t -> int -> string
-
 val region_index : t -> string -> int
 (** @raise Invalid_argument on a name foreign to the instance. *)
 
@@ -47,7 +45,6 @@ type plan = {
 
 val encode_plan : t -> Device.Floorplan.t -> plan
 val decode_plan : t -> plan -> Device.Floorplan.t
-val plan_to_string : plan -> string
 
 (** {1 Option keys} *)
 
@@ -58,6 +55,3 @@ val options_key : t -> Rfloor.Solver.options -> string * string
     [warm_start] and observability options are deliberately excluded:
     the cache serves exact hits only from [Optimal] entries, and an
     optimal answer does not depend on them. *)
-
-val hash_hex : string -> string
-(** The two-lane FNV-1a hash used for both key families. *)

@@ -22,7 +22,7 @@ type state = Queued | Running | Done of result
 type job = {
   id : int;
   priority : int;
-  deadline : float option;  (* absolute, Unix.gettimeofday scale *)
+  deadline : float option;  (* absolute, Rfloor_trace.clock scale *)
   submitted : float;
   cancel_flag : bool Sync.Atomic.t;
   part : Device.Partition.t;
@@ -177,7 +177,7 @@ let run_job t job =
     let cancel () =
       Sync.Atomic.get job.cancel_flag
       || (match job.deadline with
-         | Some d -> Unix.gettimeofday () > d
+         | Some d -> Rfloor_trace.clock () > d
          | None -> false)
       || user_cancel ()
     in
@@ -192,7 +192,7 @@ let run_job t job =
         if Sync.Atomic.get job.cancel_flag then "cancel"
         else if
           match job.deadline with
-          | Some d -> Unix.gettimeofday () > d
+          | Some d -> Rfloor_trace.clock () > d
           | None -> false
         then "deadline"
         else "cancel"
@@ -251,7 +251,7 @@ let run t w job =
           try run_job t job
           with exn -> Failed (Printexc.to_string exn))
   in
-  let waited = Unix.gettimeofday () -. job.submitted in
+  let waited = Rfloor_trace.clock () -. job.submitted in
   let result =
     match result with
     | Completed s -> Completed { s with waited }
@@ -341,7 +341,7 @@ let create ?(workers = 1) ?(cache_capacity = 128) ?(metrics = R.null)
 
 let submit t ?(priority = 0) ?deadline ?(options = Solver.default_options) part
     spec =
-  let now = Unix.gettimeofday () in
+  let now = Rfloor_trace.clock () in
   locked t (fun () ->
       if t.stop then invalid_arg "Pool.submit: pool is shut down";
       t.next_id <- t.next_id + 1;

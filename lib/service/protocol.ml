@@ -56,12 +56,16 @@ let opt_num key json =
   | Some (J.Num n) -> Ok (Some n)
   | Some _ -> Error (Printf.sprintf "field %S must be a number" key)
 
-let opt_int ~default key json =
+let opt_int_opt key json =
   let* n = opt_num key json in
-  match n with
-  | None -> Ok default
-  | Some f when Float.is_integer f -> Ok (int_of_float f)
-  | Some _ -> Error (Printf.sprintf "field %S must be an integer" key)
+  match Option.map J.int_of_num n with
+  | None -> Ok None
+  | Some (Some i) -> Ok (Some i)
+  | Some None ->
+    Error (Printf.sprintf "field %S must be an integer in the int range" key)
+
+let opt_int ~default key json =
+  Result.map (Option.value ~default) (opt_int_opt key json)
 
 let source ~name_key ~text_key json =
   let* name = opt_string name_key json in
@@ -152,9 +156,8 @@ let parse_demand json =
         | None ->
           Error (Printf.sprintf "unknown demand kind %S (clb | bram | dsp)" key)
         | Some k -> (
-          match v with
-          | J.Num f when Float.is_integer f && f > 0. ->
-            go ((k, int_of_float f) :: acc) rest
+          match (match v with J.Num f -> J.int_of_num f | _ -> None) with
+          | Some n when n > 0 -> go ((k, n) :: acc) rest
           | _ ->
             Error
               (Printf.sprintf "demand %S must be a positive integer" key)))
@@ -177,13 +180,6 @@ let opt_source ~name_key ~text_key json =
   | Some _, Some _ ->
     Error (Printf.sprintf "give %S or %S, not both" name_key text_key)
   | None, None -> Ok None
-
-let opt_int_opt key json =
-  let* n = opt_num key json in
-  match n with
-  | None -> Ok None
-  | Some f when Float.is_integer f -> Ok (Some (int_of_float f))
-  | Some _ -> Error (Printf.sprintf "field %S must be an integer" key)
 
 let parse_request line =
   let* json = J.parse line in

@@ -192,13 +192,6 @@ module Atomic = struct
       recorded r Event.Atomic_write t.id t.name (-1) (fun () ->
           Sys_atomic.set t.a v)
 
-  let exchange t v =
-    match Sys_atomic.get current with
-    | None -> Sys_atomic.exchange t.a v
-    | Some r ->
-      recorded r Event.Atomic_write t.id t.name (-1) (fun () ->
-          Sys_atomic.exchange t.a v)
-
   let compare_and_set t old_ new_ =
     match Sys_atomic.get current with
     | None -> Sys_atomic.compare_and_set t.a old_ new_

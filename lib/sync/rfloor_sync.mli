@@ -31,7 +31,7 @@ module Event : sig
     | Cond_signal
     | Cond_broadcast
     | Atomic_read
-    | Atomic_write  (** also read-modify-write: exchange, fetch_and_add *)
+    | Atomic_write  (** also read-modify-write: fetch_and_add *)
     | Atomic_cas of bool  (** success flag *)
     | Plain_read  (** {!Shared} cell read *)
     | Plain_write  (** {!Shared} cell write *)
@@ -48,7 +48,6 @@ module Event : sig
     aux : int;  (** paired mutex id for condition ops, [-1] otherwise *)
   }
 
-  val op_name : op -> string
   val pp : Format.formatter -> t -> unit
 end
 
@@ -100,7 +99,6 @@ module Atomic : sig
   val make : ?name:string -> 'a -> 'a t
   val get : 'a t -> 'a
   val set : 'a t -> 'a -> unit
-  val exchange : 'a t -> 'a -> 'a
   val compare_and_set : 'a t -> 'a -> 'a -> bool
   val fetch_and_add : int t -> int -> int
   val incr : int t -> unit

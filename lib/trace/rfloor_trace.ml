@@ -7,6 +7,8 @@ module Sync = Rfloor_sync
 
 let clock_ns () = Monotonic_clock.now ()
 
+let clock () = Int64.to_float (clock_ns ()) *. 1e-9
+
 (* ------------------------------------------------------------------ *)
 (* Events *)
 
@@ -84,7 +86,7 @@ module Event = struct
     | Incumbent { objective; node } ->
       Format.fprintf ppf "incumbent %.6f (node %d)" objective node
     | Cut_added { rounds; cuts } ->
-      Format.fprintf ppf "gomory: %d root cuts (%d rounds)" cuts rounds
+      Format.fprintf ppf "cuts: %d structural rows (%d rounds)" cuts rounds
     | Steal { tasks } -> Format.fprintf ppf "donated %d open subproblems" tasks
     | Worker_idle -> Format.fprintf ppf "idle"
     | Restart { stage } -> Format.fprintf ppf "restart: %s" stage
@@ -181,11 +183,14 @@ module Event = struct
         | "incumbent" ->
           let* objective = num "obj" in
           let* node = int_ "node" in
-          Ok (Incumbent { objective; node })
+          if node < 0 then Error "negative node"
+          else Ok (Incumbent { objective; node })
         | "cut" ->
           let* rounds = int_ "rounds" in
           let* cuts = int_ "cuts" in
-          Ok (Cut_added { rounds; cuts })
+          if rounds < 1 then Error "cut with no rounds"
+          else if cuts < 1 then Error "cut with no cuts"
+          else Ok (Cut_added { rounds; cuts })
         | "steal" ->
           let* tasks = int_ "tasks" in
           if tasks < 1 then Error "steal with no tasks"

@@ -19,6 +19,12 @@
     Sinks serialize concurrent emitters behind a per-sink mutex, so one
     tracer can be shared by all domains of a parallel solve. *)
 
+val clock : unit -> float
+(** Monotonic seconds from an arbitrary fixed origin: the one clock
+    for time budgets, deadlines and durations in the library.  Only
+    differences are meaningful; a wall-clock step (NTP) never moves
+    it. *)
+
 (** {1 Events} *)
 
 module Event : sig
@@ -44,6 +50,9 @@ module Event : sig
             traces still load) *)
     | Incumbent of { objective : float; node : int }
     | Cut_added of { rounds : int; cuts : int }
+        (** [cuts] structural rows ([Milp.Cuts]: symmetry chains,
+            portion-packing and capacity rows) added to the model at
+            build time, in [rounds] passes; both positive *)
     | Steal of { tasks : int }
         (** a donor pushed [tasks] open subproblems to the shared deque *)
     | Worker_idle  (** a worker ran out of local work and started polling *)
@@ -193,7 +202,7 @@ module Report : sig
     simplex_iterations : int;
     elapsed : float;
     incumbents : int;  (** incumbent improvements *)
-    cuts : int;  (** Gomory cuts added at the root *)
+    cuts : int;  (** structural cut rows ([Milp.Cuts]) added at build *)
     steal_attempts : int;
     steal_successes : int;
     tasks_donated : int;  (** subproblems pushed to the shared deque *)

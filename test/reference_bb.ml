@@ -39,7 +39,7 @@ let frac x = x -. Float.round x
 
 (* Pick the branching variable: among fractional integer variables,
    highest priority first, then most fractional. *)
-let pick_branch ~int_eps ~priorities int_vars x =
+let pick_branch ~priorities int_vars x =
   let best = ref None in
   List.iter
     (fun v ->
@@ -64,17 +64,6 @@ let solve ?(options = default_options) ?(worker = 0) ?incumbent lp =
      takes the registry mutex, counter updates are lock-free *)
   let instr = if mlive then Some (Simplex.instruments options.metrics) else None in
   let t0 = Unix.gettimeofday () in
-  (* root-node branch-and-cut: strengthen a private copy with GMI cuts *)
-  let lp =
-    if options.gomory_rounds <= 0 then lp
-    else begin
-      let lp' = Lp.copy lp in
-      let added = Gomory.add_root_cuts ~rounds:options.gomory_rounds lp' in
-      Rfloor_trace.cuts_added trace ~worker ~rounds:options.gomory_rounds
-        ~cuts:added;
-      lp'
-    end
-  in
   let dir = Lp.objective_dir lp in
   let key = objective_key dir in
   let unkey k = match dir with Lp.Minimize -> k | Lp.Maximize -> -.k in
@@ -127,7 +116,7 @@ let solve ?(options = default_options) ?(worker = 0) ?incumbent lp =
   let cutoff () =
     let e = options.external_bound () in
     let k = if Float.is_finite e then min !inc_key (key e) else !inc_key in
-    k -. (options.mip_gap *. max 1. (abs_float k))
+    k -. (mip_gap *. max 1. (abs_float k))
   in
   let out_of_budget () =
     (match options.time_limit with
@@ -193,8 +182,7 @@ let solve ?(options = default_options) ?(worker = 0) ?incumbent lp =
           if bound >= cutoff () then ()
           else
             match
-              pick_branch ~int_eps:options.int_eps ~priorities:options.priorities
-                int_vars r.Simplex.x
+              pick_branch ~priorities:options.priorities int_vars r.Simplex.x
             with
             | None ->
               (* integer feasible: snap integers and accept *)
@@ -209,7 +197,7 @@ let solve ?(options = default_options) ?(worker = 0) ?incumbent lp =
               end
             | Some v ->
               let f = r.Simplex.x.(v) in
-              let fl = Float.round (floor (f +. options.int_eps)) in
+              let fl = Float.round (floor (f +. int_eps)) in
               let down () =
                 let ub = Array.copy node.n_ub in
                 ub.(v) <- min ub.(v) fl;

@@ -393,16 +393,6 @@ let test_preflight_clean_solve () =
   Alcotest.(check (list string)) "no error diagnostics" []
     (error_codes outcome.Rfloor.Solver.diagnostics)
 
-let test_preflight_off () =
-  let part = Lazy.force toy in
-  let outcome =
-    Rfloor.Solver.solve
-      ~options:{ quick_opts with preflight = false; time_limit = Some 10. }
-      part (spec_with (clb 25))
-  in
-  Alcotest.(check (list string)) "no diagnostics collected" []
-    (codes outcome.Rfloor.Solver.diagnostics)
-
 (* ------------------------------------------------------------------ *)
 (* Diagnostics plumbing *)
 
@@ -509,7 +499,6 @@ let suites =
         Alcotest.test_case "capacity short-circuit" `Quick test_preflight_short_circuits;
         Alcotest.test_case "reloc short-circuit" `Quick test_preflight_reloc_short_circuits;
         Alcotest.test_case "clean solve audited" `Quick test_preflight_clean_solve;
-        Alcotest.test_case "preflight off" `Quick test_preflight_off;
       ] );
     ( "analysis.diagnostics",
       [

@@ -518,7 +518,6 @@ let bb_variants =
     ("default", fun () -> Bb.default_options);
     ("node_limit 5", fun () -> { Bb.default_options with node_limit = Some 5 });
     ("warm_lp off", fun () -> { Bb.default_options with warm_lp = false });
-    ("gomory_rounds 2", fun () -> { Bb.default_options with gomory_rounds = 2 });
     ( "cancel at the 8th poll",
       fun () ->
         let polls = ref 0 in

@@ -130,18 +130,23 @@ let test_json_validate () =
   (match R.validate_json js with
   | Ok n -> Alcotest.(check int) "2 metrics" 2 n
   | Error e -> Alcotest.failf "valid snapshot rejected: %s" e);
-  let reject label doc =
+  (* each tampered document must fail the check its label names, not
+     an earlier one *)
+  let reject label ~expect doc =
     match R.validate_json doc with
     | Ok _ -> Alcotest.failf "%s accepted" label
-    | Error _ -> ()
+    | Error e -> check_sub label expect e
   in
-  reject "not json" "nope";
-  reject "wrong schema" {|{"schema":"rfloor-metrics/999","metrics":[]}|};
-  reject "negative counter"
+  reject "not json" ~expect:"offset 0" "nope";
+  reject "wrong schema" ~expect:"unknown schema"
+    {|{"schema":"rfloor-metrics/999","metrics":[]}|};
+  reject "negative counter" ~expect:"negative value"
     {|{"schema":"rfloor-metrics/1","metrics":[{"name":"c","kind":"counter","help":"","labels":{},"value":-1}]}|};
-  reject "decreasing bucket counts"
-    {|{"schema":"rfloor-metrics/1","metrics":[{"name":"h","kind":"histogram","help":"","labels":{},"sum":1,"count":2,"buckets":[{"le":1,"count":2},{"le":null,"count":1}]}]}|};
-  reject "duplicate series"
+  reject "decreasing bucket counts" ~expect:"cumulative bucket counts decrease"
+    {|{"schema":"rfloor-metrics/1","metrics":[{"name":"h","kind":"histogram","help":"","labels":{},"sum":1,"count":2,"buckets":[[1,2],[null,1]]}]}|};
+  reject "out-of-range bucket count" ~expect:"non-negative integer"
+    {|{"schema":"rfloor-metrics/1","metrics":[{"name":"h","kind":"histogram","help":"","labels":{},"sum":1,"count":1,"buckets":[[1,1e19],[null,1]]}]}|};
+  reject "duplicate series" ~expect:"duplicate"
     {|{"schema":"rfloor-metrics/1","metrics":[{"name":"c","kind":"counter","help":"","labels":{},"value":1},{"name":"c","kind":"counter","help":"","labels":{},"value":2}]}|}
 
 (* ---- trace-event fold ---- *)
@@ -308,7 +313,23 @@ let test_json_codec () =
       ("bare minus", "-");
     ];
   Alcotest.(check bool) "non-ASCII \\u escape folds to '?'" true
-    (Rfloor_json.parse {|"caf\u00e9"|} = Ok (Rfloor_json.Str "caf?"))
+    (Rfloor_json.parse {|"caf\u00e9"|} = Ok (Rfloor_json.Str "caf?"));
+  (* integers: integral and inside the int range, or refused *)
+  List.iter
+    (fun (doc, expect) ->
+      let got =
+        Result.to_option
+          (Result.bind (Rfloor_json.parse doc) (Rfloor_json.get_int "n"))
+      in
+      if got <> expect then Alcotest.failf "get_int on %s" doc)
+    [
+      ({|{"n":42}|}, Some 42);
+      ({|{"n":-4611686018427387904}|}, Some min_int);
+      ({|{"n":4611686018427387904}|}, None);
+      ({|{"n":1e19}|}, None);
+      ({|{"n":-1e19}|}, None);
+      ({|{"n":1.5}|}, None);
+    ]
 
 let suites =
   [

@@ -423,64 +423,6 @@ let prop_lp_format_roundtrip =
         | None, None -> true
         | _ -> false))
 
-(* ------------------------------------------------------------------ *)
-(* Gomory cuts *)
-
-let test_gomory_tightens_bound () =
-  (* max x + y st 2x + 2y <= 3, 0 <= x,y <= 5 integer: LP bound 1.5,
-     GMI at the root should close it to the IP optimum 1 *)
-  let lp = Lp.create () in
-  let x = Lp.add_var lp ~kind:Lp.Integer ~ub:5. () in
-  let y = Lp.add_var lp ~kind:Lp.Integer ~ub:5. () in
-  Lp.add_constr lp [ (2., x); (2., y) ] Lp.Le 3.;
-  Lp.set_objective lp Lp.Maximize [ (1., x); (1., y) ];
-  let lp' = Lp.copy lp in
-  let added = Gomory.add_root_cuts lp' in
-  Alcotest.(check bool) "cuts added" true (added > 0);
-  let r = Simplex.solve lp' in
-  Alcotest.(check bool) "optimal" true (r.Simplex.status = Simplex.Optimal);
-  Alcotest.(check bool) "bound tightened" true (r.Simplex.objective < 1.5 -. 1e-6)
-
-let test_gomory_keeps_integer_points () =
-  (* every integer-feasible point of the original must satisfy the cuts *)
-  let lp = Lp.create () in
-  let x = Lp.add_var lp ~kind:Lp.Integer ~ub:4. () in
-  let y = Lp.add_var lp ~kind:Lp.Integer ~ub:4. () in
-  Lp.add_constr lp [ (3., x); (5., y) ] Lp.Le 13.;
-  Lp.add_constr lp [ (2., x); (-1., y) ] Lp.Ge (-2.);
-  Lp.set_objective lp Lp.Maximize [ (4., x); (3., y) ];
-  let lp' = Lp.copy lp in
-  ignore (Gomory.add_root_cuts lp');
-  for xi = 0 to 4 do
-    for yi = 0 to 4 do
-      let p = [| float_of_int xi; float_of_int yi |] in
-      if Lp.constr_violation lp p < 1e-9 then
-        Alcotest.(check bool)
-          (Printf.sprintf "point (%d,%d) survives cuts" xi yi)
-          true
-          (Lp.constr_violation lp' p < 1e-6)
-    done
-  done
-
-let prop_gomory_preserves_optimum =
-  QCheck2.Test.make ~name:"branch&cut matches plain branch&bound" ~count:150
-    ~print:(fun lp -> Lp_format.to_string lp)
-    (QCheck2.Gen.make_primitive
-       ~gen:(fun rng -> rand_lp ~integer:true rng)
-       ~shrink:(fun _ -> Seq.empty))
-    (fun lp ->
-      let plain = Branch_bound.solve lp in
-      let cut =
-        Branch_bound.solve
-          ~options:{ Branch_bound.default_options with gomory_rounds = 3 }
-          lp
-      in
-      match (plain.Branch_bound.incumbent, cut.Branch_bound.incumbent) with
-      | Some (a, _), Some (b, x) ->
-        abs_float (a -. b) < 1e-5 && Lp.validate ~eps:1e-5 lp x = Ok ()
-      | None, None -> true
-      | _ -> false)
-
 let test_lp_format_writer_shape () =
   let lp = Lp.create ~name:"demo" () in
   let x = Lp.add_var lp ~name:"x one" ~kind:Lp.Binary () in
@@ -838,11 +780,6 @@ let suites =
         Alcotest.test_case "hard knapsack takes at least 10 nodes" `Quick
           test_hard_knapsack_is_hard;
       ] );
-    ( "milp.gomory",
-      [
-        Alcotest.test_case "tightens the root bound" `Quick test_gomory_tightens_bound;
-        Alcotest.test_case "keeps integer points" `Quick test_gomory_keeps_integer_points;
-      ] );
     ( "milp.io",
       [
         Alcotest.test_case "lp writer shape" `Quick test_lp_format_writer_shape;
@@ -855,6 +792,5 @@ let suites =
           prop_bb_matches_enumeration;
           prop_presolve_preserves_optimum;
           prop_lp_format_roundtrip;
-          prop_gomory_preserves_optimum;
         ] );
   ]

@@ -449,8 +449,38 @@ let test_pool_hit_miss_conservation () =
     (Pool.worker_states pool);
   Pool.shutdown pool
 
+(* ------------------------------------------------------------------ *)
+(* Protocol *)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+(* A JSON number past the int range is refused with the field's name:
+   [int_of_float] would wrap it (1e19 reads as 0 on x86-64). *)
+let test_out_of_range_integers () =
+  List.iter
+    (fun (field, frame) ->
+      match Rfloor_service.Protocol.parse_request frame with
+      | Ok _ -> Alcotest.failf "accepted: %s" frame
+      | Error e ->
+        if not (contains e (Printf.sprintf "%S" field)) then
+          Alcotest.failf "error %S does not name %S" e field)
+    [
+      ("clb", {|{"op":"add","name":"m","demand":{"clb":1e19}}|});
+      ( "workers",
+        {|{"op":"solve","id":"s","device":"mini","design":"sdr","workers":-1e19}|} );
+      ("max_moves", {|{"op":"add","name":"m","demand":{"clb":2},"max_moves":1e19}|});
+    ]
+
 let suites =
   [
+    ( "service.protocol",
+      [
+        Alcotest.test_case "out-of-range integers name their field" `Quick
+          test_out_of_range_integers;
+      ] );
     ( "service.canonical",
       [
         Alcotest.test_case "region relabeling invariance" `Quick test_relabel_invariance;

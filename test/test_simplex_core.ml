@@ -450,10 +450,12 @@ let max_fill_ratio = 1.5
 
 let test_fx70t_basis_fill () =
   let lp, core, lb, ub = fx70t_root_lp () in
-  let o, info = Simplex.Core.solve_with_basis ~lb ~ub core in
+  let o, snapshot = Simplex.Core.solve_warm ~lb ~ub core in
   Alcotest.(check bool) "optimal" true (o.Simplex.status = Simplex.Optimal);
   let basis =
-    match info with Some (basis, _, _) -> basis | None -> Alcotest.fail "no basis"
+    match snapshot with
+    | Some b -> Simplex.Basis.basic_columns b
+    | None -> Alcotest.fail "no basis"
   in
   let n = Lp.num_vars lp and m = Lp.num_constrs lp in
   let cols = Array.make n [] in

@@ -76,6 +76,11 @@ let test_json_rejects () =
         {|{"t":0.1,"w":0,"ev":"node","depth":1,"bound":-1e999}|} );
       ("nested object", {|{"t":0.1,"w":0,"ev":"message","msg":{"a":1}}|});
       ("array line", {|[{"t":0.1,"w":0,"ev":"idle"}]|});
+      ( "node beyond the int range",
+        {|{"t":0.1,"w":0,"ev":"incumbent","obj":1,"node":1e19}|} );
+      ("negative node", {|{"t":0.1,"w":0,"ev":"incumbent","obj":1,"node":-3}|});
+      ("negative cut counts", {|{"t":0.1,"w":0,"ev":"cut","rounds":-1,"cuts":-5}|});
+      ("no cuts", {|{"t":0.1,"w":0,"ev":"cut","rounds":1,"cuts":0}|});
     ]
   in
   List.iter
