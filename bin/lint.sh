@@ -10,9 +10,12 @@
 #                                randomized differential suite replays
 #                                the same instances on every axis
 #   bin/lint.sh trace-check   -- tracing gate only: solve a pinned tiny
-#                                instance with --trace jsonl, validate
-#                                the capture, check the result is
-#                                byte-identical with tracing off, and
+#                                instance with --trace jsonl, check the
+#                                capture with trace-validate, check the
+#                                result is byte-identical with tracing
+#                                off, require trace-validate to pass the
+#                                traces of a two-MILP portfolio race and
+#                                of a per-region feasibility run, and
 #                                require trace-validate and trace-export
 #                                to refuse an event at time 1e999
 #   bin/lint.sh serve-smoke   -- service gate only: script an NDJSON
@@ -77,9 +80,9 @@
 #                                an instrumented 2-worker solve on the
 #                                pinned seed, lint lib/ and bin/ for raw
 #                                sync primitives (RF401..RF403), and
-#                                trace-verify a fresh jsonl solve plus
+#                                trace-validate a fresh jsonl solve plus
 #                                two seeded-defect fixtures that must
-#                                be rejected.
+#                                be rejected (RF431, RF433).
 #   bin/lint.sh portfolio-check -- strategy/portfolio gate only: the
 #                                Strategy grammar suite (round-trips,
 #                                RF501/RF502), a 25-instance cuts-on/off
@@ -150,6 +153,17 @@ EOF
         --strategy milp:2 --time 30 \
         --trace "jsonl:$tmp/trace.jsonl" > "$tmp/out.traced" 2> "$tmp/report.txt"
     dune exec bin/rfloor_cli.exe -- trace-validate "$tmp/trace.jsonl"
+    # racing members share one sink, and feasibility solves one region
+    # at a time: both traces must still hold every invariant
+    dune exec bin/rfloor_cli.exe -- solve \
+        --device-file "$tmp/device.txt" --design-file "$tmp/design.txt" \
+        --strategy 'portfolio:[milp,milp:2]' --time 20 \
+        --trace "jsonl:$tmp/race.jsonl" > /dev/null 2>&1
+    dune exec bin/rfloor_cli.exe -- trace-validate "$tmp/race.jsonl"
+    dune exec bin/rfloor_cli.exe -- feasibility \
+        --device-file "$tmp/device.txt" --design-file "$tmp/design.txt" \
+        --strategy milp:2 --trace "jsonl:$tmp/feas.jsonl" > /dev/null
+    dune exec bin/rfloor_cli.exe -- trace-validate "$tmp/feas.jsonl"
     grep -q 'phase breakdown:' "$tmp/report.txt" || {
         echo "trace-check: no phase breakdown in the traced report" >&2; exit 1; }
     dune exec bin/rfloor_cli.exe -- solve \
@@ -178,7 +192,7 @@ EOF
             echo "trace-check: $cmd accepted an infinite time (exit $status):" >&2
             cat "$tmp/inf.out" >&2; exit 1; }
     done
-    echo "trace-check passed (schema valid, result identical with tracing off, infinite time refused)"
+    echo "trace-check passed (traces valid, result identical with tracing off, infinite time refused)"
 }
 
 serve_smoke() {
@@ -247,15 +261,15 @@ EOF
         --device-file "$ctmp/device.txt" --design-file "$ctmp/design.txt" \
         --strategy milp:2 --time 30 \
         --trace "jsonl:$ctmp/trace.jsonl" > /dev/null
-    dune exec bin/rfloor_cli.exe -- trace-verify "$ctmp/trace.jsonl"
-    # 4. the verifier must still have teeth: seeded defects must fail
+    dune exec bin/rfloor_cli.exe -- trace-validate "$ctmp/trace.jsonl"
+    # 4. the checker must still have teeth: seeded defects must fail
     cat > "$ctmp/bad_span.jsonl" <<'EOF'
 {"t":0.0,"w":0,"ev":"span_start","phase":"build"}
 {"t":0.1,"w":0,"ev":"span_start","phase":"root_lp"}
 {"t":0.2,"w":0,"ev":"span_end","phase":"build"}
 {"t":0.3,"w":0,"ev":"span_end","phase":"root_lp"}
 EOF
-    if dune exec bin/rfloor_cli.exe -- trace-verify "$ctmp/bad_span.jsonl" \
+    if dune exec bin/rfloor_cli.exe -- trace-validate "$ctmp/bad_span.jsonl" \
         > /dev/null 2>&1; then
         echo "concheck: out-of-order span fixture was accepted (RF431 lost)" >&2
         exit 1
@@ -267,7 +281,7 @@ EOF
 {"t":0.3,"w":0,"ev":"incumbent","obj":4.0,"node":3}
 {"t":0.4,"w":0,"ev":"span_end","phase":"branch_bound"}
 EOF
-    if dune exec bin/rfloor_cli.exe -- trace-verify "$ctmp/bad_incumbent.jsonl" \
+    if dune exec bin/rfloor_cli.exe -- trace-validate "$ctmp/bad_incumbent.jsonl" \
         > /dev/null 2>&1; then
         echo "concheck: non-monotone incumbent fixture was accepted (RF433 lost)" >&2
         exit 1

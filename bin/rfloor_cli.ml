@@ -440,16 +440,20 @@ let feasibility_cmd =
     let targets =
       match region with Some r -> [ r ] | None -> Spec.region_names spec
     in
+    (* each region's solve stamps its events from its own start: shift
+       them by that start so the whole command shares one clock *)
+    let t0 = Rfloor_trace.clock () in
     List.iter
       (fun name ->
         if Spec.find_region spec name = None then die "unknown region %s" name;
         let spec' =
           Spec.with_relocs spec [ { Spec.target = name; copies = 1; mode = Spec.Hard } ]
         in
+        let at = Rfloor_trace.clock () -. t0 in
         let opts =
           Rfloor.Solver.Options.make ~strategy
             ~time_limit:(Option.value time ~default:60.)
-            ~trace:sink ~metrics:reg ()
+            ~trace:(Rfloor_trace.Sink.shift ~at sink) ~metrics:reg ()
         in
         let r = Rfloor.Solver.feasible ~options:opts part spec' in
         Format.printf "%-20s %s@." name
@@ -668,11 +672,14 @@ let trace_validate_cmd =
             else `Trace))
     in
     match kind with
-    | `Trace -> (
-      match Rfloor_trace.validate_jsonl text with
-      | Ok n ->
-        Format.printf "%s: %d events, schema valid, spans balanced@." file n
-      | Error e -> die "%s: invalid trace: %s" file e)
+    | `Trace ->
+      let s, diags = Rfloor_trace.check text in
+      Format.printf
+        "%s: %d lines, %d events, %d branch-and-bound segments, %d workers@.%a"
+        file s.Rfloor_trace.c_lines s.Rfloor_trace.c_events
+        s.Rfloor_trace.c_segments s.Rfloor_trace.c_workers
+        Rfloor_diag.Diagnostic.pp_report diags;
+      if Rfloor_diag.Diagnostic.has_errors diags then exit 1
     | `Perfetto -> (
       match Rfloor_obsv.Perfetto.validate text with
       | Ok () ->
@@ -687,24 +694,23 @@ let trace_validate_cmd =
     (Cmd.info "trace-validate"
        ~doc:
          "Validate a solver observability file against its schema: a JSONL \
-          trace (every line parses, spans balanced), a metrics snapshot or a \
-          trace-event JSON export.  Exits non-zero otherwise.")
+          trace (RF430..RF435: every line parses, spans nest, each \
+          worker's timestamps run forward, and within each \
+          branch-and-bound segment incumbents are monotone, nodes and \
+          donated tasks are conserved and each stop reason appears once), \
+          a metrics snapshot or a trace-event JSON export.  Exits non-zero \
+          on any error.")
     Term.(const run $ file_arg $ kind_arg)
 
 (* ---------------- trace-export / trace-report ---------------- *)
 
-let events_of_jsonl_file file =
-  let text = read_whole_file file in
-  let rec go i acc = function
-    | [] -> List.rev acc
-    | line :: rest ->
-      if String.trim line = "" then go (i + 1) acc rest
-      else (
-        match Rfloor_trace.Event.of_json line with
-        | Ok e -> go (i + 1) (e :: acc) rest
-        | Error msg -> die "%s:%d: invalid trace event: %s" file i msg)
-  in
-  go 1 [] (String.split_on_char '\n' text)
+(* A JSONL trace's events, or the first line that does not parse *)
+let trace_events file =
+  List.map
+    (function
+      | _, Ok e -> e
+      | ln, Error msg -> die "%s:%d: invalid trace event: %s" file ln msg)
+    (Rfloor_trace.read_jsonl (read_whole_file file))
 
 let trace_export_cmd =
   let file_arg =
@@ -721,13 +727,11 @@ let trace_export_cmd =
           ~doc:"Output path for the trace-event JSON.")
   in
   let run file out =
-    match Rfloor_obsv.Perfetto.of_jsonl (read_whole_file file) with
-    | Error e -> die "%s: %s" file e
-    | Ok doc ->
-      let oc = open_out out in
-      output_string oc doc;
-      close_out oc;
-      Format.printf "wrote %s@." out
+    let doc = Rfloor_obsv.Perfetto.of_events (trace_events file) in
+    let oc = open_out out in
+    output_string oc doc;
+    close_out oc;
+    Format.printf "wrote %s@." out
   in
   Cmd.v
     (Cmd.info "trace-export"
@@ -755,7 +759,7 @@ let trace_report_cmd =
   in
   let run file critical_path =
     print_string
-      (Rfloor_obsv.Perfetto.report ~critical_path (events_of_jsonl_file file))
+      (Rfloor_obsv.Perfetto.report ~critical_path (trace_events file))
   in
   Cmd.v
     (Cmd.info "trace-report"
@@ -865,35 +869,6 @@ let scrape_cmd =
           127.0.0.1 and print the body (no curl needed in scripts).  \
           Exits non-zero unless the response is HTTP 200.")
     Term.(const run $ port_arg $ path_arg $ raw_arg $ pretty_arg)
-
-(* ---------------- trace-verify ---------------- *)
-
-let trace_verify_cmd =
-  let module D = Rfloor_diag.Diagnostic in
-  let module V = Rfloor_concheck.Trace_verify in
-  let file_arg =
-    Arg.(
-      required
-      & pos 0 (some file) None
-      & info [] ~docv:"FILE" ~doc:"JSONL trace (from --trace jsonl:FILE).")
-  in
-  let run file =
-    let stats, diags = V.verify (read_whole_file file) in
-    Format.printf
-      "%s: %d lines, %d events, %d branch-and-bound segments, %d workers@."
-      file stats.V.v_lines stats.V.v_events stats.V.v_segments stats.V.v_workers;
-    Format.printf "%a" D.pp_report diags;
-    if D.has_errors diags then exit 1
-  in
-  Cmd.v
-    (Cmd.info "trace-verify"
-       ~doc:
-         "Check the causal invariants of a JSONL solve trace \
-          (RF430..RF435): per-worker span nesting and timestamp \
-          monotonicity, per-segment incumbent monotonicity, node-count \
-          and donation conservation, at most one stop per reason.  \
-          Stricter than trace-validate, which only checks shape.")
-    Term.(const run $ file_arg)
 
 (* ---------------- concheck ---------------- *)
 
@@ -1031,8 +1006,8 @@ let pool_workers_arg =
     & info [ "workers" ] ~docv:"N"
         ~doc:
           "Service worker domains draining the job queue (default from \
-           \\$(b,RFLOOR_WORKERS), else 1).  Each job's own $(b,workers) field \
-           additionally controls its solver's branch-and-bound domains.")
+           \\$(b,RFLOOR_WORKERS), else 1).  A job's $(b,strategy) field sets \
+           its solver's own branch-and-bound domains (e.g. $(b,milp:2)).")
 
 let cache_capacity_arg =
   Arg.(
@@ -1248,7 +1223,7 @@ let main_cmd =
     [
       partition_cmd; solve_cmd; feasibility_cmd; export_cmd; lint_cmd;
       relocate_cmd; sites_cmd; trace_validate_cmd; trace_export_cmd;
-      trace_report_cmd; trace_verify_cmd; concheck_cmd; serve_cmd; batch_cmd;
+      trace_report_cmd; concheck_cmd; serve_cmd; batch_cmd;
       scrape_cmd; online_cmd;
     ]
 

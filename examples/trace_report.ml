@@ -5,7 +5,7 @@
 
    Three sinks are demonstrated:
      - an in-memory ring buffer, inspected after the solve;
-     - a JSONL file, validated with Rfloor_trace.validate_jsonl;
+     - a JSONL file, checked with Rfloor_trace.check;
      - the report attached to every Solver.outcome, which aggregates
        the same metrics even when no sink is connected. *)
 
@@ -54,8 +54,9 @@ let () =
   assert (outcome.Rfloor.Solver.report.Rfloor_trace.Report.nodes
           = outcome.Rfloor.Solver.nodes);
 
-  (* 3. JSONL sink: stream events to a file, then validate the schema
-     and span balance — the same check `rfloor trace-validate` runs. *)
+  (* 3. JSONL sink: stream events to a file, then check it (schema,
+     span nesting, per-worker clocks, branch-and-bound invariants) —
+     the same check `rfloor trace-validate` runs. *)
   let path = Filename.temp_file "rfloor_trace" ".jsonl" in
   let sink, close = Rfloor_trace.Sink.jsonl_file path in
   let opts2 =
@@ -69,7 +70,7 @@ let () =
       ~finally:(fun () -> close_in ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   in
-  (match Rfloor_trace.validate_jsonl contents with
-  | Ok n -> Format.printf "@.%s: %d events, schema valid@." path n
-  | Error e -> Format.printf "@.%s: INVALID: %s@." path e);
+  let summary, diags = Rfloor_trace.check contents in
+  Format.printf "@.%s: %d events@.%a" path summary.Rfloor_trace.c_events
+    Rfloor_diag.Diagnostic.pp_report diags;
   Sys.remove path

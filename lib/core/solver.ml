@@ -289,7 +289,7 @@ let warm_plan cfg part spec =
 let run_stage options cfg trace model ~stage_time ~warm ~ext ~add_diags =
   let lp = Model.lp model in
   let lint =
-    T.span trace T.Event.Lint (fun () -> Rfloor_analysis.Preflight.model lp)
+    T.span trace T.Event.Lint (fun () -> Rfloor_analysis.Model_lint.run lp)
   in
   add_diags lint;
   if Diag.has_errors lint then
@@ -331,7 +331,7 @@ let build_model options trace model_options part spec =
   in
   let n = Model.cuts_applied model in
   if n > 0 then begin
-    T.cuts_added trace ~worker:0 ~rounds:1 ~cuts:n;
+    T.cuts_added trace ~worker:0 ~cuts:n;
     Rfloor_metrics.Registry.Counter.add
       (Rfloor_metrics.Registry.counter options.metrics
          ~help:"Symmetry/packing cut rows added at model build time"
@@ -613,14 +613,7 @@ let run_portfolio options trace part spec ~add_diags ~diags members =
       Rfloor_portfolio.m_label = label;
       m_run =
         (fun ~cancelled ->
-          (* per-member tracer: worker ids shifted by a per-member base
-             so concurrent members share the caller's sink without
-             colliding span nesting (null parent sink -> plain null-sink
-             tracer, the old behaviour).  The opening Restart event maps
-             the worker-id range back to the member label for progress
-             streaming and timeline export. *)
-          let mtrace = T.subtracer trace ~worker_base:((i + 1) * 1000) in
-          if T.enabled trace then T.restart mtrace ("member:" ^ label);
+          let mtrace = T.member trace ~slot:(i + 1) ~label in
           let mdiags = ref [] in
           let madd ds = mdiags := !mdiags @ ds in
           match s with
@@ -829,7 +822,7 @@ let solve ?(options = default_options) part (spec : Spec.t) =
   in
   add_diags
     (T.span trace T.Event.Lint (fun () ->
-         Rfloor_analysis.Preflight.spec part spec));
+         Rfloor_analysis.Spec_lint.run part spec));
   if Diag.has_errors !diags then
     {
       plan = None;

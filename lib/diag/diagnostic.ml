@@ -172,7 +172,7 @@ let all_codes =
     ("RF411", Warning, "shared cell accessed by several domains with an empty common lockset");
     ("RF420", Error, "interleaving explorer found a schedule violating a scenario safety property");
     ("RF421", Error, "interleaving explorer exceeded its schedule budget before exhausting the scenario");
-    ("RF430", Error, "trace event line unparsable during verification");
+    ("RF430", Error, "trace event line unparsable");
     ("RF431", Error, "trace span nesting unbalanced or out of order");
     ("RF432", Error, "per-worker trace timestamps not monotone");
     ("RF433", Error, "incumbent objective not monotone within a branch-and-bound segment");

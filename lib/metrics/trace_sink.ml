@@ -90,20 +90,17 @@ let sink reg =
         Hashtbl.add worker_nodes w c;
         c
     in
-    let open_spans : (int * E.phase, float) Hashtbl.t = Hashtbl.create 8 in
+    let spans = T.Spans.create () in
     let idle_since : (int, float) Hashtbl.t = Hashtbl.create 8 in
     T.Sink.of_fn (fun (e : E.t) ->
         Registry.Counter.incr events;
         match e.E.payload with
-        | E.Span_start phase -> Hashtbl.replace open_spans (e.E.worker, phase) e.E.at
-        | E.Span_end phase -> (
-          let k = (e.E.worker, phase) in
-          match Hashtbl.find_opt open_spans k with
-          | Some t0 ->
-            Hashtbl.remove open_spans k;
-            Registry.Histogram.observe (phase_histogram phase)
-              (max 0. (e.E.at -. t0))
-          | None -> ())
+        | E.Span_start _ | E.Span_end _ -> (
+          match T.Spans.step spans () e with
+          | T.Spans.Closed sp ->
+            Registry.Histogram.observe (phase_histogram sp.T.Spans.phase)
+              (max 0. (sp.T.Spans.stop -. sp.T.Spans.start))
+          | T.Spans.Quiet | T.Spans.Unmatched _ -> ())
         | E.Node_explored _ ->
           Registry.Counter.incr nodes;
           Registry.Counter.incr (worker_counter e.E.worker);

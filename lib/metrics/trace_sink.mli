@@ -4,7 +4,7 @@
     stream into Prometheus-style series:
 
     - [rfloor_phase_seconds{phase=...}] — histogram of span wall times
-      (matched [Span_start]/[Span_end] pairs per worker);
+      (the spans {!Rfloor_trace.Spans} closes, per worker);
     - [rfloor_nodes_total] and [rfloor_worker_nodes_total{worker=...}]
       — node throughput;
     - [rfloor_incumbents_total], [rfloor_incumbent_objective] (gauge)
@@ -19,7 +19,7 @@
 
     On the {!Registry.null} registry this returns
     {!Rfloor_trace.Sink.null}, so attaching metrics to a solve is free
-    when metrics are off.  The sink's internal span/idle tables are
+    when metrics are off.  The sink's span walker and idle table are
     protected by the per-sink mutex every {!Rfloor_trace.sink} already
     serializes behind, so one sink can serve all domains of a parallel
     solve. *)

@@ -10,15 +10,12 @@
      everything else      -> ph "i" thread-scoped instants with args
 
    Workers become threads of one "rfloor" process; portfolio members
-   (worker ids striped by Rfloor_trace.subtracer, slot = id/1000) get
-   their member label as the thread name, so each member is its own
-   track.  Timestamps are microseconds, the format's native unit. *)
+   (on the worker-id stripes of Rfloor_trace.member) get their member
+   label as the thread name, so each member is its own track.
+   Timestamps are microseconds, the format's native unit. *)
 
 module T = Rfloor_trace
 module J = Rfloor_json
-
-let member_prefix = "member:"
-let slot_of_worker w = w / 1000
 
 let us at = Float.round (at *. 1e6)
 
@@ -27,24 +24,15 @@ let us at = Float.round (at *. 1e6)
 
 let member_labels events =
   List.fold_left
-    (fun acc (e : T.Event.t) ->
-      match e.T.Event.payload with
-      | T.Event.Restart { stage } ->
-        let n = String.length member_prefix in
-        let slot = slot_of_worker e.T.Event.worker in
-        if
-          slot > 0
-          && String.length stage > n
-          && String.sub stage 0 n = member_prefix
-          && not (List.mem_assoc slot acc)
-        then (slot, String.sub stage n (String.length stage - n)) :: acc
-        else acc
+    (fun acc e ->
+      match T.member_marker e with
+      | Some (slot, label) when not (List.mem_assoc slot acc) ->
+        (slot, label) :: acc
       | _ -> acc)
     [] events
 
 let thread_name labels tid =
-  let slot = slot_of_worker tid in
-  let local = tid mod 1000 in
+  let slot, local = T.member_of_worker tid in
   if slot = 0 then Printf.sprintf "worker %d" tid
   else
     let base =
@@ -113,15 +101,8 @@ let event_json nodes_per_worker (e : T.Event.t) =
          ~args:
            [ ("objective", J.Num objective); ("node", J.Num (float_of_int node)) ]
          at)
-  | T.Event.Cut_added { rounds; cuts } ->
-    Some
-      (instant ~tid ~name:"cuts"
-         ~args:
-           [
-             ("rounds", J.Num (float_of_int rounds));
-             ("cuts", J.Num (float_of_int cuts));
-           ]
-         at)
+  | T.Event.Cut_added { cuts } ->
+    Some (instant ~tid ~name:"cuts" ~args:[ ("cuts", J.Num (float_of_int cuts)) ] at)
   | T.Event.Steal { tasks } ->
     Some
       (instant ~tid ~name:"steal"
@@ -167,26 +148,11 @@ let of_events events =
        ])
   ^ "\n"
 
-let of_jsonl text =
-  let lines = String.split_on_char '\n' text in
-  let rec parse i acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest ->
-      if String.trim line = "" then parse (i + 1) acc rest
-      else (
-        match T.Event.of_json line with
-        | Ok e -> parse (i + 1) (e :: acc) rest
-        | Error msg -> Error (Printf.sprintf "line %d: %s" i msg))
-  in
-  match parse 1 [] lines with
-  | Error _ as e -> e
-  | Ok events -> Ok (of_events events)
-
 (* ------------------------------------------------------------------ *)
 (* validation: loads in Perfetto = parses as JSON, has a traceEvents
    array, every event has a known ph with the fields that ph needs, and
-   B/E slices nest properly per thread (the same balance rule RF430
-   enforces on the JSONL side). *)
+   B/E slices nest properly per thread (the rule RF431 enforces on the
+   JSONL side). *)
 
 let validate text =
   let ( let* ) = Result.bind in
@@ -267,59 +233,39 @@ let inclusive s = s.sp_end -. s.sp_start
 let self s =
   inclusive s -. List.fold_left (fun acc c -> acc +. inclusive c) 0. s.sp_children
 
-(* Rebuild each worker's span forest from its B/E stream.  Spans left
-   open (a truncated trace) close at the last timestamp seen. *)
+(* Each worker's span forest, from the span walker: a closed span
+   becomes a child of its enclosing span (tagged by the index of its
+   start event) or a root.  Spans left open (a truncated trace) close at
+   the last timestamp seen; a mismatched end is skipped. *)
 let forests events =
-  let per_worker : (int, T.Event.t list ref) Hashtbl.t = Hashtbl.create 8 in
-  let last_ts = ref 0. in
-  List.iter
-    (fun (e : T.Event.t) ->
-      if e.T.Event.at > !last_ts then last_ts := e.T.Event.at;
-      match e.T.Event.payload with
-      | T.Event.Span_start _ | T.Event.Span_end _ -> (
-        match Hashtbl.find_opt per_worker e.T.Event.worker with
-        | Some r -> r := e :: !r
-        | None -> Hashtbl.add per_worker e.T.Event.worker (ref [ e ]))
-      | _ -> ())
-    events;
-  let build evs =
-    (* stack of (phase, start, completed children so far) *)
-    let rec close_all roots = function
-      | [] -> List.rev roots
-      | (ph, start, kids) :: stack ->
-        let sp =
-          { sp_phase = ph; sp_start = start; sp_end = !last_ts;
-            sp_children = List.rev kids }
-        in
-        (match stack with
-        | (ph', start', kids') :: stack' ->
-          close_all roots ((ph', start', sp :: kids') :: stack')
-        | [] -> close_all (sp :: roots) [])
-    in
-    let rec go roots stack = function
-      | [] -> close_all roots stack
-      | (e : T.Event.t) :: rest -> (
-        match e.T.Event.payload with
-        | T.Event.Span_start ph -> go roots ((ph, e.T.Event.at, []) :: stack) rest
-        | T.Event.Span_end ph -> (
-          match stack with
-          | (ph', start, kids) :: stack' when ph' = ph ->
-            let sp =
-              { sp_phase = ph; sp_start = start; sp_end = e.T.Event.at;
-                sp_children = List.rev kids }
-            in
-            (match stack' with
-            | (ph'', start'', kids'') :: stack'' ->
-              go roots ((ph'', start'', sp :: kids'') :: stack'') rest
-            | [] -> go (sp :: roots) [] rest)
-          | _ ->
-            (* mismatched end: drop it, keep going — report, not lint *)
-            go roots stack rest)
-        | _ -> go roots stack rest)
-    in
-    go [] [] (List.rev !evs)
+  let walker = T.Spans.create () in
+  let kids : (int, span list) Hashtbl.t = Hashtbl.create 16 in
+  let roots : (int, span list) Hashtbl.t = Hashtbl.create 8 in
+  let push tbl k sp =
+    Hashtbl.replace tbl k (sp :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
   in
-  Hashtbl.fold (fun w r acc -> (w, build r) :: acc) per_worker []
+  let close (c : int T.Spans.span) =
+    let sp =
+      { sp_phase = c.T.Spans.phase; sp_start = c.T.Spans.start;
+        sp_end = c.T.Spans.stop;
+        sp_children =
+          List.rev (Option.value ~default:[] (Hashtbl.find_opt kids c.T.Spans.tag)) }
+    in
+    Hashtbl.remove kids c.T.Spans.tag;
+    match c.T.Spans.parent with
+    | Some p -> push kids p sp
+    | None -> push roots c.T.Spans.worker sp
+  in
+  let last_ts = ref 0. in
+  List.iteri
+    (fun i (e : T.Event.t) ->
+      if e.T.Event.at > !last_ts then last_ts := e.T.Event.at;
+      match T.Spans.step walker i e with
+      | T.Spans.Closed c -> close c
+      | T.Spans.Quiet | T.Spans.Unmatched _ -> ())
+    events;
+  List.iter close (T.Spans.drain walker ~at:!last_ts);
+  Hashtbl.fold (fun w r acc -> (w, List.rev r) :: acc) roots []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let report ?(critical_path = false) events =

@@ -5,24 +5,25 @@
     directly: spans become ["B"]/["E"] duration slices, node
     exploration becomes a per-worker cumulative counter track, and
     everything else becomes thread-scoped instants.  Workers map to
-    threads of one ["rfloor"] process; portfolio members (worker ids
-    striped by {!Rfloor_trace.subtracer}) are named tracks carrying
-    their member label.  Timestamps are microseconds. *)
+    threads of one ["rfloor"] process; portfolio members (on the
+    worker-id stripes of {!Rfloor_trace.member}) are named tracks
+    carrying their member label.  Timestamps are microseconds.  A JSONL
+    file reaches {!of_events} and {!report} through
+    {!Rfloor_trace.read_jsonl}. *)
 
 val of_events : Rfloor_trace.Event.t list -> string
 (** The full document ([{"traceEvents": [...]}]), newline-terminated. *)
-
-val of_jsonl : string -> (string, string) result
-(** Converts a JSONL trace (the [--trace jsonl:FILE] output; blank
-    lines ignored) — errors name the offending line. *)
 
 val validate : string -> (unit, string) result
 (** Checks a purported trace-event document: parses as JSON, has a
     [traceEvents] array, every event carries the fields its [ph]
     needs, and ["B"]/["E"] slices nest and balance per thread (the
-    same balance rule the JSONL validator enforces). *)
+    rule RF431 of {!Rfloor_trace.check} enforces on JSONL traces). *)
 
 val report : ?critical_path:bool -> Rfloor_trace.Event.t list -> string
 (** Phase-dominance summary (self/inclusive seconds per phase, sorted
     by self time); with [~critical_path:true], also the greedy
-    biggest-child descent through the busiest worker's span tree. *)
+    biggest-child descent through the busiest worker's span tree.  The
+    span trees come from {!Rfloor_trace.Spans}: a span left open (a
+    truncated trace) closes at the last timestamp, and an end that does
+    not match is skipped. *)

@@ -78,19 +78,14 @@ let bump assoc k d =
   | Some _ -> List.map (fun (k', v') -> if k' = k then (k', v' + d) else (k', v')) assoc
   | None -> (k, d) :: assoc
 
-(* Worker ids are striped by Rfloor_trace.subtracer: portfolio member
-   [i] runs on ids [(i+1)*1000 ..]; slot 0 is the plain solve. *)
-let slot_of_worker w = w / 1000
-
-let member_prefix = "member:"
-
 let observe e (ev : T.Event.t) =
   Sync.Mutex.protect e.e_m (fun () ->
       match ev.T.Event.payload with
       | T.Event.Node_explored { bound; iters; _ } ->
         Sync.Shared.set e.e_nodes (Sync.Shared.get e.e_nodes + 1);
         Sync.Shared.set e.e_member_nodes
-          (bump (Sync.Shared.get e.e_member_nodes) (slot_of_worker ev.T.Event.worker) 1);
+          (bump (Sync.Shared.get e.e_member_nodes)
+             (fst (T.member_of_worker ev.T.Event.worker)) 1);
         if Float.is_finite bound then
           Sync.Shared.set e.e_bound
             (match Sync.Shared.get e.e_bound with
@@ -109,27 +104,19 @@ let observe e (ev : T.Event.t) =
             (match Sync.Shared.get e.e_incumbent with
             | Some o -> Some (Float.min o objective)
             | None -> Some objective)
-      | T.Event.Restart { stage } ->
-        let n = String.length member_prefix in
-        if
-          String.length stage > n
-          && String.sub stage 0 n = member_prefix
-          && slot_of_worker ev.T.Event.worker > 0
-        then begin
-          let label = String.sub stage n (String.length stage - n) in
-          let slot = slot_of_worker ev.T.Event.worker in
+      | T.Event.Restart _ -> (
+        match T.member_marker ev with
+        | Some (slot, label) ->
           let members = Sync.Shared.get e.e_members in
           if not (List.mem_assoc slot members) then
             Sync.Shared.set e.e_members ((slot, label) :: members)
-        end
-        else begin
+        | None ->
           (* a stage restart re-optimizes under a new objective
              (e.g. lexicographic stage 2): the old incumbent and bounds
              are not comparable to the new ones, so the folds start
              over (the reported gap stays clamped non-increasing) *)
           Sync.Shared.set e.e_incumbent None;
-          Sync.Shared.set e.e_bound None
-        end
+          Sync.Shared.set e.e_bound None)
       | _ -> ())
 
 let sink e = T.Sink.of_fn (observe e)

@@ -33,9 +33,9 @@ type snapshot = {
       (** [(incumbent - bound) / max 1 |incumbent|], clamped
           non-increasing across snapshots; [None] until both ends exist *)
   p_members : (string * int) list;
-      (** portfolio member label -> nodes attributed to it, from the
-          [member:LABEL] restart markers and the worker-id striping of
-          {!Rfloor_trace.subtracer} *)
+      (** portfolio member label -> nodes attributed to it, decoded by
+          {!Rfloor_trace.member_marker} and
+          {!Rfloor_trace.member_of_worker} *)
 }
 
 val create_board : unit -> board

@@ -13,12 +13,10 @@ type solve_req = {
   sq_device : source_ref;
   sq_design : source_ref;
   sq_strategy : Solver.Strategy.t option;
-  sq_engine : [ `O | `Ho ];
   sq_objective : [ `Lex | `Feasibility ];
   sq_time : float option;
   sq_priority : int;
   sq_deadline : float option;
-  sq_workers : int;
   sq_progress : float option;  (* requested interval_s, unclamped *)
 }
 
@@ -91,12 +89,13 @@ let parse_solve json =
       | Ok st -> Ok (Some st)
       | Error d -> Error (Rfloor_diag.Diagnostic.location_to_string d.Rfloor_diag.Diagnostic.location ^ ": " ^ d.Rfloor_diag.Diagnostic.message))
   in
-  let* engine = opt_string "engine" json in
-  let* sq_engine =
-    match engine with
-    | None | Some "milp" -> Ok `O
-    | Some ("milp-ho" | "ho") -> Ok `Ho
-    | Some e -> Error (Printf.sprintf "unknown engine %S (milp | milp-ho)" e)
+  (* the old spelling of a strategy: refused, not ignored, so such a
+     frame does not quietly run plain milp *)
+  let* () =
+    match List.find_opt (fun k -> J.member k json <> None) [ "engine"; "workers" ] with
+    | Some k ->
+      Error (Printf.sprintf "field %S is gone: name the solver in \"strategy\" (e.g. \"milp-ho:2\")" k)
+    | None -> Ok ()
   in
   let* objective = opt_string "objective" json in
   let* sq_objective =
@@ -108,7 +107,6 @@ let parse_solve json =
   let* sq_time = opt_num "time" json in
   let* sq_priority = opt_int ~default:0 "priority" json in
   let* sq_deadline = opt_num "deadline" json in
-  let* sq_workers = opt_int ~default:1 "workers" json in
   let* sq_progress =
     match J.member "progress" json with
     | None | Some J.Null -> Ok None
@@ -126,12 +124,10 @@ let parse_solve json =
          sq_device;
          sq_design;
          sq_strategy;
-         sq_engine;
          sq_objective;
          sq_time;
          sq_priority;
          sq_deadline;
-         sq_workers;
          sq_progress;
        })
 

@@ -5,10 +5,12 @@
 
     Requests:
     - [{"op":"solve","id":ID, "device":NAME | "device_text":TEXT,
-       "design":NAME | "design_text":TEXT, "engine":"milp"|"milp-ho",
+       "design":NAME | "design_text":TEXT, "strategy":STRATEGY,
        "objective":"lex"|"feasibility", "time":SECONDS,
-       "priority":INT, "deadline":SECONDS, "workers":INT,
-       "progress":{"interval_s":SECONDS}}]
+       "priority":INT, "deadline":SECONDS,
+       "progress":{"interval_s":SECONDS}}] — [strategy] defaults to
+      ["milp"]; a frame with the old ["engine"] or ["workers"] field
+      gets an error naming ["strategy"]
     - [{"op":"cancel","id":ID}]
     - [{"op":"stats"}]
     - [{"op":"shutdown"}]
@@ -41,15 +43,11 @@ type solve_req = {
   sq_device : source_ref;
   sq_design : source_ref;
   sq_strategy : Rfloor.Solver.Strategy.t option;
-      (** Full strategy string ([Solver.Strategy.of_string] grammar);
-          when present it supersedes [sq_engine]/[sq_workers], which
-          remain as the backward-compatible spelling. *)
-  sq_engine : [ `O | `Ho ];
+      (** [Solver.Strategy.of_string] grammar; [None] runs ["milp"] *)
   sq_objective : [ `Lex | `Feasibility ];
   sq_time : float option;  (** solver budget, seconds *)
   sq_priority : int;
   sq_deadline : float option;  (** cooperative-cancel deadline, seconds *)
-  sq_workers : int;
   sq_progress : float option;
       (** requested progress interval ([{"progress":{"interval_s":N}}]),
           unclamped — the session clamps it (RF603) *)

@@ -76,13 +76,9 @@ let resolve_spec ~designs = function
 
 let ( let* ) = Result.bind
 
+(* a frame without "strategy" runs milp *)
 let strategy_of_req (sq : P.solve_req) =
-  match sq.P.sq_strategy with
-  | Some st -> st
-  | None ->
-    Solver.Strategy.milp ~workers:sq.P.sq_workers
-      ~engine:(match sq.P.sq_engine with `O -> Solver.O | `Ho -> Solver.Ho None)
-      ()
+  Option.value sq.P.sq_strategy ~default:(Solver.Strategy.milp ())
 
 let submit_solve pool ~metrics ?trace ~devices ~designs (sq : P.solve_req) =
   let* grid = resolve_grid ~devices sq.P.sq_device in

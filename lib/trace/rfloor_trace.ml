@@ -29,7 +29,7 @@ module Event = struct
     | Span_end of phase
     | Node_explored of { depth : int; bound : float; iters : int }
     | Incumbent of { objective : float; node : int }
-    | Cut_added of { rounds : int; cuts : int }
+    | Cut_added of { cuts : int }
     | Steal of { tasks : int }
     | Worker_idle
     | Restart of { stage : string }
@@ -85,8 +85,7 @@ module Event = struct
       else Format.fprintf ppf "node depth=%d" depth
     | Incumbent { objective; node } ->
       Format.fprintf ppf "incumbent %.6f (node %d)" objective node
-    | Cut_added { rounds; cuts } ->
-      Format.fprintf ppf "cuts: %d structural rows (%d rounds)" cuts rounds
+    | Cut_added { cuts } -> Format.fprintf ppf "cuts: %d structural rows" cuts
     | Steal { tasks } -> Format.fprintf ppf "donated %d open subproblems" tasks
     | Worker_idle -> Format.fprintf ppf "idle"
     | Restart { stage } -> Format.fprintf ppf "restart: %s" stage
@@ -119,8 +118,7 @@ module Event = struct
         else Printf.sprintf ",\"depth\":%d,\"bound\":%s" depth (json_float bound)
       | Incumbent { objective; node } ->
         Printf.sprintf ",\"obj\":%s,\"node\":%d" (json_float objective) node
-      | Cut_added { rounds; cuts } ->
-        Printf.sprintf ",\"rounds\":%d,\"cuts\":%d" rounds cuts
+      | Cut_added { cuts } -> Printf.sprintf ",\"cuts\":%d" cuts
       | Steal { tasks } -> Printf.sprintf ",\"tasks\":%d" tasks
       | Worker_idle -> ""
       | Restart { stage } ->
@@ -186,11 +184,8 @@ module Event = struct
           if node < 0 then Error "negative node"
           else Ok (Incumbent { objective; node })
         | "cut" ->
-          let* rounds = int_ "rounds" in
           let* cuts = int_ "cuts" in
-          if rounds < 1 then Error "cut with no rounds"
-          else if cuts < 1 then Error "cut with no cuts"
-          else Ok (Cut_added { rounds; cuts })
+          if cuts < 1 then Error "cut with no cuts" else Ok (Cut_added { cuts })
         | "steal" ->
           let* tasks = int_ "tasks" in
           if tasks < 1 then Error "steal with no tasks"
@@ -281,6 +276,19 @@ module Sink = struct
     match (a, b) with
     | Null, s | s, Null -> s
     | _ -> of_fn (fun e -> send a e; send b e)
+
+  (* the shifted events go through [sink]'s own mutex *)
+  let shift ?(at = 0.) ?(worker = 0) = function
+    | Null -> Null
+    | Fn { f; m } ->
+      Fn
+        {
+          f =
+            (fun (e : Event.t) ->
+              f { e with Event.at = e.Event.at +. at;
+                         worker = e.Event.worker + worker });
+          m;
+        }
 end
 
 module Ring = struct
@@ -552,23 +560,6 @@ let create ?(sink = Null) () =
 let live t = t.t_live
 let enabled t = t.t_live && not (Sink.is_null t.t_sink)
 
-(* A live tracer whose events are forwarded to [parent]'s sink with the
-   worker id shifted by [worker_base], sharing the parent's epoch so the
-   timestamps land on one clock.  Metrics stay private to the child —
-   portfolio members report their own totals.  When the parent has no
-   sink there is nothing to forward to, so this degrades to [create ()]
-   (a plain null-sink live tracer). *)
-let subtracer parent ~worker_base =
-  if not (enabled parent) then create ()
-  else
-    let sink =
-      Sink.of_fn (fun (e : Event.t) ->
-          Sink.send parent.t_sink
-            { e with Event.worker = e.Event.worker + worker_base })
-    in
-    { t_live = true; t_sink = sink; t_epoch = parent.t_epoch;
-      t_m = Metrics.create (); t_gc = Gc.quick_stat () }
-
 let now t =
   if not t.t_live then 0.
   else Int64.to_float (Int64.sub (clock_ns ()) t.t_epoch) *. 1e-9
@@ -613,10 +604,10 @@ let incumbent t ~worker ~objective ~node =
     if enabled t then send t worker (Event.Incumbent { objective; node })
   end
 
-let cuts_added t ~worker ~rounds ~cuts =
+let cuts_added t ~worker ~cuts =
   if t.t_live && cuts > 0 then begin
     ignore (Sync.Atomic.fetch_and_add t.t_m.Metrics.cuts cuts);
-    if enabled t then send t worker (Event.Cut_added { rounds; cuts })
+    if enabled t then send t worker (Event.Cut_added { cuts })
   end
 
 let steal t ~worker ~tasks =
@@ -654,6 +645,37 @@ let lp_warm t ?(worker = 0) result =
 
 let move t ?(worker = 0) ~module_name ~src ~dst () =
   if enabled t then send t worker (Event.Move { module_name; src; dst })
+
+(* Portfolio members share their caller's sink on stripes of worker
+   ids: member [slot] owns ids [slot * stripe ..], slot 0 is everything
+   outside a portfolio.  A member's first event is a [Restart] marker
+   that names it. *)
+let stripe = 1000
+let member_prefix = "member:"
+
+let member parent ~slot ~label =
+  if not (enabled parent) then create ()
+  else begin
+    let t =
+      { t_live = true;
+        t_sink = Sink.shift ~worker:(slot * stripe) parent.t_sink;
+        t_epoch = parent.t_epoch; t_m = Metrics.create ();
+        t_gc = Gc.quick_stat () }
+    in
+    restart t (member_prefix ^ label);
+    t
+  end
+
+let member_of_worker w = (w / stripe, w mod stripe)
+
+let member_marker (e : Event.t) =
+  let n = String.length member_prefix in
+  match e.Event.payload with
+  | Event.Restart { stage }
+    when e.Event.worker >= stripe && String.length stage > n
+         && String.starts_with ~prefix:member_prefix stage ->
+    Some (e.Event.worker / stripe, String.sub stage n (String.length stage - n))
+  | _ -> None
 
 let add_worker_totals t ~worker ~nodes ~iterations =
   if t.t_live then Metrics.add_worker t.t_m worker nodes iterations
@@ -714,48 +736,189 @@ let report t ~nodes ~simplex_iterations ~elapsed =
   }
 
 (* ------------------------------------------------------------------ *)
-(* JSONL validation *)
+(* Recorded traces: one reader, one span walker, one checker *)
 
-let validate_jsonl text =
-  let lines = String.split_on_char '\n' text in
-  let open_spans = Hashtbl.create 16 in
-  let count = ref 0 in
-  let err = ref None in
-  List.iteri
-    (fun i line ->
-      if !err = None && String.trim line <> "" then
-        match Event.of_json (String.trim line) with
-        | Error m -> err := Some (Printf.sprintf "line %d: %s" (i + 1) m)
-        | Ok e -> (
-          incr count;
-          match e.Event.payload with
-          | Event.Span_start p ->
-            let k = (e.Event.worker, p) in
-            Hashtbl.replace open_spans k
-              (1 + Option.value ~default:0 (Hashtbl.find_opt open_spans k))
-          | Event.Span_end p -> (
-            let k = (e.Event.worker, p) in
-            match Hashtbl.find_opt open_spans k with
-            | Some n when n > 0 -> Hashtbl.replace open_spans k (n - 1)
-            | _ ->
-              err :=
-                Some
-                  (Printf.sprintf
-                     "line %d: span_end %s on worker %d without a matching \
-                      span_start"
-                     (i + 1) (Event.phase_name p) e.Event.worker))
-          | _ -> ()))
-    lines;
-  match !err with
-  | Some m -> Error m
-  | None ->
-    let unbalanced = ref None in
-    Hashtbl.iter
-      (fun (w, p) n ->
-        if n <> 0 && !unbalanced = None then
-          unbalanced :=
-            Some
-              (Printf.sprintf "unclosed span %s on worker %d"
-                 (Event.phase_name p) w))
-      open_spans;
-    (match !unbalanced with Some m -> Error m | None -> Ok !count)
+let read_jsonl text =
+  String.split_on_char '\n' text
+  |> List.mapi (fun i line -> (i + 1, String.trim line))
+  |> List.filter_map (fun (ln, line) ->
+         if line = "" then None else Some (ln, Event.of_json line))
+
+module Spans = struct
+  type 'a span = {
+    worker : int;
+    phase : Event.phase;
+    start : float;
+    stop : float;
+    tag : 'a;
+    parent : 'a option;
+  }
+
+  type 'a step =
+    | Quiet
+    | Closed of 'a span
+    | Unmatched of { phase : Event.phase; innermost : (Event.phase * 'a) option }
+
+  (* worker -> its open spans, innermost first *)
+  type 'a t = (int, (Event.phase * float * 'a) list) Hashtbl.t
+
+  let create () = Hashtbl.create 8
+
+  let close worker (phase, start, tag) ~stop outer =
+    { worker; phase; start; stop; tag;
+      parent = (match outer with (_, _, p) :: _ -> Some p | [] -> None) }
+
+  let step t tag (e : Event.t) =
+    let w = e.Event.worker in
+    let stack () = Option.value ~default:[] (Hashtbl.find_opt t w) in
+    match e.Event.payload with
+    | Event.Span_start phase ->
+      Hashtbl.replace t w ((phase, e.Event.at, tag) :: stack ());
+      Quiet
+    | Event.Span_end phase -> (
+      match stack () with
+      | ((top, _, _) as inner) :: outer when top = phase ->
+        Hashtbl.replace t w outer;
+        Closed (close w inner ~stop:e.Event.at outer)
+      | (top, _, top_tag) :: _ ->
+        Unmatched { phase; innermost = Some (top, top_tag) }
+      | [] -> Unmatched { phase; innermost = None })
+    | _ -> Quiet
+
+  let drain t ~at =
+    let rec pop w = function
+      | inner :: outer -> close w inner ~stop:at outer :: pop w outer
+      | [] -> []
+    in
+    let open_ = Hashtbl.fold (fun w st acc -> (w, st) :: acc) t [] in
+    Hashtbl.reset t;
+    List.sort (fun (a, _) (b, _) -> compare a b) open_
+    |> List.concat_map (fun (w, st) -> pop w st)
+end
+
+type summary = {
+  c_lines : int;
+  c_events : int;
+  c_segments : int;
+  c_workers : int;
+}
+
+(* [objs] oldest first: one direction throughout, ties allowed *)
+let monotone objs =
+  let rec pairs ok = function
+    | a :: (b :: _ as rest) -> ok a b && pairs ok rest
+    | _ -> true
+  in
+  pairs ( <= ) objs || pairs ( >= ) objs
+
+let check text =
+  let module D = Rfloor_diag.Diagnostic in
+  let diags = ref [] in
+  let add d = diags := d :: !diags in
+  let records = read_jsonl text in
+  let spans = Spans.create () in
+  let bump tbl k n =
+    Hashtbl.replace tbl k (n + Option.value ~default:0 (Hashtbl.find_opt tbl k))
+  in
+  (* RF432: worker -> (last time, its line) *)
+  let last_at = Hashtbl.create 8 in
+  (* a segment is one branch-and-bound span; each member slot has its own *)
+  let segments = ref 0 in
+  let open_segment = Hashtbl.create 4 in
+  (* RF433: (segment, worker) -> objectives, newest first *)
+  let incumbents = Hashtbl.create 8 in
+  (* RF434: (segment, depth) -> nodes; segment -> nodes; segment -> tasks *)
+  let depths = Hashtbl.create 16 in
+  let nodes = Hashtbl.create 4 in
+  let donated = Hashtbl.create 4 in
+  (* RF435: (segment, reason) -> line of the first stop *)
+  let stops = Hashtbl.create 4 in
+  List.iter
+    (fun (ln, parsed) ->
+      match parsed with
+      | Error msg -> add (D.diagf ~code:"RF430" D.Error (D.Trace ln) "%s" msg)
+      | Ok (e : Event.t) -> (
+        let w = e.Event.worker in
+        (match Hashtbl.find_opt last_at w with
+        | Some (prev, prev_ln) when e.Event.at < prev ->
+          add
+            (D.diagf ~code:"RF432" D.Error (D.Trace ln)
+               "worker %d timestamp %.6f precedes %.6f (line %d)" w e.Event.at
+               prev prev_ln)
+        | _ -> ());
+        Hashtbl.replace last_at w (e.Event.at, ln);
+        (match Spans.step spans ln e with
+        | Spans.Unmatched { phase; innermost = Some (top, top_ln) } ->
+          add
+            (D.diagf ~code:"RF431" D.Error (D.Trace ln)
+               "worker %d ends span %s while %s (line %d) is innermost" w
+               (Event.phase_name phase) (Event.phase_name top) top_ln)
+        | Spans.Unmatched { phase; innermost = None } ->
+          add
+            (D.diagf ~code:"RF431" D.Error (D.Trace ln)
+               "worker %d ends span %s with no span open" w
+               (Event.phase_name phase))
+        | Spans.Quiet | Spans.Closed _ -> ());
+        let slot = fst (member_of_worker w) in
+        match (e.Event.payload, Hashtbl.find_opt open_segment slot) with
+        | Event.Span_start Event.Branch_bound, _ ->
+          Hashtbl.replace open_segment slot !segments;
+          incr segments
+        | Event.Span_end Event.Branch_bound, _ -> Hashtbl.remove open_segment slot
+        | Event.Incumbent { objective; _ }, Some s ->
+          let objs = Option.value ~default:[] (Hashtbl.find_opt incumbents (s, w)) in
+          Hashtbl.replace incumbents (s, w) (objective :: objs)
+        | Event.Node_explored { depth; _ }, Some s ->
+          bump depths (s, depth) 1;
+          bump nodes s 1
+        | Event.Steal { tasks }, Some s -> bump donated s tasks
+        | Event.Stopped { reason }, Some s -> (
+          match Hashtbl.find_opt stops (s, reason) with
+          | Some first_ln ->
+            add
+              (D.diagf ~code:"RF435" D.Error (D.Trace ln)
+                 "duplicate Stopped %S in segment %d (first at line %d)" reason
+                 s first_ln)
+          | None -> Hashtbl.add stops (s, reason) ln)
+        | _ -> ()))
+    records;
+  List.iter
+    (fun (sp : int Spans.span) ->
+      add
+        (D.diagf ~code:"RF431" D.Error (D.Trace sp.Spans.tag)
+           "worker %d span %s never ends" sp.Spans.worker
+           (Event.phase_name sp.Spans.phase)))
+    (Spans.drain spans ~at:0.);
+  let in_segment s = D.Sync (Printf.sprintf "segment %d" s) in
+  Hashtbl.iter
+    (fun (s, w) objs ->
+      if not (monotone (List.rev objs)) then
+        add
+          (D.diagf ~code:"RF433" D.Error (in_segment s)
+             "worker %d incumbent objectives are not monotone: %s" w
+             (String.concat " -> " (List.rev_map (Printf.sprintf "%.6g") objs))))
+    incumbents;
+  Hashtbl.iter
+    (fun (s, d) c ->
+      let parents = Option.value ~default:0 (Hashtbl.find_opt depths (s, d - 1)) in
+      if d > 0 && c > 2 * parents then
+        add
+          (D.diagf ~code:"RF434" D.Error (in_segment s)
+             "%d nodes at depth %d but only %d at depth %d (max two children \
+              per branching node)"
+             c d parents (d - 1)))
+    depths;
+  Hashtbl.iter
+    (fun s tasks ->
+      let explored = Option.value ~default:0 (Hashtbl.find_opt nodes s) in
+      if tasks > 1 + (2 * explored) then
+        add
+          (D.diagf ~code:"RF434" D.Error (in_segment s)
+             "%d tasks donated but only %d nodes explored can have created them"
+             tasks explored))
+    donated;
+  ( { c_lines = List.length records;
+      c_events = List.length (List.filter (fun (_, r) -> Result.is_ok r) records);
+      c_segments = !segments;
+      c_workers = Hashtbl.length last_at },
+    List.sort D.compare !diags )

@@ -17,7 +17,12 @@
     options: it records nothing at all.
 
     Sinks serialize concurrent emitters behind a per-sink mutex, so one
-    tracer can be shared by all domains of a parallel solve. *)
+    tracer can be shared by all domains of a parallel solve.
+
+    This module is also the only one that knows the recorded-trace
+    format: the JSONL reader, the per-worker span walker, the decoder
+    of portfolio member stripes and the RF430-RF435 checker are below,
+    and every reader of a trace goes through them. *)
 
 val clock : unit -> float
 (** Monotonic seconds from an arbitrary fixed origin: the one clock
@@ -49,10 +54,10 @@ module Event : sig
             at that point (0 = unreported; optional on parse so older
             traces still load) *)
     | Incumbent of { objective : float; node : int }
-    | Cut_added of { rounds : int; cuts : int }
+    | Cut_added of { cuts : int }
         (** [cuts] structural rows ([Milp.Cuts]: symmetry chains,
             portion-packing and capacity rows) added to the model at
-            build time, in [rounds] passes; both positive *)
+            build time; positive *)
     | Steal of { tasks : int }
         (** a donor pushed [tasks] open subproblems to the shared deque *)
     | Worker_idle  (** a worker ran out of local work and started polling *)
@@ -153,6 +158,12 @@ module Sink : sig
   (** Opens (truncates) [path]; the returned thunk closes it. *)
 
   val tee : t -> t -> t
+
+  val shift : ?at:float -> ?worker:int -> t -> t
+  (** [shift ~at ~worker s] forwards every event to [s] with [at]
+      added to its timestamp and [worker] to its worker id (both
+      default 0).  Puts sub-solves on one clock ([at]: the sub-solve's
+      start, in the caller's time) or on their own worker ids. *)
 end
 
 module Ring : sig
@@ -237,15 +248,6 @@ val create : ?sink:sink -> unit -> t
     null sink no events are emitted, but metrics still accumulate so
     {!report} stays meaningful. *)
 
-val subtracer : t -> worker_base:int -> t
-(** [subtracer parent ~worker_base] is a live tracer that forwards its
-    events to [parent]'s sink with every worker id shifted by
-    [worker_base], on the parent's clock.  Concurrent sub-solves (e.g.
-    portfolio members) can thus share one sink without colliding worker
-    ids: give member [i] base [(i+1)*1000] and per-worker span nesting
-    stays balanced.  Metrics are private to the child.  If [parent] has
-    no sink this is just {!create}[ ()]. *)
-
 val live : t -> bool
 val enabled : t -> bool
 (** [enabled t] iff events actually reach a sink — the guard to test
@@ -280,7 +282,7 @@ val node_explored :
     consumers report LP work without a second event stream. *)
 
 val incumbent : t -> worker:int -> objective:float -> node:int -> unit
-val cuts_added : t -> worker:int -> rounds:int -> cuts:int -> unit
+val cuts_added : t -> worker:int -> cuts:int -> unit
 val steal : t -> worker:int -> tasks:int -> unit
 val steal_attempt : t -> success:bool -> unit
 (** Counter only; emits no event. *)
@@ -318,11 +320,95 @@ val report :
     totals are exact even when tracing was disabled.  {!disabled}
     yields {!Report.empty} with those totals filled in. *)
 
-(** {1 JSONL validation} *)
+(** {1 Portfolio members}
 
-val validate_jsonl : string -> (int, string) result
-(** Validates a whole JSONL trace (as read from a file): every line
-    must parse via {!Event.of_json}, timestamps must be non-negative,
-    and every [Span_start] must have a matching [Span_end] on the same
-    worker.  Returns the number of events, or the first violation
-    (with its 1-based line number). *)
+    Concurrent portfolio members share their caller's sink on stripes
+    of worker ids, so their spans never collide: member [slot] (1, 2,
+    ...) owns the ids from [slot * 1000], and slot 0 holds every event
+    outside a portfolio.  A member's first event is a [Restart] marker
+    that names it. *)
+
+val member : t -> slot:int -> label:string -> t
+(** [member parent ~slot ~label] is the tracer of portfolio member
+    [slot]: a live tracer that forwards its events to [parent]'s sink
+    on the member's stripe of worker ids and on the parent's clock,
+    after emitting the member's marker (one restart on its own
+    counters).  Metrics are private to the member.  If [parent] has no
+    sink this is just {!create}[ ()], and no marker is emitted. *)
+
+val member_of_worker : int -> int * int
+(** [member_of_worker w] is [(slot, local)]: the member slot that
+    worker id [w] belongs to (0 outside any portfolio) and its worker
+    id within that member. *)
+
+val member_marker : Event.t -> (int * string) option
+(** [Some (slot, label)] when the event is the marker that {!member}
+    emits; [None] for every other event, including the [Restart] of a
+    new optimization stage. *)
+
+(** {1 Recorded traces} *)
+
+val read_jsonl : string -> (int * (Event.t, string) result) list
+(** The one JSONL reader: every non-blank line of a trace, with its
+    1-based line number and what {!Event.of_json} makes of it. *)
+
+(** The one span walker: one stack of open spans per worker, stepped
+    one event at a time.  Each open span carries a caller's tag (a
+    line number, an event index, or [()]). *)
+module Spans : sig
+  type 'a span = {
+    worker : int;
+    phase : Event.phase;
+    start : float;
+    stop : float;
+    tag : 'a;  (** the tag given with its [Span_start] *)
+    parent : 'a option;  (** the tag of the enclosing span *)
+  }
+
+  type 'a step =
+    | Quiet  (** a span start, or not a span event *)
+    | Closed of 'a span  (** an end that closes the innermost open span *)
+    | Unmatched of { phase : Event.phase; innermost : (Event.phase * 'a) option }
+        (** an end that does not match the worker's innermost open span
+            (phase and tag), or finds none open; the stack is left as
+            it was *)
+
+  type 'a t
+
+  val create : unit -> 'a t
+  val step : 'a t -> 'a -> Event.t -> 'a step
+
+  val drain : 'a t -> at:float -> 'a span list
+  (** Closes every span still open at time [at], innermost first,
+      workers in ascending order, and empties the walker. *)
+end
+
+type summary = {
+  c_lines : int;  (** non-blank lines *)
+  c_events : int;  (** lines that parse *)
+  c_segments : int;  (** branch-and-bound spans *)
+  c_workers : int;  (** distinct worker ids *)
+}
+
+val check : string -> summary * Rfloor_diag.Diagnostic.t list
+(** Checks a JSONL trace (as read from a file) and returns its summary
+    and the sorted findings, none for a sound trace:
+    - [RF430]: a line that {!Event.of_json} refuses (the check goes on
+      with the next line);
+    - [RF431]: an end that does not close its worker's innermost open
+      span, or a span that never ends — spans must nest, not merely
+      balance;
+    - [RF432]: a worker's timestamp earlier than its previous one
+      (workers share one locked sink, but each event is stamped before
+      the lock, so only the per-worker order is guaranteed);
+    - [RF433]: within one branch-and-bound segment, one worker's
+      incumbent objectives change direction;
+    - [RF434]: within a segment, more nodes at depth [d] than twice the
+      nodes at depth [d-1], or more donated tasks than the root and two
+      children per explored node;
+    - [RF435]: the same stop reason twice in one segment.
+
+    A segment is one [branch_bound] span.  Each member slot (see
+    {!member_of_worker}) has its own, so racing portfolio members never
+    share one.  Events outside any segment are exempt from RF433-RF435
+    (each engine emits its own mix of events). *)

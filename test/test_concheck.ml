@@ -2,7 +2,7 @@
    the interleaving explorer and its scenario suite, the vector-clock
    race detector (on synthetic logs and on real recorded workloads),
    the RF401..RF403 raw-primitive source lint, and the RF430..RF435
-   trace-invariant verifier. *)
+   invariants Rfloor_trace.check enforces on recorded traces. *)
 
 module C = Rfloor_concheck
 module D = Rfloor_diag.Diagnostic
@@ -234,7 +234,7 @@ let test_source_lint_repo_is_clean () =
     diags
 
 (* ------------------------------------------------------------------ *)
-(* Trace verifier *)
+(* Trace invariants (Rfloor_trace.check) *)
 
 let jsonl events =
   String.concat "\n" (List.map T.Event.to_json events) ^ "\n"
@@ -254,29 +254,59 @@ let good_trace =
     { T.Event.at = 0.08; worker = 0; payload = T.Event.Span_end bb };
   ]
 
+(* Two portfolio members on worker ids 1000.. and 2000.. whose
+   branch-and-bound spans overlap: member 1's root comes before member
+   2's span opens, so a segment shared by every worker would count 4
+   depth-1 nodes under member 2's one root.  [extra] adds depth-1 nodes
+   to member 2. *)
+let two_members ~extra =
+  let ev at worker payload = { T.Event.at; worker; payload } in
+  let node at worker depth =
+    ev at worker (T.Event.Node_explored { depth; bound = 1.0; iters = 0 })
+  in
+  jsonl
+    ([ ev 0.00 1000 (T.Event.Span_start bb);
+       node 0.01 1000 0;
+       ev 0.02 2000 (T.Event.Span_start bb);
+       node 0.03 2000 0;
+       node 0.04 1000 1;
+       node 0.05 1001 1;
+       node 0.06 2001 1;
+       node 0.07 2000 1 ]
+    @ List.init extra (fun i -> node (0.08 +. (0.001 *. float_of_int i)) 2001 1)
+    @ [ ev 0.09 1000 (T.Event.Incumbent { objective = 10.0; node = 2 });
+        ev 0.10 2000 (T.Event.Incumbent { objective = 20.0; node = 2 });
+        ev 0.11 1000 (T.Event.Stopped { reason = "cancel" });
+        ev 0.12 2000 (T.Event.Stopped { reason = "cancel" });
+        ev 0.13 1000 (T.Event.Span_end bb);
+        ev 0.14 2000 (T.Event.Span_end bb) ])
+
 let test_trace_verify_accepts () =
-  let stats, diags = C.Trace_verify.verify (jsonl good_trace) in
+  let stats, diags = T.check (jsonl good_trace) in
   Alcotest.(check int) "clean" 0 (List.length diags);
-  Alcotest.(check int) "events" 9 stats.C.Trace_verify.v_events;
-  Alcotest.(check int) "segments" 1 stats.C.Trace_verify.v_segments;
-  Alcotest.(check int) "workers" 2 stats.C.Trace_verify.v_workers
+  Alcotest.(check int) "events" 9 stats.T.c_events;
+  Alcotest.(check int) "segments" 1 stats.T.c_segments;
+  Alcotest.(check int) "workers" 2 stats.T.c_workers;
+  let stats, diags = T.check (two_members ~extra:0) in
+  Alcotest.(check int) "interleaved members clean" 0 (List.length diags);
+  Alcotest.(check int) "one segment per member" 2 stats.T.c_segments
 
 let expect_code name code text =
-  let _, diags = C.Trace_verify.verify text in
+  let _, diags = T.check text in
   Alcotest.(check bool)
     (name ^ " rejected with " ^ code)
     true
     (List.exists (fun d -> d.D.code = code) diags)
 
+(* spans that balance but do not nest: [bad_span.jsonl] of
+   [bin/lint.sh concheck], byte for byte *)
 let test_trace_verify_rejects_bad_nesting () =
   expect_code "crossed spans" "RF431"
-    (jsonl
-       [
-         { T.Event.at = 0.0; worker = 0; payload = T.Event.Span_start T.Event.Build };
-         { T.Event.at = 0.1; worker = 0; payload = T.Event.Span_start T.Event.Root_lp };
-         { T.Event.at = 0.2; worker = 0; payload = T.Event.Span_end T.Event.Build };
-         { T.Event.at = 0.3; worker = 0; payload = T.Event.Span_end T.Event.Root_lp };
-       ]);
+    {|{"t":0.0,"w":0,"ev":"span_start","phase":"build"}
+{"t":0.1,"w":0,"ev":"span_start","phase":"root_lp"}
+{"t":0.2,"w":0,"ev":"span_end","phase":"build"}
+{"t":0.3,"w":0,"ev":"span_end","phase":"root_lp"}
+|};
   expect_code "unopened span" "RF431"
     (jsonl [ { T.Event.at = 0.0; worker = 0; payload = T.Event.Span_end bb } ])
 
@@ -306,7 +336,9 @@ let test_trace_verify_rejects_conjured_nodes () =
     (jsonl
        ([ { T.Event.at = 0.0; worker = 0; payload = T.Event.Span_start bb } ]
        @ [ node 0.1 0; node 0.2 1; node 0.3 1; node 0.4 1 ]
-       @ [ { T.Event.at = 0.5; worker = 0; payload = T.Event.Span_end bb } ]))
+       @ [ { T.Event.at = 0.5; worker = 0; payload = T.Event.Span_end bb } ]));
+  expect_code "one member's 3 depth-1 nodes under one root" "RF434"
+    (two_members ~extra:1)
 
 let test_trace_verify_rejects_double_stop () =
   let stop at =
@@ -321,10 +353,24 @@ let test_trace_verify_rejects_double_stop () =
 let test_trace_verify_rejects_garbage () =
   expect_code "unparsable line" "RF430" "{\"not\":\"an event\"}\n"
 
-(* a real recorded solve must verify clean end to end *)
+let check_clean label text =
+  let stats, diags = T.check text in
+  List.iter
+    (fun d -> Alcotest.failf "%s: %s %s" label d.D.code d.D.message)
+    diags;
+  stats
+
+let recording_sink () =
+  let buf = Buffer.create 4096 in
+  (buf, T.Sink.of_fn (fun e -> Buffer.add_string buf (T.Event.to_json e ^ "\n")))
+
+(* real recorded solves must verify clean end to end: a two-worker
+   MILP, and two of the paper's MILPs racing on [bin/lint.sh
+   concheck]'s instance, their branch-and-bound spans overlapping on
+   one sink *)
 let test_trace_verify_real_solve () =
-  let part = Device.Partition.columnar_exn Device.Devices.mini in
-  let spec =
+  let ok = function Ok v -> v | Error d -> Alcotest.fail d.D.message in
+  let toy =
     Device.Spec.make ~name:"toy"
       ~nets:[ { Device.Spec.src = "filter"; dst = "decoder"; weight = 32. } ]
       [
@@ -334,23 +380,53 @@ let test_trace_verify_real_solve () =
           demand = [ (Device.Resource.Clb, 2); (Device.Resource.Dsp, 1) ] };
       ]
   in
-  let buf = Buffer.create 4096 in
-  let sink =
-    T.Sink.of_fn (fun e -> Buffer.add_string buf (T.Event.to_json e ^ "\n"))
+  let concheck_dev =
+    ok (Device.Io.parse_grid "name: concheckdev\nccbccdccbc\nccbccdccbc\n")
   in
-  let options =
-    Rfloor.Solver.Options.make
-      ~strategy:(Rfloor.Solver.Strategy.milp ~workers:2 ())
-      ~time_limit:30. ~trace:sink ()
-  in
-  let r = Rfloor.Solver.solve ~options part spec in
-  Alcotest.(check bool) "solved" true (r.Rfloor.Solver.plan <> None);
-  let stats, diags = C.Trace_verify.verify (Buffer.contents buf) in
   List.iter
-    (fun d -> Alcotest.failf "real trace: %s %s" d.D.code d.D.message)
-    diags;
-  Alcotest.(check bool) "saw a segment" true
-    (stats.C.Trace_verify.v_segments >= 1)
+    (fun (grid, strategy, segments) ->
+      let buf, sink = recording_sink () in
+      let options =
+        Rfloor.Solver.Options.make
+          ~strategy:(ok (Rfloor.Solver.Strategy.of_string strategy))
+          ~time_limit:20. ~trace:sink ()
+      in
+      let r =
+        Rfloor.Solver.solve ~options (Device.Partition.columnar_exn grid) toy
+      in
+      Alcotest.(check bool) (strategy ^ " solved") true (r.Rfloor.Solver.plan <> None);
+      let stats = check_clean strategy (Buffer.contents buf) in
+      Alcotest.(check bool) (strategy ^ " segments") true
+        (stats.T.c_segments >= segments))
+    [ (Device.Devices.mini, "milp:2", 1);
+      (concheck_dev, "portfolio:[milp,milp:2]", 2) ]
+
+(* [feasibility] solves one region at a time, each on a fresh tracer
+   clock; the shifted sink puts all five SDR regions on one clock *)
+let test_trace_verify_feasibility_regions () =
+  let part = Device.Partition.columnar_exn Device.Devices.virtex5_fx70t in
+  let spec = Sdr.design in
+  let buf, sink = recording_sink () in
+  let t0 = T.clock () in
+  let regions = Device.Spec.region_names spec in
+  List.iter
+    (fun name ->
+      let spec' =
+        Device.Spec.with_relocs spec
+          [ { Device.Spec.target = name; copies = 1; mode = Device.Spec.Hard } ]
+      in
+      let options =
+        Rfloor.Solver.Options.make
+          ~strategy:(Rfloor.Solver.Strategy.combinatorial ())
+          ~time_limit:30.
+          ~trace:(T.Sink.shift ~at:(T.clock () -. t0) sink)
+          ()
+      in
+      ignore (Rfloor.Solver.feasible ~options part spec'))
+    regions;
+  Alcotest.(check int) "five regions" 5 (List.length regions);
+  let stats = check_clean "feasibility trace" (Buffer.contents buf) in
+  Alcotest.(check bool) "every region searched" true (stats.T.c_segments >= 5)
 
 (* ------------------------------------------------------------------ *)
 
@@ -388,5 +464,6 @@ let suites =
         Alcotest.test_case "rejects duplicate stops" `Quick test_trace_verify_rejects_double_stop;
         Alcotest.test_case "rejects unparsable lines" `Quick test_trace_verify_rejects_garbage;
         Alcotest.test_case "real two-worker solve verifies" `Quick test_trace_verify_real_solve;
+        Alcotest.test_case "5-region feasibility on one clock" `Quick test_trace_verify_feasibility_regions;
       ] );
   ]

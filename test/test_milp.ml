@@ -249,7 +249,7 @@ let test_presolve_proven_infeasible () =
   Lp.set_objective lp Lp.Minimize [ (1., x); (1., y) ];
   (* the model-lint preflight must reach the same verdict independently
      (RF106: row infeasible under the variable bounds) *)
-  let ds = Rfloor_analysis.Preflight.model (Lp.copy lp) in
+  let ds = Rfloor_analysis.Model_lint.run (Lp.copy lp) in
   Alcotest.(check bool) "preflight flags RF106" true
     (List.exists
        (fun d ->

@@ -250,11 +250,9 @@ let test_progress_members () =
   let board = Progress.create_board () in
   let e = Progress.register board ~id:"race" ~strategy:"portfolio" in
   let parent = T.create ~sink:(Progress.sink e) () in
-  (* two members, worker ids striped exactly like Solver's portfolio *)
-  let m1 = T.subtracer parent ~worker_base:1000 in
-  let m2 = T.subtracer parent ~worker_base:2000 in
-  T.restart m1 "member:milp:2";
-  T.restart m2 "member:combinatorial";
+  (* two members, built exactly like Solver's portfolio builds them *)
+  let m1 = T.member parent ~slot:1 ~label:"milp:2" in
+  let m2 = T.member parent ~slot:2 ~label:"combinatorial" in
   T.node_explored m1 ~iters:10 ~worker:0 ~depth:0 ~bound:1.;
   T.node_explored m1 ~iters:20 ~worker:1 ~depth:1 ~bound:1.;
   T.node_explored m2 ~iters:5 ~worker:0 ~depth:0 ~bound:1.;
@@ -268,9 +266,9 @@ let test_progress_members () =
   in
   Alcotest.(check int) "milp:2 attribution" 2 (member "milp:2");
   Alcotest.(check int) "combinatorial attribution" 1 (member "combinatorial");
-  (* a member restart must NOT reset the fold *)
+  (* a member marker must NOT reset the fold *)
   T.incumbent m2 ~worker:0 ~objective:5. ~node:1;
-  T.restart m1 "member:milp:2";
+  ignore (T.member parent ~slot:1 ~label:"milp:2");
   Alcotest.(check (option (float 1e-9))) "member restart keeps incumbent"
     (Some 5.) (Progress.snapshot e).Progress.p_incumbent
 
@@ -343,8 +341,7 @@ let sample_events () =
   T.span tr ~worker:1 T.Event.Branch_bound (fun () ->
       T.node_explored tr ~iters:7 ~worker:1 ~depth:1 ~bound:2.;
       T.incumbent tr ~worker:1 ~objective:3. ~node:2);
-  let m = T.subtracer tr ~worker_base:1000 in
-  T.restart m "member:combinatorial";
+  let m = T.member tr ~slot:1 ~label:"combinatorial" in
   T.span m ~worker:0 T.Event.Decode (fun () -> ());
   T.stopped tr ~worker:0 "budget";
   T.Ring.events ring
@@ -365,17 +362,21 @@ let test_perfetto_export () =
   let jsonl =
     String.concat "" (List.map (fun e -> T.Event.to_json e ^ "\n") events)
   in
-  let via_jsonl = ok_or_fail "of_jsonl" (Perfetto.of_jsonl jsonl) in
-  Alcotest.(check string) "jsonl fixpoint" doc via_jsonl;
-  (* blank lines are tolerated, garbage lines are named *)
-  let via_blank =
-    ok_or_fail "blank lines" (Perfetto.of_jsonl ("\n" ^ jsonl ^ "\n"))
+  let of_jsonl text =
+    Perfetto.of_events
+      (List.map
+         (fun (ln, r) -> ok_or_fail (Printf.sprintf "line %d" ln) r)
+         (T.read_jsonl text))
   in
-  Alcotest.(check string) "blank lines ignored" doc via_blank;
-  match Perfetto.of_jsonl (jsonl ^ "not json\n") with
-  | Ok _ -> Alcotest.fail "garbage line accepted"
-  | Error msg ->
-    Alcotest.(check bool) "error names the line" true (contains msg "line")
+  Alcotest.(check string) "jsonl fixpoint" doc (of_jsonl jsonl);
+  (* blank lines are tolerated, garbage lines are named *)
+  Alcotest.(check string) "blank lines ignored" doc
+    (of_jsonl ("\n" ^ jsonl ^ "\n"));
+  let lines = T.read_jsonl ("\n" ^ jsonl ^ "not json\n") in
+  match List.rev lines with
+  | (ln, Error _) :: _ ->
+    Alcotest.(check int) "the garbage line is named" (List.length events + 2) ln
+  | _ -> Alcotest.fail "garbage line accepted"
 
 let test_perfetto_validate_rejects () =
   let reject label doc =

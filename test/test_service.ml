@@ -469,10 +469,34 @@ let test_out_of_range_integers () =
           Alcotest.failf "error %S does not name %S" e field)
     [
       ("clb", {|{"op":"add","name":"m","demand":{"clb":1e19}}|});
-      ( "workers",
-        {|{"op":"solve","id":"s","device":"mini","design":"sdr","workers":-1e19}|} );
+      ( "priority",
+        {|{"op":"solve","id":"s","device":"mini","design":"sdr","priority":-1e19}|} );
       ("max_moves", {|{"op":"add","name":"m","demand":{"clb":2},"max_moves":1e19}|});
     ]
+
+(* [strategy] is the one spelling of a solver: a frame in the old
+   spelling is refused, not quietly run as plain milp *)
+let test_old_strategy_spelling () =
+  List.iter
+    (fun frame ->
+      match Rfloor_service.Protocol.parse_request frame with
+      | Ok _ -> Alcotest.failf "accepted: %s" frame
+      | Error e ->
+        if not (contains e {|"strategy"|}) then
+          Alcotest.failf "error %S does not name \"strategy\"" e)
+    [
+      {|{"op":"solve","id":"s","device":"mini","design":"sdr","engine":"milp"}|};
+      {|{"op":"solve","id":"s","device":"mini","design":"sdr","workers":2}|};
+      {|{"op":"solve","id":"s","device":"mini","design":"sdr","strategy":"milp","engine":"milp-ho"}|};
+    ];
+  match
+    Rfloor_service.Protocol.parse_request
+      {|{"op":"solve","id":"s","device":"mini","design":"sdr"}|}
+  with
+  | Ok (Rfloor_service.Protocol.Solve sq) ->
+    Alcotest.(check bool) "no strategy given" true
+      (sq.Rfloor_service.Protocol.sq_strategy = None)
+  | _ -> Alcotest.fail "a frame without strategy was refused"
 
 let suites =
   [
@@ -480,6 +504,8 @@ let suites =
       [
         Alcotest.test_case "out-of-range integers name their field" `Quick
           test_out_of_range_integers;
+        Alcotest.test_case "engine and workers fields refused" `Quick
+          test_old_strategy_spelling;
       ] );
     ( "service.canonical",
       [
