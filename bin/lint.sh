@@ -27,11 +27,18 @@
 #                                property suite (L·U=P·B·Q with Q a
 #                                permutation, every L multiplier at
 #                                most 10, ftran/btran, update-vs-
-#                                refactor, up to m = 300), the pinned
-#                                FX70T root LP (iterations, objective
-#                                bits, x digest, minor words per
-#                                iteration) and the fill of its optimal
-#                                basis (L+U at most 1.5x its nonzeros),
+#                                refactor, up to m = 300, the pivot
+#                                row's btran bit for bit against btran
+#                                of e_r after up to 100 updates) at the
+#                                pinned seed and at seeds 7 and 424242,
+#                                the pinned FX70T root LP (iterations,
+#                                objective bits, x digest, minor words
+#                                per iteration) and the fill of its
+#                                optimal basis (L+U at most 1.5x its
+#                                nonzeros), the pinned digest of the
+#                                cold and warm pivot paths of 240 small
+#                                LPs and 11 fixtures that reach devex
+#                                resets and Bland's rule (fixed seeds),
 #                                the full 200-instance LP differential
 #                                (sparse vs frozen dense reference, warm
 #                                vs cold children, cold-vs-warm B&B) and
@@ -290,10 +297,14 @@ EOF
 }
 
 simplex_check() {
-    echo "== simplex-check (LU properties, pinned FX70T root LP and basis fill, fixtures, LP and B&B differentials)"
+    echo "== simplex-check (LU properties, pinned FX70T root LP and basis fill, pivot-path digest, fixtures, LP and B&B differentials)"
     seed="${RFLOOR_TEST_SEED:-2015}"
-    RFLOOR_TEST_SEED="$seed" dune exec test/test_main.exe -- test simplex_core.lu
+    for s in "$seed" 7 424242; do
+        RFLOOR_TEST_SEED="$s" dune exec test/test_main.exe -- test simplex_core.lu
+    done
     dune exec test/test_main.exe -- test simplex_core.root_lp
+    # the path digest draws its LPs from fixed seeds, not RFLOOR_TEST_SEED
+    dune exec test/test_main.exe -- test simplex_core.pivots
     # cases 3-5 of the differential suite are the LP-core trio (sparse
     # vs dense reference, warm child re-solves, cold-vs-warm B&B), at
     # their default 200 instances; case 1 runs 1/2/4 workers against
@@ -310,7 +321,7 @@ simplex_check() {
         RFLOOR_TEST_SEED="$s" dune exec test/test_main.exe -- test milp.simplex
         RFLOOR_TEST_SEED="$s" dune exec test/test_main.exe -- test service.cancel
     done
-    echo "simplex-check passed (L·U=P·B·Q properties, pinned root LP and fill bound, LP and B&B differentials (1-worker engine = reference B&B, workers 1/2/4 vs reference) and milp.* at seeds $seed, 7, 424242, fixtures and cancellation at seeds $seed, 1, 7, 12, 42)"
+    echo "simplex-check passed (L·U=P·B·Q and btran_unit properties at seeds $seed, 7, 424242, pinned root LP, fill bound and pivot-path digest, LP and B&B differentials (1-worker engine = reference B&B, workers 1/2/4 vs reference) and milp.* at seeds $seed, 7, 424242, fixtures and cancellation at seeds $seed, 1, 7, 12, 42)"
 }
 
 search_check() {

@@ -23,13 +23,32 @@ let activity_range lp terms =
       else (lo +. (c *. ub), hi +. (c *. lb)))
     (0., 0.) terms
 
-(* Canonical key of a row's terms: sorted by variable. *)
-let terms_key terms =
-  List.sort (fun (_, v1) (_, v2) -> Stdlib.compare v1 v2) terms
-  |> List.map (fun (c, v) -> Printf.sprintf "%d:%.12g" v c)
-  |> String.concat ","
-
 let sense_str = function Lp.Le -> "<=" | Lp.Ge -> ">=" | Lp.Eq -> "="
+
+(* [%.12g] of [x].  A nonzero integer below 1e12 in magnitude has at
+   most 12 digits, which [%.12g] prints as [string_of_int] does; that
+   covers almost every coefficient and rhs of a floorplanning model,
+   and skips Printf's format interpretation. *)
+let add_g buf x =
+  if x <> 0. && Float.is_integer x && Float.abs x < 1e12 then
+    Buffer.add_string buf (string_of_int (int_of_float x))
+  else Buffer.add_string buf (Printf.sprintf "%.12g" x)
+
+let row_keys terms sense rhs =
+  let buf = Buffer.create 64 in
+  List.iteri
+    (fun k (c, v) ->
+      if k > 0 then Buffer.add_char buf ',';
+      Buffer.add_string buf (string_of_int v);
+      Buffer.add_char buf ':';
+      add_g buf c)
+    (List.sort (fun (_, v1) (_, v2) -> Int.compare v1 v2) terms);
+  Buffer.add_char buf '|';
+  Buffer.add_string buf (sense_str sense);
+  let skey = Buffer.contents buf in
+  Buffer.add_char buf '|';
+  add_g buf rhs;
+  (Buffer.contents buf, skey)
 
 let run ?(spread_threshold = 1e8) lp =
   let out = ref [] in
@@ -72,15 +91,13 @@ let run ?(spread_threshold = 1e8) lp =
                "activity range [%g, %g] cannot satisfy %s %g under the \
                 variable bounds"
                lo hi (sense_str sense) rhs));
-      let tkey = terms_key terms in
-      let ekey = Printf.sprintf "%s|%s|%.12g" tkey (sense_str sense) rhs in
+      let ekey, skey = row_keys terms sense rhs in
       (match Hashtbl.find_opt seen_exact ekey with
       | Some first ->
         add
           (D.diagf ~code:"RF102" D.Warning (D.Constraint name)
              "duplicate of row %s (same terms, sense and rhs)" first)
       | None -> Hashtbl.replace seen_exact ekey name);
-      let skey = Printf.sprintf "%s|%s" tkey (sense_str sense) in
       (match Hashtbl.find_opt seen_terms skey with
       | Some (first, first_rhs) when first_rhs <> rhs -> (
         match sense with

@@ -17,3 +17,10 @@ val family_of_name : string -> string
 (** Constraint-family stem of a row name: the part after the first
     ['.'] when present (["Filter.res.clb"] -> ["res.clb"]), with digit
     runs removed so auto-generated names (["c17"]) collapse. *)
+
+val row_keys : (float * int) list -> Milp.Lp.sense -> float -> string * string
+(** [row_keys terms sense rhs] is the pair of keys that finds duplicate
+    rows (terms, sense and rhs) and rows with the same terms and sense
+    (dominated or conflicting): the terms sorted by variable as
+    [v:c] joined by [','], then [|sense], then for the first key
+    [|rhs].  Every number reads as [Printf]'s [%.12g] prints it. *)

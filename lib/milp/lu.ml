@@ -58,6 +58,7 @@ type t = {
   mutable eta_fill : int;
   mutable unstable : bool;
   fw : float array; (* solve scratch *)
+  mutable nz : int array; (* btran_unit scratch: c's nonzero positions *)
 }
 
 let size t = t.m
@@ -281,6 +282,7 @@ let factor ~m col_iter basis =
     eta_fill = 0;
     unstable = false;
     fw = Array.make m 0.;
+    nz = Array.make (base_eta_cap + 1) 0;
   }
 
 let ftran t b =
@@ -326,19 +328,11 @@ let ftran t b =
     end
   done
 
-let btran t c =
+(* Uᵀ forward and Lᵀ backward solves of a basis-position indexed [c]
+   whose transposed etas are applied, then the permutation back to
+   original rows: the part of a btran after the eta file. *)
+let btran_lu t c =
   let m = t.m in
-  (* transposed etas, newest first; c stays basis-position indexed *)
-  let es = t.eta.start and ei = t.eta.idx and ev = t.eta.v in
-  for i = t.eta.cols - 1 downto 0 do
-    let r = t.eta_r.(i) in
-    let s = ref 0. in
-    for p = es.(i) to es.(i + 1) - 1 do
-      let idx = ei.(p) in
-      if idx <> r then s := !s +. (ev.(p) *. c.(idx))
-    done;
-    c.(r) <- (c.(r) -. !s) /. t.eta_pivot.(i)
-  done;
   (* U^T forward solve into step space, step j reading position q.(j) *)
   let v = t.fw in
   let us = t.u.start and ui = t.u.idx and uv = t.u.v and diag = t.diag in
@@ -364,6 +358,65 @@ let btran t c =
   for k = 0 to m - 1 do
     c.(perm.(k)) <- v.(k)
   done
+
+let btran t c =
+  (* transposed etas, newest first; c stays basis-position indexed *)
+  let es = t.eta.start and ei = t.eta.idx and ev = t.eta.v in
+  for i = t.eta.cols - 1 downto 0 do
+    let r = t.eta_r.(i) in
+    let s = ref 0. in
+    for p = es.(i) to es.(i + 1) - 1 do
+      let idx = ei.(p) in
+      if idx <> r then s := !s +. (ev.(p) *. c.(idx))
+    done;
+    c.(r) <- (c.(r) -. !s) /. t.eta_pivot.(i)
+  done;
+  btran_lu t c
+
+(* The transposed etas of e_r only write their own positions, so c's
+   nonzeros stay within r and the eta positions written so far, which
+   [nz] keeps ascending and distinct.  An eta's dot product takes the
+   terms of those positions only, found by binary search in its
+   ascending positions, and adds them in ascending order: the terms it
+   leaves out multiply a zero of [c] by a finite eta value, and adding
+   such a zero never changes a sum that starts at +0. *)
+let btran_unit t r c =
+  let k_max = t.eta.cols in
+  if Array.length t.nz <= k_max then t.nz <- Array.make (2 * (k_max + 1)) 0;
+  let nz = t.nz in
+  nz.(0) <- r;
+  let nnz = ref 1 in
+  let es = t.eta.start and ei = t.eta.idx and ev = t.eta.v in
+  for i = k_max - 1 downto 0 do
+    let r = t.eta_r.(i) in
+    let s = ref 0. in
+    let lo = ref es.(i) and hi = es.(i + 1) in
+    for k = 0 to !nnz - 1 do
+      let x = nz.(k) in
+      (* leftmost entry of [lo, hi) at or past x *)
+      let a = ref !lo and b = ref hi in
+      while !a < !b do
+        let mid = (!a + !b) lsr 1 in
+        if ei.(mid) < x then a := mid + 1 else b := mid
+      done;
+      lo := !a;
+      if !a < hi && ei.(!a) = x && x <> r then s := !s +. (ev.(!a) *. c.(x))
+    done;
+    c.(r) <- (c.(r) -. !s) /. t.eta_pivot.(i);
+    if c.(r) <> 0. then begin
+      (* insert r into the ascending list unless it is there *)
+      let k = ref !nnz in
+      while !k > 0 && nz.(!k - 1) > r do
+        decr k
+      done;
+      if !k = 0 || nz.(!k - 1) <> r then begin
+        Array.blit nz !k nz (!k + 1) (!nnz - !k);
+        nz.(!k) <- r;
+        incr nnz
+      end
+    end
+  done;
+  btran_lu t c
 
 let update t r w =
   let e = t.eta in

@@ -57,6 +57,16 @@ val btran : t -> float array -> unit
 (** [btran t c] overwrites [c] (length [m], basis-position indexed)
     with the solution of [Bᵀ·y = c], original-row indexed. *)
 
+val btran_unit : t -> int -> float array -> unit
+(** [btran_unit t r c] is [btran t c] for [c] holding the unit vector
+    [e_r] on entry (1 at basis position [r], 0 elsewhere): the simplex
+    pivot row, row [r] of [B⁻¹].  The result equals {!btran}'s entry by
+    entry under [=].  The transposed etas of [e_r] write only their own
+    positions, so [c] has at most one nonzero per eta applied so far
+    besides [r]; an eta whose positions meet none of them skips its dot
+    product and only divides its own entry by its pivot.  The [Uᵀ] and
+    [Lᵀ] sweeps are {!btran}'s. *)
+
 val update : t -> int -> float array -> unit
 (** [update t r w] records that the basic column in position [r] was
     replaced by a column whose ftran image is [w] (basis-position

@@ -74,13 +74,19 @@ module P = struct
      vectors and never stored explicitly.  Structural columns are CSC:
      column v's rows and coefficients sit at
      col_row/col_val.(col_start.(v) .. col_start.(v+1) - 1), in
-     constraint order. *)
+     constraint order.  The same entries are also kept row-wise (CSR)
+     for the pivot row: row i's columns and coefficients sit at
+     row_col/row_val.(row_start.(i) .. row_start.(i+1) - 1), by
+     ascending column. *)
   type t = {
     n : int;
     m : int;
     col_start : int array;
     col_row : int array;
     col_val : float array;
+    row_start : int array;
+    row_col : int array;
+    row_val : float array;
     cost : float array; (* minimization costs for structural vars *)
     dir : Lp.dir;
     obj_constant : float;
@@ -112,6 +118,22 @@ module P = struct
             col_val.(next.(v)) <- c;
             next.(v) <- next.(v) + 1)
           terms);
+    let row_start = Array.make (m + 1) 0 in
+    Array.iter (fun i -> row_start.(i + 1) <- row_start.(i + 1) + 1) col_row;
+    for i = 0 to m - 1 do
+      row_start.(i + 1) <- row_start.(i + 1) + row_start.(i)
+    done;
+    let row_col = Array.make col_start.(n) 0 in
+    let row_val = Array.make col_start.(n) 0. in
+    let next = Array.sub row_start 0 m in
+    for v = 0 to n - 1 do
+      for p = col_start.(v) to col_start.(v + 1) - 1 do
+        let i = col_row.(p) in
+        row_col.(next.(i)) <- v;
+        row_val.(next.(i)) <- col_val.(p);
+        next.(i) <- next.(i) + 1
+      done
+    done;
     let dir = Lp.objective_dir lp in
     let sign = match dir with Lp.Minimize -> 1. | Lp.Maximize -> -1. in
     let cost = Array.init n (fun v -> sign *. Lp.objective_coeff lp v) in
@@ -132,8 +154,8 @@ module P = struct
         lb0.(n + i) <- l;
         ub0.(n + i) <- u);
     (* artificial bounds are set per-solve from the initial residual *)
-    { n; m; col_start; col_row; col_val; cost; dir;
-      obj_constant = Lp.objective_constant lp; b; lb0; ub0 }
+    { n; m; col_start; col_row; col_val; row_start; row_col; row_val; cost;
+      dir; obj_constant = Lp.objective_constant lp; b; lb0; ub0 }
 
   (* The row of the unit column of slack or artificial [j]. *)
   let unit_row t j = if j < t.n + t.m then j - t.n else j - t.n - t.m
@@ -168,9 +190,16 @@ type state = {
   y : float array; (* duals, original-row indexed scratch *)
   w : float array; (* ftran image of the entering column, scratch *)
   rho : float array; (* btran image of a unit vector (pivot row), scratch *)
+  rho_nz : int array; (* rho's nonzero rows, ascending, scratch *)
+  mutable n_rho_nz : int;
+  alpha : float array; (* pivot-row coefficients of the structurals, scratch *)
+  touched : int array; (* structurals with a row in rho_nz; alpha is 0. elsewhere *)
+  is_touched : bool array;
+  mutable n_touched : int;
   d : float array; (* primal reduced costs of the nonbasic columns, length total *)
   mutable d_state : reduced;
   dw : float array; (* devex reference weights, length total *)
+  mutable high : int list; (* leaving columns weighted above devex_reset *)
   mutable iters : int;
   mutable ecap : int; (* current eta cap (pushed out on singular refactor) *)
   mutable degen_streak : int;
@@ -253,12 +282,52 @@ let btran_costs st =
   done;
   Lu.btran st.lu st.y
 
-(* rho := row r of B^-1, original-row indexed *)
+(* rho := row r of B^-1, original-row indexed, with its nonzero rows
+   listed ascending in rho_nz; then alpha_j := rho · a_j over the
+   structural columns those rows touch, listed in touched.  Each
+   alpha_j adds its terms in ascending row order, as a dot product
+   down column j would, less the terms of rho's zeros: those are zeros
+   (A is finite), and adding a zero never changes a sum that starts
+   at +0., so every alpha_j has the bits of the full dot product and
+   every untouched column's is 0. *)
 let pivot_row st r =
-  let m = st.core.P.m in
+  let core = st.core in
+  let m = core.P.m in
+  for k = 0 to st.n_touched - 1 do
+    let j = st.touched.(k) in
+    st.alpha.(j) <- 0.;
+    st.is_touched.(j) <- false
+  done;
   Array.fill st.rho 0 m 0.;
   st.rho.(r) <- 1.;
-  Lu.btran st.lu st.rho
+  Lu.btran_unit st.lu r st.rho;
+  let nz = ref 0 in
+  for i = 0 to m - 1 do
+    if st.rho.(i) <> 0. then begin
+      st.rho_nz.(!nz) <- i;
+      incr nz
+    end
+  done;
+  st.n_rho_nz <- !nz;
+  let nt = ref 0 in
+  for k = 0 to !nz - 1 do
+    let i = st.rho_nz.(k) in
+    let ri = st.rho.(i) in
+    for p = core.P.row_start.(i) to core.P.row_start.(i + 1) - 1 do
+      let j = core.P.row_col.(p) in
+      if not st.is_touched.(j) then begin
+        st.is_touched.(j) <- true;
+        st.touched.(!nt) <- j;
+        incr nt
+      end;
+      st.alpha.(j) <- st.alpha.(j) +. (ri *. core.P.row_val.(p))
+    done
+  done;
+  st.n_touched <- !nt
+
+(* The pivot-row coefficient of column [j], after [pivot_row]. *)
+let[@inline] pivot_coef st j =
+  if j < st.core.P.n then st.alpha.(j) else st.rho.(P.unit_row st.core j)
 
 let[@inline] reduced_cost st j =
   let core = st.core in
@@ -271,17 +340,6 @@ let[@inline] reduced_cost st j =
   end
   else st.cost.(j) -. st.y.(P.unit_row core j)
 
-let[@inline] row_coef st j =
-  let core = st.core in
-  if j < core.P.n then begin
-    let a = ref 0. in
-    for p = core.P.col_start.(j) to core.P.col_start.(j + 1) - 1 do
-      a := !a +. (st.rho.(core.P.col_row.(p)) *. core.P.col_val.(p))
-    done;
-    !a
-  end
-  else st.rho.(P.unit_row core j)
-
 (* d := c - Aᵀy over the nonbasic columns that can move, y from a
    fresh btran of the basic costs. *)
 let refresh_reduced st =
@@ -292,35 +350,74 @@ let refresh_reduced st =
   done;
   st.d_state <- Fresh
 
+let[@inline] movable st j = st.basic_row.(j) < 0 && st.lb.(j) < st.ub.(j)
+
+let reset_weights st =
+  Array.fill st.dw 0 st.total 1.;
+  st.high <- []
+
+(* Column [j]'s part of [devex_update]: true when [j] is a movable
+   nonbasic column other than [q] whose weight ends above
+   [devex_reset]. *)
+let[@inline] devex_column st ~q ~theta ~wq ~arq2 j =
+  j <> q && movable st j
+  && begin
+    let arj = pivot_coef st j in
+    if arj <> 0. then begin
+      st.d.(j) <- st.d.(j) -. (theta *. arj);
+      let cand = wq *. (arj *. arj) /. arq2 in
+      if cand > st.dw.(j) then st.dw.(j) <- cand
+    end;
+    st.dw.(j) > devex_reset
+  end
+
 (* Devex reference-framework weight and reduced-cost update after a
    basis change: [q] enters, position [r] leaves, [arq] is the pivot
    element.  Each pivot-row coefficient a_rj serves both: with
    theta = d_q / a_rq, d_j -= theta * a_rj, the leaving column gets
-   -theta and [q] gets 0.  Uses the pre-update factorization, so it
-   must run before [Lu.update]. *)
+   -theta and [q] gets 0.  Only the structurals in [touched] and the
+   slack and artificial of each row in [rho_nz] can have a_rj <> 0.
+
+   The weights reset when a movable nonbasic column other than [q]
+   weighs more than [devex_reset].  Only two kinds of column can: one
+   this update raised, which the loops test; and a leaving column,
+   whose weight is written after its pivot's test, so [high] keeps the
+   ones written above the line until the next reset.  Any other weight
+   passed the test of the update that last raised it, or was reset
+   since.  A Bland's-rule pivot writes no weight, but it can make a
+   column of [high] nonbasic again.  So this decides as a test of
+   every column would.  Uses the pre-update factorization, so it must
+   run before [Lu.update]. *)
 let devex_update st r q arq =
   pivot_row st r;
+  let n = st.core.P.n and m = st.core.P.m in
   let wq = st.dw.(q) in
   let arq2 = arq *. arq in
   let theta = st.d.(q) /. arq in
-  let maxw = ref 0. in
-  for j = 0 to st.total - 1 do
-    if j <> q && st.basic_row.(j) < 0 && st.lb.(j) < st.ub.(j) then begin
-      let arj = row_coef st j in
-      if arj <> 0. then begin
-        st.d.(j) <- st.d.(j) -. (theta *. arj);
-        let cand = wq *. (arj *. arj) /. arq2 in
-        if cand > st.dw.(j) then st.dw.(j) <- cand
-      end;
-      if st.dw.(j) > !maxw then maxw := st.dw.(j)
-    end
+  let blown = ref false in
+  for k = 0 to st.n_touched - 1 do
+    if devex_column st ~q ~theta ~wq ~arq2 st.touched.(k) then blown := true
   done;
+  for k = 0 to st.n_rho_nz - 1 do
+    let i = st.rho_nz.(k) in
+    if devex_column st ~q ~theta ~wq ~arq2 (n + i) then blown := true;
+    if devex_column st ~q ~theta ~wq ~arq2 (n + m + i) then blown := true
+  done;
+  let blown =
+    !blown
+    || st.high <> []
+       && List.exists
+            (fun j -> j <> q && movable st j && st.dw.(j) > devex_reset)
+            st.high
+  in
   let out = st.basis.(r) in
   st.d.(q) <- 0.;
   st.d.(out) <- -.theta;
   st.d_state <- Updated;
   st.dw.(out) <- Float.max (wq /. arq2) 1.;
-  if !maxw > devex_reset then Array.fill st.dw 0 st.total 1.
+  if blown then reset_weights st
+  else if st.dw.(out) > devex_reset && not (List.mem out st.high) then
+    st.high <- out :: st.high
 
 (* Entering-variable choice over [st.d].  Returns (j, sigma) where
    sigma = +1 to increase from lower bound, -1 to decrease from upper
@@ -585,9 +682,16 @@ let make_state ?instr ?(trace = Rfloor_trace.disabled) ?(worker = 0) core wlb
     y = Array.make m 0.;
     w = Array.make m 0.;
     rho = Array.make m 0.;
+    rho_nz = Array.make m 0;
+    n_rho_nz = 0;
+    alpha = Array.make n 0.;
+    touched = Array.make n 0;
+    is_touched = Array.make n false;
+    n_touched = 0;
     d = Array.make total 0.;
     d_state = Stale;
     dw = Array.make total 1.;
+    high = [];
     iters = 0;
     ecap = base_eta_cap;
     degen_streak = 0;
@@ -699,7 +803,7 @@ let solve_core ?max_iters ?lb ?ub ?snapshot_sink ?instr
       Array.fill st.cost 0 st.total 0.;
       Array.blit core.P.cost 0 st.cost 0 n;
       st.degen_streak <- 0;
-      Array.fill st.dw 0 st.total 1.;
+      reset_weights st;
       match iterate st ~max_iters:(max_iters + st.iters) ~phase1:false with
       | Iter_limit -> fail_status Iter_limit
       | Infeasible -> fail_status Infeasible
@@ -824,7 +928,7 @@ let try_warm ~max_iters ~warm ?instr ~trace ~worker ~wlb ~wub
               let q = ref (-1) and best_ratio = ref infinity and best_piv = ref 0. in
               for j = 0 to st.total - 1 do
                 if st.basic_row.(j) < 0 && st.lb.(j) < st.ub.(j) then begin
-                  let arj = row_coef st j in
+                  let arj = pivot_coef st j in
                   if abs_float arj > pivot_eps then begin
                     let at_lb = st.x.(j) <= st.lb.(j) +. feas_eps in
                     let at_ub = st.x.(j) >= st.ub.(j) -. feas_eps in

@@ -209,6 +209,11 @@ let parse_request line =
           remove | defrag)"
          op)
 
+let request_id line =
+  match J.parse line with
+  | Ok json -> Result.to_option (J.get_string "id" json)
+  | Error _ -> None
+
 (* ---------------- responses ---------------- *)
 
 let num f = if Float.is_finite f then J.Num f else J.Null

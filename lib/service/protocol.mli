@@ -76,6 +76,11 @@ type request =
 
 val parse_request : string -> (request, string) result
 
+val request_id : string -> string option
+(** The string ["id"] of a request line that is a JSON object, however
+    {!parse_request} judges the rest of it: the id an error frame for
+    a refused line answers to. *)
+
 val result_frame : id:string -> Pool.result -> string
 
 val progress_frame : id:string -> Rfloor_obsv.Progress.snapshot -> string

@@ -467,7 +467,7 @@ let run ?(workers = 1) ?(cache_capacity = 128)
     | line -> (
       match P.parse_request line with
       | Error msg ->
-        push responses (Ready (P.error_frame msg));
+        push responses (Ready (P.error_frame ?id:(P.request_id line) msg));
         read_loop ()
       | Ok P.Shutdown -> ()
       | Ok P.Stats ->

@@ -262,6 +262,50 @@ let test_family_of_name () =
   Alcotest.(check string) "plain name kept" "waste_cap"
     (Model_lint.family_of_name "waste_cap")
 
+(* [Model_lint.row_keys] against the Printf form it replaces, on random
+   rows whose numbers mix integers, fractions, both zeros, the edges of
+   its integer shortcut at 1e12, values past 1e15 where doubles skip
+   integers, and non-finite values. *)
+let printf_row_keys terms sense rhs =
+  let tkey =
+    List.sort (fun (_, v1) (_, v2) -> Stdlib.compare v1 v2) terms
+    |> List.map (fun (c, v) -> Printf.sprintf "%d:%.12g" v c)
+    |> String.concat ","
+  in
+  let s =
+    match sense with Milp.Lp.Le -> "<=" | Milp.Lp.Ge -> ">=" | Milp.Lp.Eq -> "="
+  in
+  (Printf.sprintf "%s|%s|%.12g" tkey s rhs, Printf.sprintf "%s|%s" tkey s)
+
+let test_row_keys_match_printf () =
+  let module Prng = Generators.Prng in
+  let specials =
+    [| 0.; -0.; 1.; -1.; 1e12; -1e12; 1e12 -. 1.; 1e12 +. 1.; -.(1e12 -. 1.);
+       -.(1e12 +. 1.); 999999999999.5; 1e15; 1e15 +. 1.; -1e16; 2. ** 53.;
+       (2. ** 53.) +. 2.; 1e20; -1e300; 0.1; -2.5; 1e-7; 5e-324;
+       infinity; neg_infinity; nan |]
+  in
+  let prng = Prng.make (Generators.case_seed (Generators.base_seed ()) 12) in
+  let value () =
+    match Prng.int prng 4 with
+    | 0 -> float_of_int (Prng.range prng (-1000) 1000)
+    | 1 -> float_of_int (Prng.range prng (-1000) 1000) /. 8.
+    | 2 ->
+      float_of_int (Prng.range prng (-999) 999)
+      *. (10. ** float_of_int (Prng.range prng (-20) 20))
+    | _ -> Prng.pick prng specials
+  in
+  for _ = 1 to 2000 do
+    let terms =
+      List.init (Prng.int prng 6) (fun _ -> (value (), Prng.int prng 50))
+    in
+    let sense = Prng.pick prng [| Milp.Lp.Le; Milp.Lp.Ge; Milp.Lp.Eq |] in
+    let rhs = value () in
+    Alcotest.(check (pair string string))
+      "row keys" (printf_row_keys terms sense rhs)
+      (Model_lint.row_keys terms sense rhs)
+  done
+
 let test_fold_constrs () =
   let lp = Milp.Lp.create () in
   let x = Milp.Lp.add_var lp ~ub:1. () in
@@ -485,6 +529,8 @@ let suites =
         Alcotest.test_case "conflicting equalities" `Quick test_conflicting_equalities;
         Alcotest.test_case "empty/fixed/free-int" `Quick test_empty_fixed_free;
         Alcotest.test_case "family names" `Quick test_family_of_name;
+        Alcotest.test_case "row keys match %.12g" `Quick
+          test_row_keys_match_printf;
         Alcotest.test_case "fold_constrs" `Quick test_fold_constrs;
         Alcotest.test_case "SDR models lint clean" `Quick test_clean_sdr_models;
       ] );

@@ -498,6 +498,51 @@ let test_old_strategy_spelling () =
       (sq.Rfloor_service.Protocol.sq_strategy = None)
   | _ -> Alcotest.fail "a frame without strategy was refused"
 
+(* A line the protocol refuses is answered, through a session as
+   [batch] runs one, by an error frame carrying the line's string
+   "id"; a line that is not JSON gets one without an id. *)
+let test_refused_frames_keep_id () =
+  let module J = Rfloor_json in
+  let input = Filename.temp_file "rfloor_refused" ".ndjson" in
+  let output = Filename.temp_file "rfloor_refused" ".out" in
+  let oc = open_out input in
+  List.iter
+    (fun line -> output_string oc (line ^ "\n"))
+    [
+      {|{"op":"solve","id":"d","device":"mini","design":"sdr","engine":"milp"}|};
+      {|{"op":"nope","id":"e"}|};
+      {|{"op":"solve","id":"f","device":"mini","design":"sdr","priority":1e19}|};
+      {|{"op":"solve","id":"g",|};
+    ];
+  close_out oc;
+  let ic = open_in input and out = open_out output in
+  Rfloor_service.Session.run ~workers:1
+    ~devices:(fun _ -> None)
+    ~designs:(fun _ -> None)
+    ic out;
+  close_in ic;
+  close_out out;
+  let ic = open_in output in
+  let frames = In_channel.input_all ic in
+  close_in ic;
+  Sys.remove input;
+  Sys.remove output;
+  let frame line =
+    match J.parse line with
+    | Error e -> Alcotest.failf "bad frame %s: %s" line e
+    | Ok j ->
+      ( (match J.member "type" j with Some (J.Str t) -> t | _ -> "?"),
+        match J.member "id" j with Some (J.Str id) -> Some id | _ -> None )
+  in
+  Alcotest.(check (list (pair string (option string))))
+    "error frames and their ids"
+    [
+      ("error", Some "d"); ("error", Some "e"); ("error", Some "f");
+      ("error", None);
+    ]
+    (List.map frame
+       (List.filter (fun l -> l <> "") (String.split_on_char '\n' frames)))
+
 let suites =
   [
     ( "service.protocol",
@@ -506,6 +551,8 @@ let suites =
           test_out_of_range_integers;
         Alcotest.test_case "engine and workers fields refused" `Quick
           test_old_strategy_spelling;
+        Alcotest.test_case "refused frames keep their id" `Quick
+          test_refused_frames_keep_id;
       ] );
     ( "service.canonical",
       [

@@ -1,20 +1,22 @@
 (* Property tests for the sparse LU kernel under Simplex.
 
    Randomized bases (seeded; RFLOOR_TEST_SEED respected, failures print
-   the case seed) are checked for the three contracts the revised
+   the case seed) are checked for the four contracts the revised
    simplex relies on:
    - factorization correctness: L·U = P·B·Q entrywise, Q a permutation
      of the basis positions and every L multiplier at most 1/u = 10;
    - ftran/btran are true solves: B·w = b and Bᵀ·y = c round-trip;
    - the product-form update file is exact: k column replacements via
      [Lu.update] answer ftran/btran identically (to rounding) to a
-     fresh factorization of the replaced basis.
+     fresh factorization of the replaced basis;
+   - the pivot row's btran of a unit vector equals btran's bit for bit.
    Small dense-ish bases (m <= 15, column j basic in position j) and
    simplex-scale ones (m up to 300, unit and structural columns
    interleaved, so Q is not the identity) both run through them.  The
    last cases pin the FX70T root LP of the benchmark (its iteration
    count, objective bits and solution digest, and the allocation per
-   iteration) and bound the fill of its optimal basis. *)
+   iteration) and bound the fill of its optimal basis, and a digest
+   pins the cold and warm pivot paths of 251 small LPs. *)
 
 open Milp
 module Prng = Generators.Prng
@@ -350,6 +352,70 @@ let test_eta_growth () =
     (check_updates ~gen:simplex_cols ~largest_pivot:true ~seed prng cols lu 150)
 
 (* ------------------------------------------------------------------ *)
+(* The pivot row's btran *)
+
+(* [Lu.btran_unit] of every unit vector against [Lu.btran] of it, bit
+   for bit (stricter than [=], which equates the two zeros). *)
+let check_btran_unit ~seed ~tag lu m =
+  for r = 0 to m - 1 do
+    let unit () =
+      let c = Array.make m 0. in
+      c.(r) <- 1.;
+      c
+    in
+    let got = unit () and want = unit () in
+    Lu.btran_unit lu r got;
+    Lu.btran lu want;
+    for i = 0 to m - 1 do
+      if Int64.bits_of_float got.(i) <> Int64.bits_of_float want.(i) then
+        Alcotest.failf "seed %d (m=%d, %s): btran_unit e_%d [%d] = %h, btran %h"
+          seed m tag r i got.(i) want.(i)
+    done
+  done
+
+(* Random simplex-shaped bases after 0, 1, a few and more than 64
+   updates (past the eta file's first capacity; [Lu.update] takes any
+   number, only [needs_refactor] reads the cap). *)
+let test_btran_unit_random () =
+  let base = Generators.base_seed () + 2525 in
+  for i = 0 to 11 do
+    let seed = Generators.case_seed base i in
+    let prng = Prng.make seed in
+    let m = Prng.range prng 2 60 in
+    let cols, lu = random_factored ~gen:simplex_cols prng m 50 in
+    check_btran_unit ~seed ~tag:"0 updates" lu m;
+    apply_largest_pivot ~gen:simplex_cols prng cols lu;
+    check_btran_unit ~seed ~tag:"1 update" lu m;
+    let k = if i mod 3 = 0 then 100 else Prng.range prng 2 40 in
+    for _ = 2 to k do
+      apply_largest_pivot ~gen:simplex_cols prng cols lu
+    done;
+    check_btran_unit ~seed ~tag:(Printf.sprintf "%d updates" k) lu m
+  done
+
+(* Etas that take basis position 0 of e_1's btran nonzero, back to
+   zero and nonzero again (newest first, [c.(0)] goes 1, 0, -2), then
+   one that reads position 0: counting that position once per visit
+   would give 4 where the solve gives 2.  The basis is the identity,
+   so the etas' values carry through exactly. *)
+let test_btran_unit_revisit () =
+  let m = 4 in
+  let unit_cols = Array.init m (fun i -> [| (i, 1.) |]) in
+  let lu = factor_cols unit_cols in
+  List.iter
+    (fun (r, w) -> Lu.update lu r w)
+    [
+      (2, [| 1.; 0.; 1.; 0. |]);
+      (0, [| 1.; 2.; 0.; 0. |]);
+      (0, [| 1.; 1.; 0.; 0. |]);
+      (0, [| 1.; -1.; 0.; 0. |]);
+    ];
+  let c = [| 0.; 1.; 0.; 0. |] in
+  Lu.btran_unit lu 1 c;
+  Alcotest.(check (array (float 0.))) "B^-T e_1" [| -2.; 1.; 2.; 0. |] c;
+  check_btran_unit ~seed:0 ~tag:"revisit" lu m
+
+(* ------------------------------------------------------------------ *)
 (* Refactorization triggers *)
 
 let test_needs_refactor_cap () =
@@ -477,6 +543,155 @@ let test_fx70t_basis_fill () =
     Alcotest.failf "L+U holds %d entries for %d basis nonzeros (%.2fx, bound %.1fx)"
       (Lu.fill lu) nnz ratio max_fill_ratio
 
+(* ------------------------------------------------------------------ *)
+(* The pivot paths of small LPs, pinned *)
+
+(* Cold solves of [Generators.milp_case] LPs at fixed seeds (not
+   RFLOOR_TEST_SEED) and of two fixture families, and the down and up
+   warm child re-solves that the differential suite builds from each
+   root optimum, with the warm outcome ("dual" or "fallback:REASON").
+   Every status, iteration count, objective and x is written with
+   [%h], so a kernel change that keeps every floating-point operation
+   in order reproduces the digest, and one that reorders a sum or
+   breaks a tie differently does not.  The small families neither
+   reset the devex weights nor reach Bland's rule; the fixtures do
+   both. *)
+let path_cases = 240
+let path_digest = "cceb13cb8215bb92c0d4d4cd05ae4e30"
+
+(* [m] homogeneous rows [a·x <= 0] (each variable in a row with
+   probability 1/2, coefficients ±1..5) and [Σx <= 1] over
+   [0 <= x <= 10], maximizing a positive objective.  From the slack
+   basis most pivots are degenerate, so long streaks end in Bland's
+   rule, and the weights of the cone's many tied columns blow past the
+   devex reset. *)
+let degenerate_lp prng =
+  let m = 80 and n = 80 in
+  let lp = Lp.create () in
+  let xs = Array.init n (fun _ -> Lp.add_var lp ~ub:10. ()) in
+  for _ = 1 to m do
+    let terms =
+      Array.to_list xs
+      |> List.filter (fun _ -> Prng.int prng 2 = 0)
+      |> List.map (fun x ->
+             let a = float_of_int (Prng.range prng 1 5) in
+             ((if Prng.int prng 2 = 0 then a else -.a), x))
+    in
+    if terms <> [] then Lp.add_constr lp terms Lp.Le 0.
+  done;
+  Lp.add_constr lp (Array.to_list (Array.map (fun x -> (1., x)) xs)) Lp.Le 1.;
+  Lp.set_objective lp Lp.Maximize
+    (Array.to_list (Array.map (fun x -> (float_of_int (Prng.range prng 1 9), x)) xs));
+  lp
+
+(* 12 rows [a·x <= b] over 24 bounded columns, each column in a row
+   with probability 1/2, coefficients spanning 1e-4 to 9e4.  Small
+   pivots on large weights leave columns weighted past the devex
+   reset; at the seeds [scaled_seeds] (from a search of the first
+   2000) such a leaving column, untouched by a later pivot row, is
+   what decides a reset. *)
+let scaled_lp prng =
+  let m = 12 and n = 24 in
+  let lp = Lp.create () in
+  let xs =
+    Array.init n (fun _ -> Lp.add_var lp ~ub:(float_of_int (Prng.range prng 1 20)) ())
+  in
+  for _ = 1 to m do
+    let terms =
+      Array.to_list xs
+      |> List.filter (fun _ -> Prng.int prng 2 = 0)
+      |> List.map (fun x ->
+             let a =
+               float_of_int (Prng.range prng 1 9)
+               *. (10. ** float_of_int (Prng.range prng (-4) 4))
+             in
+             ((if Prng.int prng 2 = 0 then a else -.a), x))
+    in
+    if terms <> [] then
+      Lp.add_constr lp terms Lp.Le (float_of_int (Prng.range prng 0 20))
+  done;
+  Lp.set_objective lp Lp.Maximize
+    (Array.to_list (Array.map (fun x -> (float_of_int (Prng.range prng 1 9), x)) xs));
+  lp
+
+let scaled_seeds = [ 54; 299; 1405 ]
+
+let path_record buf tag (o : Simplex.outcome) =
+  Buffer.add_string buf tag;
+  Buffer.add_string buf
+    (match o.Simplex.status with
+    | Simplex.Optimal -> " optimal"
+    | Simplex.Infeasible -> " infeasible"
+    | Simplex.Unbounded -> " unbounded"
+    | Simplex.Iter_limit -> " iter_limit");
+  Buffer.add_string buf
+    (Printf.sprintf " %d %h" o.Simplex.iterations o.Simplex.objective);
+  Array.iter (fun v -> Buffer.add_string buf (Printf.sprintf " %h" v)) o.Simplex.x;
+  Buffer.add_char buf '\n'
+
+(* The warm outcome of a [solve_warm], read off its [Lp_warm] event. *)
+let warm_solve ~lb ~ub ~warm core =
+  let result = ref "none" in
+  let trace =
+    Rfloor_trace.create
+      ~sink:
+        (Rfloor_trace.Sink.of_fn (fun e ->
+             match e.Rfloor_trace.Event.payload with
+             | Rfloor_trace.Event.Lp_warm { result = r } -> result := r
+             | _ -> ()))
+      ()
+  in
+  let o, _ = Simplex.Core.solve_warm ~lb ~ub ~warm ~trace core in
+  (o, !result)
+
+let pivot_paths buf ~seed lp =
+  let core = Simplex.Core.of_lp lp in
+  let n = Simplex.Core.num_vars core in
+  path_record buf "cold" (Simplex.Core.solve core);
+  let root, basis = Simplex.Core.solve_warm core in
+  match (root.Simplex.status, basis) with
+  | Simplex.Optimal, Some parent when n > 0 ->
+    (* the children of the differential suite's warm re-solve case *)
+    let prng = Prng.make (seed + 17) in
+    let v = Prng.int prng n in
+    let fl = Float.round (floor (root.Simplex.x.(v) +. 1e-6)) in
+    let root_lb = Array.init n (fun j -> Lp.var_lb lp j) in
+    let root_ub = Array.init n (fun j -> Lp.var_ub lp j) in
+    let children =
+      [
+        ( "down",
+          root_lb,
+          Array.init n (fun j ->
+              if j = v then Float.min root_ub.(j) fl else root_ub.(j)) );
+        ( "up",
+          Array.init n (fun j ->
+              if j = v then Float.max root_lb.(j) (fl +. 1.) else root_lb.(j)),
+          root_ub );
+      ]
+    in
+    List.iter
+      (fun (tag, lb, ub) ->
+        path_record buf (tag ^ " cold") (Simplex.Core.solve ~lb ~ub core);
+        let o, result = warm_solve ~lb ~ub ~warm:parent core in
+        path_record buf (tag ^ " warm " ^ result) o)
+      children
+  | _ -> ()
+
+let test_pivot_paths () =
+  let buf = Buffer.create 65536 in
+  for i = 0 to path_cases - 1 do
+    let seed = Generators.case_seed 2015 (8_000 + i) in
+    pivot_paths buf ~seed (Generators.milp_case ~seed).Generators.c_lp
+  done;
+  for seed = 1 to 8 do
+    pivot_paths buf ~seed (degenerate_lp (Prng.make seed))
+  done;
+  List.iter
+    (fun seed -> pivot_paths buf ~seed (scaled_lp (Prng.make seed)))
+    scaled_seeds;
+  Alcotest.(check string) "pivot-path digest" path_digest
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let suites =
   [
     ( "simplex_core.lu",
@@ -491,6 +706,10 @@ let suites =
           test_simplex_scale;
         Alcotest.test_case "update sequence grows the eta file" `Quick
           test_eta_growth;
+        Alcotest.test_case "btran_unit = btran of e_r after 0..100 updates"
+          `Quick test_btran_unit_random;
+        Alcotest.test_case "btran_unit revisits a position" `Quick
+          test_btran_unit_revisit;
         Alcotest.test_case "needs_refactor honors the eta cap" `Quick
           test_needs_refactor_cap;
         Alcotest.test_case "singular bases are rejected" `Quick
@@ -501,5 +720,10 @@ let suites =
         Alcotest.test_case "FX70T root LP pinned" `Quick test_fx70t_root_lp;
         Alcotest.test_case "optimal basis fill within 1.5x" `Quick
           test_fx70t_basis_fill;
+      ] );
+    ( "simplex_core.pivots",
+      [
+        Alcotest.test_case "cold and warm pivot paths pinned" `Quick
+          test_pivot_paths;
       ] );
   ]
