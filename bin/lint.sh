@@ -29,11 +29,15 @@
 #                                most 10, ftran/btran, update-vs-
 #                                refactor, up to m = 300, the pivot
 #                                row's btran bit for bit against btran
-#                                of e_r after up to 100 updates) at the
-#                                pinned seed and at seeds 7 and 424242,
-#                                the pinned FX70T root LP (iterations,
+#                                of e_r after up to 100 updates, a
+#                                factorization that turns singular in
+#                                the spare leaving the live one's
+#                                answers bit for bit) at the pinned
+#                                seed and at seeds 7 and 424242, the
+#                                pinned FX70T root LP (iterations,
 #                                objective bits, x digest, minor words
-#                                per iteration) and the fill of its
+#                                per iteration, at most 2M major-heap
+#                                words per solve) and the fill of its
 #                                optimal basis (L+U at most 1.5x its
 #                                nonzeros), the pinned digest of the
 #                                cold and warm pivot paths of 240 small
@@ -297,7 +301,7 @@ EOF
 }
 
 simplex_check() {
-    echo "== simplex-check (LU properties, pinned FX70T root LP and basis fill, pivot-path digest, fixtures, LP and B&B differentials)"
+    echo "== simplex-check (LU properties incl. the spare factor, pinned FX70T root LP with its major-words bound and basis fill, pivot-path digest, fixtures, LP and B&B differentials)"
     seed="${RFLOOR_TEST_SEED:-2015}"
     for s in "$seed" 7 424242; do
         RFLOOR_TEST_SEED="$s" dune exec test/test_main.exe -- test simplex_core.lu
@@ -321,7 +325,7 @@ simplex_check() {
         RFLOOR_TEST_SEED="$s" dune exec test/test_main.exe -- test milp.simplex
         RFLOOR_TEST_SEED="$s" dune exec test/test_main.exe -- test service.cancel
     done
-    echo "simplex-check passed (L·U=P·B·Q and btran_unit properties at seeds $seed, 7, 424242, pinned root LP, fill bound and pivot-path digest, LP and B&B differentials (1-worker engine = reference B&B, workers 1/2/4 vs reference) and milp.* at seeds $seed, 7, 424242, fixtures and cancellation at seeds $seed, 1, 7, 12, 42)"
+    echo "simplex-check passed (L·U=P·B·Q, btran_unit and spare-factor properties at seeds $seed, 7, 424242, pinned root LP with its major-words bound, fill bound and pivot-path digest, LP and B&B differentials (1-worker engine = reference B&B, workers 1/2/4 vs reference) and milp.* at seeds $seed, 7, 424242, fixtures and cancellation at seeds $seed, 1, 7, 12, 42)"
 }
 
 search_check() {

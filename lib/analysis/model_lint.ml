@@ -119,15 +119,24 @@ let run ?(spread_threshold = 1e8) lp =
                "dominated by a row with the same terms and a tighter rhs"))
       | Some _ -> () (* exact duplicate, already RF102 *)
       | None -> Hashtbl.replace seen_terms skey (name, rhs));
-      let fam = family_of_name name in
-      List.iter
-        (fun (c, _) ->
-          let m = abs_float c in
+      match terms with
+      | [] -> ()
+      | (c0, _) :: _ ->
+        (* one lookup per row; each term folds in as [min]/[max] would,
+           in term order, on float comparisons *)
+        let fam = family_of_name name in
+        let lo, hi =
           match Hashtbl.find_opt families fam with
-          | Some (lo, hi) ->
-            Hashtbl.replace families fam (min lo m, max hi m)
-          | None -> Hashtbl.replace families fam (m, m))
-        terms);
+          | Some range -> range
+          | None -> (abs_float c0, abs_float c0)
+        in
+        let rec fold lo hi = function
+          | [] -> Hashtbl.replace families fam (lo, hi)
+          | (c, _) :: rest ->
+            let m = abs_float c in
+            fold (if lo <= m then lo else m) (if hi >= m then hi else m) rest
+        in
+        fold lo hi terms);
   (* variables *)
   let fixed = ref [] and nfixed = ref 0 in
   for v = 0 to Lp.num_vars lp - 1 do

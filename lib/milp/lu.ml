@@ -29,7 +29,12 @@
    accumulates its dot products, so it is part of the numerical
    contract: L columns hold their rows in reverse order of first touch
    during elimination, U columns their steps in descending order, and
-   etas their positions in ascending order. *)
+   etas their positions in ascending order.
+
+   A [t] is storage for one factorization of a fixed dimension:
+   [factor] overwrites it in place and keeps every capacity its arrays
+   have grown to, the eta file's included, so refactorizing allocates
+   nothing once the arrays have reached their working sizes. *)
 
 exception Singular
 
@@ -47,18 +52,33 @@ type csc = {
 type t = {
   m : int;
   perm : int array; (* pivot step -> original row *)
+  rowpos : int array; (* original row -> pivot step *)
   q : int array; (* pivot step -> basis position *)
   l : csc; (* per step: later steps and multipliers *)
   u : csc; (* per step: earlier steps and coefficients *)
   diag : float array;
-  lu_fill : int;
+  mutable lu_fill : int;
   eta : csc; (* per eta: basis positions and values of w *)
   mutable eta_r : int array; (* per eta: basis position it replaced *)
   mutable eta_pivot : float array; (* per eta: w.(eta_r) *)
   mutable eta_fill : int;
   mutable unstable : bool;
-  fw : float array; (* solve scratch *)
-  mutable nz : int array; (* btran_unit scratch: c's nonzero positions *)
+  (* solve scratch *)
+  fz : float array; (* ftran's step-space vector; zero between calls *)
+  load : int -> float -> unit; (* stores b_i into fz at row i's step *)
+  bv : float array; (* btran's step-space vector *)
+  cu : float array; (* btran_unit's position-space vector; zero between calls *)
+  mutable enz : int array; (* btran_unit: cu's nonzero positions *)
+  (* factor scratch; between calls x is zero and touched false *)
+  ccount : int array;
+  rcount : int array;
+  mutable next : int array;
+  x : float array;
+  touched : bool array;
+  touch_list : int array;
+  heap : int array;
+  ustep : int array;
+  uval : float array;
 }
 
 let size t = t.m
@@ -79,6 +99,11 @@ let csc_create ~cols ~nnz =
   { start = Array.make (cols + 1) 0; idx = Array.make nnz 0;
     v = Array.make nnz 0.; cols = 0; nnz = 0 }
 
+(* Empties the file and keeps its capacity; start.(0) is always 0. *)
+let csc_clear c =
+  c.cols <- 0;
+  c.nnz <- 0
+
 let csc_grow c =
   let cap = 2 * Array.length c.idx in
   c.idx <- extend c.idx cap 0;
@@ -96,6 +121,38 @@ let csc_close c =
     c.start <- extend c.start (2 * Array.length c.start) 0;
   c.cols <- c.cols + 1;
   c.start.(c.cols) <- c.nnz
+
+let create m =
+  let fz = Array.make m 0. and rowpos = Array.make m (-1) in
+  {
+    m;
+    perm = Array.make m 0;
+    rowpos;
+    q = Array.make m 0;
+    l = csc_create ~cols:m ~nnz:(4 * m);
+    u = csc_create ~cols:m ~nnz:(4 * m);
+    diag = Array.make m 0.;
+    lu_fill = 0;
+    eta = csc_create ~cols:base_eta_cap ~nnz:(4 * m);
+    eta_r = Array.make base_eta_cap 0;
+    eta_pivot = Array.make base_eta_cap 0.;
+    eta_fill = 0;
+    unstable = false;
+    fz;
+    load = (fun i b -> fz.(rowpos.(i)) <- b);
+    bv = Array.make m 0.;
+    cu = Array.make m 0.;
+    enz = Array.make (base_eta_cap + 1) 0;
+    ccount = Array.make m 0;
+    rcount = Array.make m 0;
+    next = [||];
+    x = Array.make m 0.;
+    touched = Array.make m false;
+    touch_list = Array.make m 0;
+    heap = Array.make m 0;
+    ustep = Array.make m 0;
+    uval = Array.make m 0.;
+  }
 
 (* Binary min-heap over h.(0 .. n-1) holding the pivot steps a column
    reaches; every step enters at most once per column.  [heap_push]
@@ -128,12 +185,15 @@ let heap_pop h n =
   h.(!i) <- last;
   top
 
-(* The column order Q and the static row counts.  One pass over the
-   basis counts the nonzeros of every column and every row; a stable
-   counting sort by column count then lists the basis positions
-   sparsest first, ties by position. *)
-let column_order ~m col_iter basis =
-  let ccount = Array.make m 0 and rcount = Array.make m 0 in
+(* The column order Q into [t.q] and the static row counts into
+   [t.rcount].  One pass over the basis counts the nonzeros of every
+   column and every row; a stable counting sort by column count then
+   lists the basis positions sparsest first, ties by position. *)
+let column_order t col_iter basis =
+  let m = t.m in
+  let ccount = t.ccount and rcount = t.rcount in
+  Array.fill ccount 0 m 0;
+  Array.fill rcount 0 m 0;
   let cur = ref 0 in
   let count r _ =
     ccount.(!cur) <- ccount.(!cur) + 1;
@@ -147,36 +207,40 @@ let column_order ~m col_iter basis =
   done;
   (* after the prefix sums, next.(c) is the first free slot of the
      count-c bucket *)
-  let next = Array.make (!maxc + 2) 0 in
+  if Array.length t.next < !maxc + 2 then t.next <- Array.make (!maxc + 2) 0
+  else Array.fill t.next 0 (!maxc + 2) 0;
+  let next = t.next in
   for j = 0 to m - 1 do
     next.(ccount.(j) + 1) <- next.(ccount.(j) + 1) + 1
   done;
   for c = 1 to !maxc do
     next.(c) <- next.(c) + next.(c - 1)
   done;
-  let q = Array.make m 0 in
+  let q = t.q in
   for j = 0 to m - 1 do
     let c = ccount.(j) in
     q.(next.(c)) <- j;
     next.(c) <- next.(c) + 1
-  done;
-  (q, rcount)
+  done
 
-let factor ~m col_iter basis =
-  let q, rcount = column_order ~m col_iter basis in
-  let perm = Array.make m (-1) in
-  let rowpos = Array.make m (-1) in
-  let l = csc_create ~cols:m ~nnz:(4 * m) in
-  let u = csc_create ~cols:m ~nnz:(4 * m) in
-  let diag = Array.make m 0. in
-  let x = Array.make m 0. in
-  let touched = Array.make m false in
-  let touch_list = Array.make m 0 in
+let factor t col_iter basis =
+  let m = t.m in
+  column_order t col_iter basis;
+  let q = t.q and rcount = t.rcount in
+  let perm = t.perm and rowpos = t.rowpos in
+  Array.fill rowpos 0 m (-1);
+  let l = t.l and u = t.u and diag = t.diag in
+  csc_clear l;
+  csc_clear u;
+  csc_clear t.eta;
+  t.eta_fill <- 0;
+  t.unstable <- false;
+  let x = t.x and touched = t.touched and touch_list = t.touch_list in
   let nt = ref 0 in
   (* pivot steps reached but not yet eliminated *)
-  let heap = Array.make m 0 and nh = ref 0 in
+  let heap = t.heap and nh = ref 0 in
   (* the current column's U entries, in ascending step order *)
-  let ustep = Array.make m 0 and uval = Array.make m 0. in
+  let ustep = t.ustep and uval = t.uval in
   let scatter r c =
     if not touched.(r) then begin
       touched.(r) <- true;
@@ -188,6 +252,13 @@ let factor ~m col_iter basis =
       end
     end;
     x.(r) <- x.(r) +. c
+  in
+  let clear_touched () =
+    for ti = 0 to !nt - 1 do
+      let r = touch_list.(ti) in
+      touched.(r) <- false;
+      x.(r) <- 0.
+    done
   in
   let fill = ref 0 in
   for j = 0 to m - 1 do
@@ -233,7 +304,11 @@ let factor ~m col_iter basis =
         end
       end
     done;
-    if !best < 0 || !bestv < factor_pivot_tol then raise Singular;
+    if !best < 0 || !bestv < factor_pivot_tol then begin
+      (* the scratch stays clean for the next factorization *)
+      clear_touched ();
+      raise Singular
+    end;
     (* threshold row choice: the row with the fewest basis nonzeros
        among those within u of the largest; strict comparison keeps the
        partial-pivoting row on ties, then the first in touch order *)
@@ -253,11 +328,7 @@ let factor ~m col_iter basis =
       let r = touch_list.(ti) in
       if rowpos.(r) < 0 && x.(r) <> 0. then csc_push l r (x.(r) /. d)
     done;
-    for ti = 0 to !nt - 1 do
-      let r = touch_list.(ti) in
-      touched.(r) <- false;
-      x.(r) <- 0.
-    done;
+    clear_touched ();
     for i = !nu - 1 downto 0 do
       csc_push u ustep.(i) uval.(i)
     done;
@@ -268,30 +339,13 @@ let factor ~m col_iter basis =
   for p = 0 to l.nnz - 1 do
     l.idx.(p) <- rowpos.(l.idx.(p))
   done;
-  {
-    m;
-    perm;
-    q;
-    l;
-    u;
-    diag;
-    lu_fill = !fill;
-    eta = csc_create ~cols:base_eta_cap ~nnz:(4 * m);
-    eta_r = Array.make base_eta_cap 0;
-    eta_pivot = Array.make base_eta_cap 0.;
-    eta_fill = 0;
-    unstable = false;
-    fw = Array.make m 0.;
-    nz = Array.make (base_eta_cap + 1) 0;
-  }
+  t.lu_fill <- !fill
 
-let ftran t b =
+let ftran t rhs w =
   let m = t.m in
-  let z = t.fw and perm = t.perm in
-  (* permute b into step space, then L-solve there *)
-  for k = 0 to m - 1 do
-    z.(k) <- b.(perm.(k))
-  done;
+  let z = t.fz in
+  (* b straight into step space, then L-solve there *)
+  rhs t.load;
   let ls = t.l.start and li = t.l.idx and lv = t.l.v in
   for k = 0 to m - 1 do
     let zk = z.(k) in
@@ -301,40 +355,43 @@ let ftran t b =
         z.(s) <- z.(s) -. (lv.(p) *. zk)
       done
   done;
-  (* U back-substitution; b's row-space values are dead, reuse it for
-     the basis-position result, step j's value landing at q.(j) *)
+  (* U back-substitution into w, step j's value landing at q.(j); U
+     column j holds earlier steps only, so z.(j) is final when read and
+     is cleared for the next call *)
   let us = t.u.start and ui = t.u.idx and uv = t.u.v and diag = t.diag in
   let q = t.q in
   for j = m - 1 downto 0 do
     let yj = z.(j) /. diag.(j) in
+    z.(j) <- 0.;
     if yj <> 0. then
       for p = us.(j) to us.(j + 1) - 1 do
         let k = ui.(p) in
         z.(k) <- z.(k) -. (uv.(p) *. yj)
       done;
-    b.(q.(j)) <- yj
+    w.(q.(j)) <- yj
   done;
   (* eta inverses, oldest first *)
   let es = t.eta.start and ei = t.eta.idx and ev = t.eta.v in
   for i = 0 to t.eta.cols - 1 do
     let r = t.eta_r.(i) in
-    let br = b.(r) in
-    if br <> 0. then begin
-      let tp = br /. t.eta_pivot.(i) in
+    let wr = w.(r) in
+    if wr <> 0. then begin
+      let tp = wr /. t.eta_pivot.(i) in
       for p = es.(i) to es.(i + 1) - 1 do
         let idx = ei.(p) in
-        if idx = r then b.(idx) <- tp else b.(idx) <- b.(idx) -. (ev.(p) *. tp)
+        if idx = r then w.(idx) <- tp else w.(idx) <- w.(idx) -. (ev.(p) *. tp)
       done
     end
   done
 
 (* Uᵀ forward and Lᵀ backward solves of a basis-position indexed [c]
-   whose transposed etas are applied, then the permutation back to
-   original rows: the part of a btran after the eta file. *)
-let btran_lu t c =
+   whose transposed etas are applied, into step space [t.bv]: the part
+   of a btran after the eta file and before the permutation back to
+   original rows. *)
+let btran_steps t c =
   let m = t.m in
   (* U^T forward solve into step space, step j reading position q.(j) *)
-  let v = t.fw in
+  let v = t.bv in
   let us = t.u.start and ui = t.u.idx and uv = t.u.v and diag = t.diag in
   let q = t.q in
   for j = 0 to m - 1 do
@@ -353,10 +410,6 @@ let btran_lu t c =
       s := !s -. (lv.(p) *. v.(li.(p)))
     done;
     v.(k) <- !s
-  done;
-  let perm = t.perm in
-  for k = 0 to m - 1 do
-    c.(perm.(k)) <- v.(k)
   done
 
 let btran t c =
@@ -371,20 +424,27 @@ let btran t c =
     done;
     c.(r) <- (c.(r) -. !s) /. t.eta_pivot.(i)
   done;
-  btran_lu t c
+  btran_steps t c;
+  let v = t.bv and perm = t.perm in
+  for k = 0 to t.m - 1 do
+    c.(perm.(k)) <- v.(k)
+  done
 
 (* The transposed etas of e_r only write their own positions, so c's
    nonzeros stay within r and the eta positions written so far, which
-   [nz] keeps ascending and distinct.  An eta's dot product takes the
+   [enz] keeps ascending and distinct.  An eta's dot product takes the
    terms of those positions only, found by binary search in its
    ascending positions, and adds them in ascending order: the terms it
    leaves out multiply a zero of [c] by a finite eta value, and adding
-   such a zero never changes a sum that starts at +0. *)
-let btran_unit t r c =
+   such a zero never changes a sum that starts at +0.  The result is
+   gathered into original-row order, each row reading its step, so its
+   nonzero rows are listed ascending in the same pass. *)
+let btran_unit t r rho nz =
   let k_max = t.eta.cols in
-  if Array.length t.nz <= k_max then t.nz <- Array.make (2 * (k_max + 1)) 0;
-  let nz = t.nz in
-  nz.(0) <- r;
+  if Array.length t.enz <= k_max then t.enz <- Array.make (2 * (k_max + 1)) 0;
+  let enz = t.enz and c = t.cu in
+  c.(r) <- 1.;
+  enz.(0) <- r;
   let nnz = ref 1 in
   let es = t.eta.start and ei = t.eta.idx and ev = t.eta.v in
   for i = k_max - 1 downto 0 do
@@ -392,7 +452,7 @@ let btran_unit t r c =
     let s = ref 0. in
     let lo = ref es.(i) and hi = es.(i + 1) in
     for k = 0 to !nnz - 1 do
-      let x = nz.(k) in
+      let x = enz.(k) in
       (* leftmost entry of [lo, hi) at or past x *)
       let a = ref !lo and b = ref hi in
       while !a < !b do
@@ -406,22 +466,39 @@ let btran_unit t r c =
     if c.(r) <> 0. then begin
       (* insert r into the ascending list unless it is there *)
       let k = ref !nnz in
-      while !k > 0 && nz.(!k - 1) > r do
+      while !k > 0 && enz.(!k - 1) > r do
         decr k
       done;
-      if !k = 0 || nz.(!k - 1) <> r then begin
-        Array.blit nz !k nz (!k + 1) (!nnz - !k);
-        nz.(!k) <- r;
+      if !k = 0 || enz.(!k - 1) <> r then begin
+        Array.blit enz !k enz (!k + 1) (!nnz - !k);
+        enz.(!k) <- r;
         incr nnz
       end
     end
   done;
-  btran_lu t c
+  btran_steps t c;
+  (* only r and the etas' own positions were written *)
+  c.(r) <- 0.;
+  for i = 0 to k_max - 1 do
+    c.(t.eta_r.(i)) <- 0.
+  done;
+  let v = t.bv and rowpos = t.rowpos in
+  let n = ref 0 in
+  for i = 0 to t.m - 1 do
+    let ri = v.(rowpos.(i)) in
+    rho.(i) <- ri;
+    if ri <> 0. then begin
+      nz.(!n) <- i;
+      incr n
+    end
+  done;
+  !n
 
-let update t r w =
+let update t r w nz n =
   let e = t.eta in
   let first = e.nnz and maxa = ref 0. in
-  for i = 0 to t.m - 1 do
+  for k = 0 to n - 1 do
+    let i = nz.(k) in
     let wi = w.(i) in
     if wi <> 0. && (i = r || abs_float wi > eta_drop_tol) then begin
       csc_push e i wi;

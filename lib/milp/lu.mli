@@ -22,15 +22,22 @@
     Storage is flat: [L], [U] and the eta file are each one
     compressed-sparse-column (CSC) triple of a per-column start offset
     into a shared [int array] of indices and an unboxed [float array]
-    of values, grown in place by doubling.  The solves are plain loops
-    over those arrays and allocate nothing.  The order of the entries
+    of values, grown in place by doubling.  A {!t} is the storage of
+    one factorization: {!factor} overwrites it in place and keeps every
+    capacity its arrays have reached, the eta file's included.  So a
+    refactorization does not double its storage up from the initial
+    sizes again, and once the arrays have reached their working sizes
+    it allocates nothing.  A caller that must keep its factorization
+    when a new one fails factors into a second [t] and swaps the two
+    on success.  The solves are plain loops over
+    those arrays and allocate nothing.  The order of the entries
     inside a column fixes the order of btran's accumulations and is
     kept stable: [L] in reverse order of first touch, [U] by descending
     step, etas by ascending position.
 
     Vector index conventions (dimension [m] throughout):
-    - {!ftran} solves [B·w = b]: input indexed by original row, result
-      indexed by basis position.
+    - {!ftran} solves [B·w = b]: input scattered by original row,
+      result indexed by basis position.
     - {!btran} solves [Bᵀ·y = c]: input indexed by basis position,
       result indexed by original row. *)
 
@@ -40,39 +47,56 @@ exception Singular
 (** Raised by {!factor} when the basis matrix is numerically singular
     (no acceptable pivot in some column). *)
 
-val factor : m:int -> (int -> (int -> float -> unit) -> unit) -> int array -> t
-(** [factor ~m col_iter basis] factorizes the [m]×[m] basis whose
+val create : int -> t
+(** [create m] is storage for a factorization of an [m]×[m] basis.  It
+    holds no factorization until {!factor} succeeds on it. *)
+
+val factor : t -> (int -> (int -> float -> unit) -> unit) -> int array -> unit
+(** [factor t col_iter basis] factorizes into [t] the basis whose
     position-[j] column is the column of variable [basis.(j)];
     [col_iter v f] must call [f row coef] for every structural nonzero
-    of variable [v]'s column.  Raises {!Singular}. *)
+    of variable [v]'s column.  It replaces [t]'s factorization and
+    empties its eta file.  Raises {!Singular}; [t] then holds no
+    factorization until the next [factor] on it succeeds, and every
+    other [t] is untouched. *)
 
 val size : t -> int
 (** Dimension [m]. *)
 
-val ftran : t -> float array -> unit
-(** [ftran t b] overwrites [b] (length [m], original-row indexed) with
-    the solution of [B·w = b], basis-position indexed. *)
+val ftran : t -> ((int -> float -> unit) -> unit) -> float array -> unit
+(** [ftran t rhs w] writes into [w] (length [m], basis-position
+    indexed, all [m] entries) the solution of [B·w = b].  [rhs set]
+    describes [b] by calling [set i b_i] for rows [i]: each call stores
+    [b_i] straight into the solve's step-space vector at row [i]'s
+    pivot step, a later call for the same row replacing an earlier
+    one, and every row it does not set is [+0.].  [rhs] may read [w]:
+    the solve writes [w] only after [rhs] returns. *)
 
 val btran : t -> float array -> unit
 (** [btran t c] overwrites [c] (length [m], basis-position indexed)
     with the solution of [Bᵀ·y = c], original-row indexed. *)
 
-val btran_unit : t -> int -> float array -> unit
-(** [btran_unit t r c] is [btran t c] for [c] holding the unit vector
-    [e_r] on entry (1 at basis position [r], 0 elsewhere): the simplex
-    pivot row, row [r] of [B⁻¹].  The result equals {!btran}'s entry by
-    entry under [=].  The transposed etas of [e_r] write only their own
-    positions, so [c] has at most one nonzero per eta applied so far
-    besides [r]; an eta whose positions meet none of them skips its dot
-    product and only divides its own entry by its pivot.  The [Uᵀ] and
-    [Lᵀ] sweeps are {!btran}'s. *)
+val btran_unit : t -> int -> float array -> int array -> int
+(** [btran_unit t r rho nz] writes into [rho] (length [m], all [m]
+    entries, original-row indexed) row [r] of [B⁻¹], the simplex pivot
+    row: the solution of [Bᵀ·y = e_r].  It lists [rho]'s nonzero rows
+    in ascending order in [nz.(0 .. n-1)] (length at least [m]) and
+    returns [n].  Every entry has the bits {!btran} gives for [e_r].
+    The transposed etas of [e_r] write only their own positions, so the
+    vector has at most one nonzero per eta applied so far besides [r];
+    an eta whose positions meet none of them skips its dot product and
+    only divides its own entry by its pivot.  The [Uᵀ] and [Lᵀ] sweeps
+    are {!btran}'s; the result is gathered through the inverse row
+    permutation, so the nonzero rows are listed in the same pass. *)
 
-val update : t -> int -> float array -> unit
-(** [update t r w] records that the basic column in position [r] was
-    replaced by a column whose ftran image is [w] (basis-position
-    indexed, as returned by {!ftran}); [w] is copied.  The spike pivot
-    [w.(r)] must be nonzero — a tiny value is accepted but flags the
-    factorization as {!needs_refactor}. *)
+val update : t -> int -> float array -> int array -> int -> unit
+(** [update t r w nz n] records that the basic column in position [r]
+    was replaced by a column whose ftran image is [w] (basis-position
+    indexed, as written by {!ftran}); [nz.(0 .. n-1)] lists, in
+    ascending order, positions of [w] that include every nonzero one,
+    and only those are read.  [w]'s entries are copied.  The spike
+    pivot [w.(r)] must be nonzero — a tiny value is accepted but flags
+    the factorization as {!needs_refactor}. *)
 
 val eta_count : t -> int
 (** Number of product-form updates since the last fresh factorization. *)

@@ -4,18 +4,27 @@
    {!Lu} ftran/btran solves against a sparse LU of the basis, extended
    by product-form etas after each pivot and refactorized from scratch
    when the eta file grows past its cap, accumulates fill, or absorbs a
-   pivot too small to trust.  Pricing is devex (reference-framework
-   weights, reset on phase switches or weight blow-up) with a
-   Bland's-rule fallback after a long degenerate streak; the ratio test
-   is a two-pass Harris test that relaxes bounds by a small tolerance
-   in pass one and then picks the numerically largest eligible pivot.
+   pivot too small to trust.  Each solve owns two factorizations and
+   refactorizes into the spare one, swapping the two only when the new
+   factor succeeds; both keep the capacity their arrays reach, so
+   storage does not double up again on every refactorization.
+
+   Pricing is devex (reference-framework weights, reset on phase
+   switches or weight blow-up) with a Bland's-rule fallback after a
+   long degenerate streak; the ratio test is a two-pass Harris test
+   that relaxes bounds by a small tolerance in pass one and then picks
+   the numerically largest eligible pivot.
 
    The primal loop prices on a reduced-cost array that every pivot
    updates from the pivot row the devex update already solves for, so
    a pivot costs one btran.  The costs' btran and a pass over the
    columns recompute it only on entry to a phase, after each fresh
    factorization and after a Bland's-rule pivot, and an optimal or
-   unbounded verdict is always taken on recomputed values.
+   unbounded verdict is always taken on recomputed values.  Pricing
+   skips the artificials that are fixed for the whole phase.  The
+   ftran image of the entering column lists its nonzero positions
+   once, and the ratio test, the update of the basic values and the
+   eta file walk that list instead of every row.
 
    Besides the classic cold two-phase primal solve there is a dual
    simplex path ({!Core.solve_warm}) for branch-and-bound children: a
@@ -187,8 +196,12 @@ type state = {
   basis : int array; (* variable basic in each position *)
   basic_row : int array; (* variable -> basis position, or -1 *)
   mutable lu : Lu.t;
+  mutable spare : Lu.t; (* [factorize] writes here, then swaps with [lu] *)
   y : float array; (* duals, original-row indexed scratch *)
   w : float array; (* ftran image of the entering column, scratch *)
+  w_nz : int array; (* w's nonzero positions, ascending, scratch *)
+  mutable n_w_nz : int;
+  resid : float array; (* [compute_basics]' residual, scratch *)
   rho : float array; (* btran image of a unit vector (pivot row), scratch *)
   rho_nz : int array; (* rho's nonzero rows, ascending, scratch *)
   mutable n_rho_nz : int;
@@ -200,6 +213,8 @@ type state = {
   mutable d_state : reduced;
   dw : float array; (* devex reference weights, length total *)
   mutable high : int list; (* leaving columns weighted above devex_reset *)
+  live_art : int array; (* artificials that can move in this phase, ascending *)
+  mutable n_live_art : int;
   mutable iters : int;
   mutable ecap : int; (* current eta cap (pushed out on singular refactor) *)
   mutable degen_streak : int;
@@ -234,10 +249,17 @@ let count_factor st reason =
   (match st.instr with Some i -> R.Counter.incr i.i_factor | None -> ());
   Rfloor_trace.lp_refactor st.trace ~worker:st.t_worker reason
 
+(* A singular basis leaves [st.lu] and its eta file as they were.  The
+   spare's storage is made when a factorization first needs it, so a
+   solve that factors once holds one. *)
 let factorize st reason =
-  match Lu.factor ~m:st.core.P.m (col_iter st.core) st.basis with
-  | lu ->
-    st.lu <- lu;
+  let m = st.core.P.m in
+  if Lu.size st.spare <> m then st.spare <- Lu.create m;
+  match Lu.factor st.spare (col_iter st.core) st.basis with
+  | () ->
+    let lu = st.lu in
+    st.lu <- st.spare;
+    st.spare <- lu;
     st.ecap <- base_eta_cap;
     st.d_state <- Stale;
     count_factor st reason
@@ -246,11 +268,13 @@ let factorize st reason =
 (* Recompute basic variable values from nonbasic values. *)
 let compute_basics st =
   let m = st.core.P.m in
-  let r = Array.copy st.core.P.b in
+  let r = st.resid in
+  Array.blit st.core.P.b 0 r 0 m;
   for j = 0 to st.total - 1 do
     if st.basic_row.(j) < 0 && st.x.(j) <> 0. then sub_col st.core j st.x.(j) r
   done;
-  Lu.ftran st.lu r;
+  (* every entry, zeros too, so the solve reads their signs *)
+  Lu.ftran st.lu (fun set -> for i = 0 to m - 1 do set i r.(i) done) r;
   for i = 0 to m - 1 do
     st.x.(st.basis.(i)) <- r.(i)
   done
@@ -268,11 +292,32 @@ let maybe_refactor st =
     with Singular_basis -> st.ecap <- Lu.eta_count st.lu + base_eta_cap
   end
 
-(* w := B^-1 * column j *)
+(* w := B^-1 * column j, with its nonzero positions listed ascending
+   in w_nz.  Lp keeps no zero coefficient, so storing each one is
+   adding it to a zeroed vector. *)
 let ftran st j =
-  Array.fill st.w 0 st.core.P.m 0.;
-  sub_col st.core j (-1.) st.w;
-  Lu.ftran st.lu st.w
+  Lu.ftran st.lu (col_iter st.core j) st.w;
+  let nz = ref 0 in
+  for i = 0 to st.core.P.m - 1 do
+    if st.w.(i) <> 0. then begin
+      st.w_nz.(!nz) <- i;
+      incr nz
+    end
+  done;
+  st.n_w_nz <- !nz
+
+(* x_B := x_B - s * w over w's nonzeros.  A zero w_i would leave
+   x.(basis.(i)) as it is, up to the sign of a zero value. *)
+let update_basics st s =
+  for k = 0 to st.n_w_nz - 1 do
+    let i = st.w_nz.(k) in
+    let bi = st.basis.(i) in
+    st.x.(bi) <- st.x.(bi) -. (s *. st.w.(i))
+  done
+
+let lu_update st r =
+  Lu.update st.lu r st.w st.w_nz st.n_w_nz;
+  match st.instr with Some i -> R.Counter.incr i.i_ft | None -> ()
 
 (* y := (B^-1)^T * cost_B, original-row indexed *)
 let btran_costs st =
@@ -292,25 +337,14 @@ let btran_costs st =
    every untouched column's is 0. *)
 let pivot_row st r =
   let core = st.core in
-  let m = core.P.m in
   for k = 0 to st.n_touched - 1 do
     let j = st.touched.(k) in
     st.alpha.(j) <- 0.;
     st.is_touched.(j) <- false
   done;
-  Array.fill st.rho 0 m 0.;
-  st.rho.(r) <- 1.;
-  Lu.btran_unit st.lu r st.rho;
-  let nz = ref 0 in
-  for i = 0 to m - 1 do
-    if st.rho.(i) <> 0. then begin
-      st.rho_nz.(!nz) <- i;
-      incr nz
-    end
-  done;
-  st.n_rho_nz <- !nz;
+  st.n_rho_nz <- Lu.btran_unit st.lu r st.rho st.rho_nz;
   let nt = ref 0 in
-  for k = 0 to !nz - 1 do
+  for k = 0 to st.n_rho_nz - 1 do
     let i = st.rho_nz.(k) in
     let ri = st.rho.(i) in
     for p = core.P.row_start.(i) to core.P.row_start.(i + 1) - 1 do
@@ -340,17 +374,27 @@ let[@inline] reduced_cost st j =
   end
   else st.cost.(j) -. st.y.(P.unit_row core j)
 
+let[@inline] movable st j = st.basic_row.(j) < 0 && st.lb.(j) < st.ub.(j)
+
+(* The columns that can price in this phase: the structurals and
+   slacks, then the artificials of [live_art]; every other artificial
+   is fixed until the phase ends.  [priced st k] is the k-th of them,
+   ascending, for k < [n_priced st]. *)
+let[@inline] n_priced st = st.core.P.n + st.core.P.m + st.n_live_art
+
+let[@inline] priced st k =
+  let nm = st.core.P.n + st.core.P.m in
+  if k < nm then k else st.live_art.(k - nm)
+
 (* d := c - Aᵀy over the nonbasic columns that can move, y from a
    fresh btran of the basic costs. *)
 let refresh_reduced st =
   btran_costs st;
-  for j = 0 to st.total - 1 do
-    if st.basic_row.(j) < 0 && st.lb.(j) < st.ub.(j) then
-      st.d.(j) <- reduced_cost st j
+  for k = 0 to n_priced st - 1 do
+    let j = priced st k in
+    if movable st j then st.d.(j) <- reduced_cost st j
   done;
   st.d_state <- Fresh
-
-let[@inline] movable st j = st.basic_row.(j) < 0 && st.lb.(j) < st.ub.(j)
 
 let reset_weights st =
   Array.fill st.dw 0 st.total 1.;
@@ -425,9 +469,10 @@ let devex_update st r q arq =
    improving index. *)
 let price st ~bland =
   let best = ref (-1) and best_sigma = ref 1. and best_score = ref 0. in
-  let j = ref 0 in
-  while !j < st.total && not (bland && !best >= 0) do
-    let jj = !j in
+  let np = n_priced st in
+  let k = ref 0 in
+  while !k < np && not (bland && !best >= 0) do
+    let jj = priced st !k in
     if st.basic_row.(jj) < 0 && st.lb.(jj) < st.ub.(jj) then begin
       let d = st.d.(jj) in
       let at_lb = st.x.(jj) <= st.lb.(jj) +. feas_eps in
@@ -448,7 +493,7 @@ let price st ~bland =
         end
       end
     end;
-    incr j
+    incr k
   done;
   if !best < 0 then None else Some (!best, !best_sigma)
 
@@ -458,16 +503,17 @@ type ratio = Ratio_flip | Ratio_pivot of int * float * bool | Ratio_unbounded
 
 (* Harris two-pass ratio test over st.w for entering column j moving in
    direction sigma; Bland mode keeps the classic single pass with
-   smallest-index tie-breaking. *)
+   smallest-index tie-breaking.  Every pass walks w_nz in ascending
+   order: a zero w_i is never eligible. *)
 let ratio_test st ~bland j sigma =
-  let m = st.core.P.m in
   let own_limit =
     let range = st.ub.(j) -. st.lb.(j) in
     if Float.is_finite range then range else infinity
   in
   if bland then begin
     let limit = ref own_limit and leave = ref (-1) and leave_to_ub = ref false in
-    for i = 0 to m - 1 do
+    for k = 0 to st.n_w_nz - 1 do
+      let i = st.w_nz.(k) in
       let wi = st.w.(i) *. sigma in
       if abs_float wi > pivot_eps then begin
         let bi = st.basis.(i) in
@@ -498,7 +544,8 @@ let ratio_test st ~bland j sigma =
   else begin
     (* pass 1: tightest ratio with bounds relaxed by harris_tol *)
     let theta_max = ref infinity in
-    for i = 0 to m - 1 do
+    for k = 0 to st.n_w_nz - 1 do
+      let i = st.w_nz.(k) in
       let wi = st.w.(i) *. sigma in
       if abs_float wi > pivot_eps then begin
         let bi = st.basis.(i) in
@@ -517,7 +564,8 @@ let ratio_test st ~bland j sigma =
       and leave_to_ub = ref false
       and best_piv = ref 0.
       and leave_t = ref 0. in
-      for i = 0 to m - 1 do
+      for k = 0 to st.n_w_nz - 1 do
+        let i = st.w_nz.(k) in
         let wi = st.w.(i) *. sigma in
         if abs_float wi > pivot_eps then begin
           let bi = st.basis.(i) in
@@ -544,17 +592,13 @@ let ratio_test st ~bland j sigma =
    [sigma].  Implements bound flips and basis changes. *)
 let step st ~bland j sigma =
   ftran st j;
-  let m = st.core.P.m in
   match ratio_test st ~bland j sigma with
   | Ratio_unbounded -> Step_unbounded
   | Ratio_flip ->
     let t = st.ub.(j) -. st.lb.(j) in
     if t > feas_eps then st.degen_streak <- 0
     else st.degen_streak <- st.degen_streak + 1;
-    for i = 0 to m - 1 do
-      let bi = st.basis.(i) in
-      st.x.(bi) <- st.x.(bi) -. (sigma *. t *. st.w.(i))
-    done;
+    update_basics st (sigma *. t);
     (* snap to the opposite bound to kill drift *)
     st.x.(j) <- (if sigma > 0. then st.ub.(j) else st.lb.(j));
     Step_ok
@@ -562,17 +606,12 @@ let step st ~bland j sigma =
     if t > feas_eps then st.degen_streak <- 0
     else st.degen_streak <- st.degen_streak + 1;
     st.x.(j) <- st.x.(j) +. (sigma *. t);
-    if t > 0. then
-      for i = 0 to m - 1 do
-        let bi = st.basis.(i) in
-        st.x.(bi) <- st.x.(bi) -. (sigma *. t *. st.w.(i))
-      done;
+    if t > 0. then update_basics st (sigma *. t);
     let out = st.basis.(r) in
     st.x.(out) <- (if to_ub then st.ub.(out) else st.lb.(out));
     (* a Bland's-rule pivot solves no pivot row to update [d] with *)
     if bland then st.d_state <- Stale else devex_update st r j st.w.(r);
-    Lu.update st.lu r st.w;
-    (match st.instr with Some i -> R.Counter.incr i.i_ft | None -> ());
+    lu_update st r;
     st.basis.(r) <- j;
     st.basic_row.(out) <- -1;
     st.basic_row.(j) <- r;
@@ -676,11 +715,15 @@ let make_state ?instr ?(trace = Rfloor_trace.disabled) ?(worker = 0) core wlb
     x = Array.make total 0.;
     basis = Array.init m (fun i -> n + m + i);
     basic_row = Array.make total (-1);
-    (* empty placeholder; [factorize] installs the real factorization
-       before any solve touches it *)
-    lu = Lu.factor ~m:0 (fun _ _ -> ()) [||];
+    (* no factorization yet; [factorize] installs one before any solve
+       touches it *)
+    lu = Lu.create 0;
+    spare = Lu.create 0;
     y = Array.make m 0.;
     w = Array.make m 0.;
+    w_nz = Array.make m 0;
+    n_w_nz = 0;
+    resid = Array.make m 0.;
     rho = Array.make m 0.;
     rho_nz = Array.make m 0;
     n_rho_nz = 0;
@@ -692,6 +735,8 @@ let make_state ?instr ?(trace = Rfloor_trace.disabled) ?(worker = 0) core wlb
     d_state = Stale;
     dw = Array.make total 1.;
     high = [];
+    live_art = Array.make m 0;
+    n_live_art = 0;
     iters = 0;
     ecap = base_eta_cap;
     degen_streak = 0;
@@ -758,6 +803,8 @@ let solve_core ?max_iters ?lb ?ub ?snapshot_sink ?instr
         st.cost.(a) <- 0.
       end
       else begin
+        st.live_art.(st.n_live_art) <- a;
+        st.n_live_art <- st.n_live_art + 1;
         st.x.(a) <- resid.(i);
         if resid.(i) >= 0. then begin
           st.lb.(a) <- 0.;
@@ -800,6 +847,7 @@ let solve_core ?max_iters ?lb ?ub ?snapshot_sink ?instr
         st.cost.(a) <- 0.;
         if st.basic_row.(a) < 0 then st.x.(a) <- 0.
       done;
+      st.n_live_art <- 0;
       Array.fill st.cost 0 st.total 0.;
       Array.blit core.P.cost 0 st.cost 0 n;
       st.degen_streak <- 0;
@@ -977,16 +1025,10 @@ let try_warm ~max_iters ~warm ?instr ~trace ~worker ~wlb ~wub
                     fail := Some "overshoot"
                   else begin
                     st.iters <- st.iters + 1;
-                    for i = 0 to m - 1 do
-                      let bi = st.basis.(i) in
-                      st.x.(bi) <- st.x.(bi) -. (dq *. st.w.(i))
-                    done;
+                    update_basics st dq;
                     st.x.(!q) <- newq;
                     st.x.(out) <- target;
-                    Lu.update st.lu !r st.w;
-                    (match st.instr with
-                    | Some i -> R.Counter.incr i.i_ft
-                    | None -> ());
+                    lu_update st !r;
                     st.basis.(!r) <- !q;
                     st.basic_row.(out) <- -1;
                     st.basic_row.(!q) <- !r;

@@ -163,10 +163,23 @@ let test_sparse_vs_reference () =
 
 (* Branch-style child re-solves: tighten one variable bound off the
    root optimum (exactly what B&B does) and pin the warm dual re-solve
-   against a cold solve of the same child. *)
+   against a cold solve of the same child.  A child whose bounds cross
+   is refused before the warm path, so only the others count as
+   exercised, and some of them must be served by the dual path itself
+   rather than its cold fallback. *)
 let test_warm_child_resolves () =
   let base = G.base_seed () in
-  let checked = ref 0 in
+  let checked = ref 0 and dual = ref 0 in
+  let result = ref "none" in
+  let trace =
+    Rfloor_trace.create
+      ~sink:
+        (Rfloor_trace.Sink.of_fn (fun e ->
+             match e.Rfloor_trace.Event.payload with
+             | Rfloor_trace.Event.Lp_warm { result = r } -> result := r
+             | _ -> ()))
+      ()
+  in
   for i = 0 to simplex_diff_count () - 1 do
     let seed = G.case_seed base (6_000 + i) in
     let case = G.milp_case ~seed in
@@ -196,8 +209,10 @@ let test_warm_child_resolves () =
       List.iter
         (fun (tag, lb, ub) ->
           let cold = Simplex.Core.solve ~lb ~ub core in
-          let wr, _ = Simplex.Core.solve_warm ~lb ~ub ~warm:parent core in
-          incr checked;
+          result := "none";
+          let wr, _ = Simplex.Core.solve_warm ~lb ~ub ~warm:parent ~trace core in
+          if lb.(v) <= ub.(v) then incr checked;
+          if !result = "dual" then incr dual;
           if lp_status_name cold.Simplex.status
              <> lp_status_name wr.Simplex.status
           then
@@ -217,7 +232,8 @@ let test_warm_child_resolves () =
         children
     | _ -> ()
   done;
-  Alcotest.(check bool) "some warm child re-solves exercised" true (!checked > 0)
+  Alcotest.(check bool) "some warm child re-solves exercised" true (!checked > 0);
+  Alcotest.(check bool) "some warm child re-solves served dual" true (!dual > 0)
 
 (* Whole-tree cold-vs-warm: disabling warm starts must not change what
    any solver configuration returns, the frozen sequential loop or the

@@ -9,14 +9,18 @@
    - the product-form update file is exact: k column replacements via
      [Lu.update] answer ftran/btran identically (to rounding) to a
      fresh factorization of the replaced basis;
-   - the pivot row's btran of a unit vector equals btran's bit for bit.
+   - the pivot row's btran of a unit vector equals btran's bit for bit
+     and lists its nonzero rows;
+   - a factorization that fails in one [Lu.t] leaves another one's
+     answers as they were, bit for bit.
    Small dense-ish bases (m <= 15, column j basic in position j) and
    simplex-scale ones (m up to 300, unit and structural columns
    interleaved, so Q is not the identity) both run through them.  The
    last cases pin the FX70T root LP of the benchmark (its iteration
-   count, objective bits and solution digest, and the allocation per
-   iteration) and bound the fill of its optimal basis, and a digest
-   pins the cold and warm pivot paths of 251 small LPs. *)
+   count, objective bits and solution digest, the allocation per
+   iteration and the major-heap words per solve) and bound the fill of
+   its optimal basis, and a digest pins the cold and warm pivot paths
+   of 251 small LPs. *)
 
 open Milp
 module Prng = Generators.Prng
@@ -77,7 +81,34 @@ let col_iter cols j f = Array.iter (fun (r, c) -> f r c) cols.(j)
 
 let factor_cols cols =
   let m = Array.length cols in
-  Lu.factor ~m (col_iter cols) (Array.init m (fun j -> j))
+  let lu = Lu.create m in
+  Lu.factor lu (col_iter cols) (Array.init m (fun j -> j));
+  lu
+
+(* [Lu.ftran] of a row-indexed right-hand side, every entry stored. *)
+let ftran lu b =
+  let w = Array.make (Array.length b) 0. in
+  Lu.ftran lu (fun set -> Array.iteri set b) w;
+  w
+
+(* [Lu.ftran] of a sparse column, its entries scattered as [Simplex]
+   scatters a column of A. *)
+let ftran_col lu col =
+  let w = Array.make (Lu.size lu) 0. in
+  Lu.ftran lu (fun set -> Array.iter (fun (r, c) -> set r c) col) w;
+  w
+
+(* [Lu.update] with [w]'s nonzero positions listed ascending. *)
+let update lu r w =
+  let nz = Array.make (Array.length w) 0 and n = ref 0 in
+  Array.iteri
+    (fun i wi ->
+      if wi <> 0. then begin
+        nz.(!n) <- i;
+        incr n
+      end)
+    w;
+  Lu.update lu r w nz !n
 
 (* Retry until a draw factors: keeps the test independent of how often
    random fill produces a (near-)singular matrix. *)
@@ -171,8 +202,7 @@ let test_lu_reconstructs () =
 let check_ftran ~seed cols lu prng tag =
   let m = Array.length cols in
   let b = Array.init m (fun _ -> float_of_int (Prng.range prng (-9) 9)) in
-  let w = Array.copy b in
-  Lu.ftran lu w;
+  let w = ftran lu b in
   (* recompose: sum_j w_j * col_j must reproduce b row-wise *)
   let got = Array.make m 0. in
   for j = 0 to m - 1 do
@@ -224,14 +254,12 @@ let test_ftran_btran_roundtrip () =
 let rec apply_update ?(gen = random_cols) prng cols lu r tries =
   let m = Array.length cols in
   let newcol = (gen prng m).(Prng.int prng m) in
-  let w = Array.make m 0. in
-  Array.iter (fun (row, c) -> w.(row) <- w.(row) +. c) newcol;
-  Lu.ftran lu w;
+  let w = ftran_col lu newcol in
   if abs_float w.(r) < 1e-6 then
     if tries <= 0 then None
     else apply_update ~gen prng cols lu r (tries - 1)
   else begin
-    Lu.update lu r w;
+    update lu r w;
     cols.(r) <- newcol;
     Some ()
   end
@@ -243,12 +271,10 @@ let rec apply_update ?(gen = random_cols) prng cols lu r tries =
 let apply_largest_pivot ~gen prng cols lu =
   let m = Array.length cols in
   let newcol = (gen prng m).(Prng.int prng m) in
-  let w = Array.make m 0. in
-  Array.iter (fun (row, c) -> w.(row) <- w.(row) +. c) newcol;
-  Lu.ftran lu w;
+  let w = ftran_col lu newcol in
   let r = ref 0 in
   Array.iteri (fun i wi -> if abs_float wi > abs_float w.(!r) then r := i) w;
-  Lu.update lu !r w;
+  update lu !r w;
   cols.(!r) <- newcol
 
 (* Applies [k] random replacements to the factored [cols] (at random
@@ -276,9 +302,7 @@ let check_updates ?(gen = random_cols) ?(largest_pivot = false) ~seed prng cols
   | fresh ->
     for _ = 1 to 3 do
       let b = Array.init m (fun _ -> float_of_int (Prng.range prng (-9) 9)) in
-      let w_upd = Array.copy b and w_fresh = Array.copy b in
-      Lu.ftran lu w_upd;
-      Lu.ftran fresh w_fresh;
+      let w_upd = ftran lu b and w_fresh = ftran fresh b in
       let scale =
         1. +. Array.fold_left (fun a v -> Float.max a (abs_float v)) 0. w_fresh
       in
@@ -355,22 +379,25 @@ let test_eta_growth () =
 (* The pivot row's btran *)
 
 (* [Lu.btran_unit] of every unit vector against [Lu.btran] of it, bit
-   for bit (stricter than [=], which equates the two zeros). *)
+   for bit (stricter than [=], which equates the two zeros), and its
+   list of nonzero rows against the result's.  The output starts full
+   of NaNs: btran_unit writes every entry. *)
 let check_btran_unit ~seed ~tag lu m =
   for r = 0 to m - 1 do
-    let unit () =
-      let c = Array.make m 0. in
-      c.(r) <- 1.;
-      c
-    in
-    let got = unit () and want = unit () in
-    Lu.btran_unit lu r got;
+    let got = Array.make m nan and nz = Array.make m (-1) in
+    let want = Array.make m 0. in
+    want.(r) <- 1.;
+    let n = Lu.btran_unit lu r got nz in
     Lu.btran lu want;
     for i = 0 to m - 1 do
       if Int64.bits_of_float got.(i) <> Int64.bits_of_float want.(i) then
         Alcotest.failf "seed %d (m=%d, %s): btran_unit e_%d [%d] = %h, btran %h"
           seed m tag r i got.(i) want.(i)
-    done
+    done;
+    let rows = List.filter (fun i -> got.(i) <> 0.) (List.init m Fun.id) in
+    if Array.to_list (Array.sub nz 0 n) <> rows then
+      Alcotest.failf "seed %d (m=%d, %s): btran_unit e_%d lists %d nonzero rows, has %d"
+        seed m tag r n (List.length rows)
   done
 
 (* Random simplex-shaped bases after 0, 1, a few and more than 64
@@ -403,15 +430,15 @@ let test_btran_unit_revisit () =
   let unit_cols = Array.init m (fun i -> [| (i, 1.) |]) in
   let lu = factor_cols unit_cols in
   List.iter
-    (fun (r, w) -> Lu.update lu r w)
+    (fun (r, w) -> update lu r w)
     [
       (2, [| 1.; 0.; 1.; 0. |]);
       (0, [| 1.; 2.; 0.; 0. |]);
       (0, [| 1.; 1.; 0.; 0. |]);
       (0, [| 1.; -1.; 0.; 0. |]);
     ];
-  let c = [| 0.; 1.; 0.; 0. |] in
-  Lu.btran_unit lu 1 c;
+  let c = Array.make m 0. and nz = Array.make m 0 in
+  ignore (Lu.btran_unit lu 1 c nz);
   Alcotest.(check (array (float 0.))) "B^-T e_1" [| -2.; 1.; 2.; 0. |] c;
   check_btran_unit ~seed:0 ~tag:"revisit" lu m
 
@@ -437,6 +464,61 @@ let test_needs_refactor_cap () =
   Alcotest.(check bool) "at explicit cap" true (Lu.needs_refactor ~cap:3 lu);
   Alcotest.(check bool) "stable so far" false (Lu.unstable lu)
 
+(* Two factorizations, as [Simplex] keeps them: a live one with an eta
+   file, and a spare that holds an older factorization.  A basis with
+   a repeated structural column raises [Lu.Singular] partway through,
+   after the spare's arrays were partly overwritten; the live one must
+   still answer ftran, btran and btran_unit with the same bits, and the
+   spare must then factor a basis exactly as new storage would. *)
+let test_spare_singular () =
+  let seed = Generators.case_seed (Generators.base_seed () + 4747) 0 in
+  let prng = Prng.make seed in
+  let m = 60 in
+  let answers lu =
+    let buf = Buffer.create 16384 in
+    let put a = Array.iter (fun v -> Printf.bprintf buf "%h " v) a in
+    let rhs = Prng.make seed in
+    for _ = 1 to 3 do
+      let b = Array.init m (fun _ -> float_of_int (Prng.range rhs (-9) 9)) in
+      put (ftran lu b);
+      let c = Array.copy b in
+      Lu.btran lu c;
+      put c
+    done;
+    for r = 0 to m - 1 do
+      let rho = Array.make m 0. and nz = Array.make m 0 in
+      let n = Lu.btran_unit lu r rho nz in
+      put rho;
+      Array.iter (Printf.bprintf buf "%d ") (Array.sub nz 0 n)
+    done;
+    Buffer.contents buf
+  in
+  let cols, live = random_factored ~gen:simplex_cols prng m 50 in
+  for _ = 1 to 10 do
+    apply_largest_pivot ~gen:simplex_cols prng cols live
+  done;
+  let before = answers live in
+  let spare_cols, spare = random_factored ~gen:simplex_cols prng m 50 in
+  for _ = 1 to 5 do
+    apply_largest_pivot ~gen:simplex_cols prng spare_cols spare
+  done;
+  let structural =
+    List.filter (fun j -> Array.length cols.(j) > 1) (List.init m Fun.id)
+  in
+  let singular =
+    match structural with
+    | j1 :: j2 :: _ -> Array.mapi (fun j col -> if j = j2 then cols.(j1) else col) cols
+    | _ -> Alcotest.failf "seed %d: fewer than two structural columns" seed
+  in
+  (match Lu.factor spare (col_iter singular) (Array.init m Fun.id) with
+  | () -> Alcotest.failf "seed %d: a repeated column factored" seed
+  | exception Lu.Singular -> ());
+  Alcotest.(check int) "live eta file kept" 10 (Lu.eta_count live);
+  Alcotest.(check string) "live answers unchanged" before (answers live);
+  Lu.factor spare (col_iter cols) (Array.init m Fun.id);
+  Alcotest.(check string) "spare factors as new storage would"
+    (answers (factor_cols cols)) (answers spare)
+
 let test_singular_detected () =
   (* a column of zeros and a duplicated column must both raise *)
   let zero_cols = [| [| (0, 1.) |]; [||] |] in
@@ -460,11 +542,15 @@ let test_singular_detected () =
    The allocation bound sits about twice above the kernel's ~0.5k minor
    words per iteration, low enough that a boxed float per priced column
    (about 2.2k words more) or per row of the ratio test (the polymorphic
-   [max] on floats there read 2.1k in all) breaks it. *)
+   [max] on floats there read 2.1k in all) breaks it.  The major-heap
+   bound holds the solve's arrays, its two factorizations and their
+   growth (about 1.1M words); a factorization that allocated its
+   storage afresh each time read 8.5M. *)
 let root_iterations = 1113
 let root_objective = "0x1.8p-38"
 let root_x_digest = "aba779e729111b5832a3a12682224d9d"
 let max_minor_words_per_iter = 1_000.
+let max_major_words = 2e6
 
 let fx70t_root_lp () =
   let part = Device.Partition.columnar_exn Device.Devices.virtex5_fx70t in
@@ -487,9 +573,11 @@ let fx70t_root_lp () =
 
 let test_fx70t_root_lp () =
   let _, core, lb, ub = fx70t_root_lp () in
+  let major0 = (Gc.quick_stat ()).Gc.major_words in
   let words0 = Gc.minor_words () in
   let o = Simplex.Core.solve ~lb ~ub core in
   let words = Gc.minor_words () -. words0 in
+  let major = (Gc.quick_stat ()).Gc.major_words -. major0 in
   Alcotest.(check bool) "optimal" true (o.Simplex.status = Simplex.Optimal);
   Alcotest.(check int) "iterations" root_iterations o.Simplex.iterations;
   Alcotest.(check string) "objective bits" root_objective
@@ -506,7 +594,10 @@ let test_fx70t_root_lp () =
   let per_iter = words /. float_of_int o.Simplex.iterations in
   if per_iter > max_minor_words_per_iter then
     Alcotest.failf "%.0f minor words per iteration (bound %.0f)" per_iter
-      max_minor_words_per_iter
+      max_minor_words_per_iter;
+  if major > max_major_words then
+    Alcotest.failf "%.0f major-heap words per solve (bound %.0f)" major
+      max_major_words
 
 (* The optimal basis of that LP, factored over the LP's own columns
    (slacks and artificials as unit columns), must keep L+U within 1.5x
@@ -537,7 +628,8 @@ let test_fx70t_basis_fill () =
       (fun acc j -> acc + if j < n then Array.length cols.(j) else 1)
       0 basis
   in
-  let lu = Lu.factor ~m col_iter basis in
+  let lu = Lu.create m in
+  Lu.factor lu col_iter basis;
   let ratio = float_of_int (Lu.fill lu) /. float_of_int nnz in
   if ratio > max_fill_ratio then
     Alcotest.failf "L+U holds %d entries for %d basis nonzeros (%.2fx, bound %.1fx)"
@@ -714,6 +806,8 @@ let suites =
           test_needs_refactor_cap;
         Alcotest.test_case "singular bases are rejected" `Quick
           test_singular_detected;
+        Alcotest.test_case "a singular spare leaves the live factor" `Quick
+          test_spare_singular;
       ] );
     ( "simplex_core.root_lp",
       [
