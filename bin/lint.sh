@@ -96,12 +96,14 @@
 #                                be rejected (RF431, RF433).
 #   bin/lint.sh portfolio-check -- strategy/portfolio gate only: the
 #                                Strategy grammar suite (round-trips,
-#                                RF501/RF502), a 25-instance cuts-on/off
-#                                differential at the pinned seed, the
-#                                race-cancellation tests (losers observe
-#                                the cooperative stop), a raw-sync lint
-#                                of lib/portfolio, and a CLI solve
-#                                through --strategy portfolio:[...].
+#                                RF501/RF502), the MILP checked against
+#                                the exact engine on both lexicographic
+#                                stages (rfloor.oracle) at seeds 2015,
+#                                7 and 424242, the race-cancellation
+#                                tests (losers observe the cooperative
+#                                stop), a raw-sync lint of
+#                                lib/portfolio, and a CLI solve through
+#                                --strategy portfolio:[...].
 #   bin/lint.sh obsv-check    -- operational-plane gate only: boot a
 #                                live serve --telemetry 0 session,
 #                                scrape /metrics, /healthz and /statusz,
@@ -377,17 +379,18 @@ perf_smoke() {
 }
 
 portfolio_check() {
-    echo "== portfolio-check (strategy grammar, cut differential, race cancellation)"
+    echo "== portfolio-check (strategy grammar, MILP vs engine oracle, race cancellation)"
     seed="${RFLOOR_TEST_SEED:-2015}"
     # 1. Strategy round-trips, RF502 parse errors, RF501 member-budget
     #    clamp
     RFLOOR_TEST_SEED="$seed" dune exec test/test_main.exe -- \
         test portfolio.strategy
-    # 2. the symmetry/packing cut families never change a proved
-    #    stage-1 verdict (25-instance smoke subset; the default suite
-    #    runs 200)
-    RFLOOR_TEST_SEED="$seed" RFLOOR_CUTS_DIFF=25 \
-        dune exec test/test_main.exe -- test portfolio.cuts
+    # 2. every conclusive MILP verdict and optimum, on both
+    #    lexicographic stages, equals the exact engine's (node limits
+    #    only, so every host compares the same cases)
+    for s in "$seed" 7 424242; do
+        RFLOOR_TEST_SEED="$s" dune exec test/test_main.exe -- test rfloor.oracle
+    done
     # 3. cancellation protocol: racing losers observe the cooperative
     #    stop (cases 1-2; case 0 is the slow vs-sequential differential
     #    that dune runtest covers)
@@ -417,7 +420,7 @@ EOF
         echo "portfolio-check: CLI portfolio solve found no plan" >&2; exit 1; }
     grep -q 'portfolio' "$ptmp/out.txt" || {
         echo "portfolio-check: CLI output does not name the strategy" >&2; exit 1; }
-    echo "portfolio-check passed (grammar, differential, cancellation, CLI race)"
+    echo "portfolio-check passed (grammar, MILP vs engine at seeds $seed, 7, 424242, cancellation, CLI race)"
 }
 
 obsv_check() {

@@ -14,7 +14,6 @@ type options = {
   paper_literal_l : bool;
   pair_relations : ((string * string) * pair_relation) list;
   extra_waste_cap : float option;
-  cuts : bool;
 }
 
 let default_options =
@@ -23,7 +22,6 @@ let default_options =
     paper_literal_l = false;
     pair_relations = [];
     extra_waste_cap = None;
-    cuts = true;
   }
 
 (* One placed entity: a reconfigurable region or a free-compatible area.
@@ -63,14 +61,9 @@ type t = {
   pair_vars : ((int * int) * (Lp.var * Lp.var * Lp.var)) list;
   q_vars : ((int * Rect.t) * Lp.var) list;
   net_vars : (Spec.net * (Lp.var * Lp.var)) list;
-  cuts_applied : int;
-  sym_ordered : bool;
-      (* symmetry-breaking cuts are in the LP: encode must canonicalize
-         the free-compatible copy order per target *)
 }
 
 let lp t = t.lp
-let cuts_applied t = t.cuts_applied
 let entity_names t = Array.to_list (Array.map (fun e -> e.e_name) t.entities)
 let violation_terms t = t.viol_terms
 let branching_priorities t = t.priorities
@@ -468,107 +461,6 @@ let build ?(options = default_options) part (spec : Spec.t) =
         done)
     entities;
 
-  (* ---------------- structure cuts (Milp.Cuts) ---------------- *)
-  (* Symmetry cuts order the interchangeable free-compatible copies of
-     one relocation request; skipped under HO pair relations, which
-     already pin specific named copies and would conflict with a forced
-     order.  Packing/capacity cuts are valid for every integer point and
-     are screened by activity range inside Milp.Cuts. *)
-  let nr = List.length spec.Spec.regions in
-  let sym_groups =
-    if (not options.cuts) || options.pair_relations <> [] then []
-    else begin
-      let off = ref nr in
-      List.filter_map
-        (fun (rr : Spec.reloc_req) ->
-          let ids = List.init rr.Spec.copies (fun i -> !off + i) in
-          off := !off + rr.Spec.copies;
-          if rr.Spec.copies >= 2 then Some ids else None)
-        spec.Spec.relocs
-    end
-  in
-  let cuts_applied =
-    if not options.cuts then 0
-    else begin
-      let sym =
-        Milp.Cuts.add_symmetry_cuts lp ~width ~height
-          (List.map
-             (fun ids ->
-               List.map
-                 (fun ei ->
-                   let e = entities.(ei) in
-                   {
-                     Milp.Cuts.sm_x = e.vx;
-                     sm_ymin =
-                       List.init height (fun r ->
-                           (float_of_int (r + 1), e.vs.(r)));
-                     sm_drop = e.vv;
-                   })
-                 ids)
-             sym_groups)
-      in
-      (* per-(portion, row) packing over region slices *)
-      let rows = ref [] in
-      for p = 1 to np do
-        for r = 0 to height - 1 do
-          let terms =
-            Array.to_list entities
-            |> List.filter_map (fun e ->
-                   if e.e_demand <> None then Some (1., e.vl.(p).(r)) else None)
-          in
-          rows :=
-            {
-              Milp.Cuts.pr_name = Printf.sprintf "cut.pack[%d,%d]" p (r + 1);
-              pr_terms = terms;
-              pr_rhs = pwidth p;
-            }
-            :: !rows
-        done
-      done;
-      (* per-kind usable-tile capacity *)
-      let cap = ref [] in
-      for col = 1 to width do
-        let k = (Partition.column_type part col).Resource.kind in
-        for row = 1 to height do
-          if not (Grid.in_forbidden part.Partition.grid col row) then begin
-            match
-              List.find_opt (fun (k', _) -> Resource.equal_kind k k') !cap
-            with
-            | Some (_, c) -> incr c
-            | None -> cap := (k, ref 1) :: !cap
-          end
-        done
-      done;
-      List.iter
-        (fun (k, c) ->
-          let terms =
-            Array.to_list entities
-            |> List.concat_map (fun e ->
-                   if e.e_demand = None then []
-                   else begin
-                     let ts = ref [] in
-                     for p = 1 to np do
-                       if Resource.equal_kind (kind_of_tid part (tid p)) k then
-                         for r = 0 to height - 1 do
-                           ts := (1., e.vl.(p).(r)) :: !ts
-                         done
-                     done;
-                     !ts
-                   end)
-          in
-          rows :=
-            {
-              Milp.Cuts.pr_name =
-                Printf.sprintf "cut.cap[%s]" (Resource.kind_to_string k);
-              pr_terms = terms;
-              pr_rhs = float_of_int !c;
-            }
-            :: !rows)
-        !cap;
-      sym + Milp.Cuts.add_packing_cuts lp !rows
-    end
-  in
-
   (* ---------------- objective pieces ---------------- *)
   let waste_terms = ref [] and waste_constant = ref 0. in
   Array.iter
@@ -663,8 +555,6 @@ let build ?(options = default_options) part (spec : Spec.t) =
     pair_vars = !pair_vars;
     q_vars = !q_vars;
     net_vars = !net_vars;
-    cuts_applied;
-    sym_ordered = sym_groups <> [];
   }
 
 (* ---------------- decoding ---------------- *)
@@ -733,17 +623,6 @@ let plan_rect t plan e =
     let rects =
       List.filter (fun f -> f.Floorplan.fc_region = target) plan.Floorplan.fc_areas
       |> List.map (fun f -> f.Floorplan.fc_rect)
-    in
-    (* with symmetry cuts in the LP only the (x, ymin)-sorted copy order
-       is feasible, so canonicalize; copies are interchangeable, the
-       encoded point decodes to an equivalent plan *)
-    let rects =
-      if t.sym_ordered then
-        List.sort
-          (fun (a : Rect.t) (b : Rect.t) ->
-            compare (a.Rect.x, a.Rect.y) (b.Rect.x, b.Rect.y))
-          rects
-      else rects
     in
     List.nth_opt rects (idx - 1)
 

@@ -40,15 +40,6 @@ type options = {
       (** HO: fixed relative positions; entity names as in {!entity_names}. *)
   extra_waste_cap : float option;
       (** Upper bound on total wasted frames (lexicographic stage 2). *)
-  cuts : bool;
-      (** Add the {!Milp.Cuts} families at build time (default [true]):
-          lexicographic symmetry-breaking over the interchangeable
-          free-compatible copies of each relocation request, plus
-          portion-packing and per-kind capacity rows screened by
-          activity range.  Symmetry cuts are skipped when
-          [pair_relations] is non-empty (HO mode pins named copies).
-          With symmetry cuts in the LP, {!encode} canonicalizes the copy
-          order per target, so encoded valid plans stay feasible. *)
 }
 
 val default_options : options
@@ -59,10 +50,6 @@ type t
 val build : ?options:options -> Device.Partition.t -> Device.Spec.t -> t
 
 val lp : t -> Milp.Lp.t
-
-val cuts_applied : t -> int
-(** Number of {!Milp.Cuts} rows added at build time (0 with
-    [options.cuts = false]). *)
 
 val entity_names : t -> string list
 (** Regions first, then free-compatible areas named ["region/i"]. *)

@@ -160,8 +160,6 @@ type options = {
   time_limit : float option;
   node_limit : int option;
   paper_literal_l : bool;
-  warm_lp : bool;
-  cuts : bool;
   trace : T.sink;
   metrics : Rfloor_metrics.Registry.t;
   cancel : unit -> bool;
@@ -172,7 +170,6 @@ module Options = struct
 
   let make ?(strategy = Strategy.milp ()) ?(objective_mode = Lexicographic)
       ?(time_limit = 60.) ?node_limit ?(paper_literal_l = false)
-      ?(warm_lp = true) ?(cuts = true)
       ?(trace = T.Sink.null) ?(metrics = Rfloor_metrics.Registry.null)
       ?(cancel = Bb.never_cancel) () =
     {
@@ -183,8 +180,6 @@ module Options = struct
       time_limit = (if Float.is_finite time_limit then Some time_limit else None);
       node_limit;
       paper_literal_l;
-      warm_lp;
-      cuts;
       trace;
       metrics;
       cancel;
@@ -262,7 +257,7 @@ let bb_options options cfg trace model stage_time ~ext =
     trace;
     metrics = options.metrics;
     cancel = cfg.mg_cancel;
-    warm_lp = options.warm_lp;
+    warm_lp = Bb.default_options.warm_lp;
     external_bound =
       (if ext then cfg.mg_external_bound else Bb.no_external_bound);
   }
@@ -324,21 +319,9 @@ let run_stage options cfg trace model ~stage_time ~warm ~ext ~add_diags =
           ~workers:cfg.mg_workers ?incumbent lp)
   end
 
-let build_model options trace model_options part spec =
-  let model =
-    T.span trace T.Event.Build (fun () ->
-        Model.build ~options:model_options part spec)
-  in
-  let n = Model.cuts_applied model in
-  if n > 0 then begin
-    T.cuts_added trace ~worker:0 ~cuts:n;
-    Rfloor_metrics.Registry.Counter.add
-      (Rfloor_metrics.Registry.counter options.metrics
-         ~help:"Symmetry/packing cut rows added at model build time"
-         "rfloor_cuts_applied_total")
-      n
-  end;
-  model
+let build_model trace model_options part spec =
+  T.span trace T.Event.Build (fun () ->
+      Model.build ~options:model_options part spec)
 
 let status_of_bb = function
   | Bb.Optimal -> Optimal
@@ -405,7 +388,6 @@ let solve_milp options cfg trace part spec ~add_diags ~diags =
       paper_literal_l = options.paper_literal_l;
       pair_relations = relations;
       extra_waste_cap;
-      cuts = options.cuts;
     }
   in
   let publish key plan =
@@ -414,8 +396,7 @@ let solve_milp options cfg trace part spec ~add_diags ~diags =
   match options.objective_mode with
   | Feasibility_only ->
     let model =
-      build_model options trace (model_options Model.Feasibility None) part
-        spec
+      build_model trace (model_options Model.Feasibility None) part spec
     in
     finish trace part spec model
       (run_stage options cfg trace model ~stage_time:cfg.mg_budget ~warm
@@ -423,8 +404,7 @@ let solve_milp options cfg trace part spec ~add_diags ~diags =
       0 0 0. !diags
   | Weighted w ->
     let model =
-      build_model options trace (model_options (Model.Weighted w) None) part
-        spec
+      build_model trace (model_options (Model.Weighted w) None) part spec
     in
     finish trace part spec model
       (run_stage options cfg trace model ~stage_time:cfg.mg_budget ~warm
@@ -433,8 +413,7 @@ let solve_milp options cfg trace part spec ~add_diags ~diags =
   | Lexicographic -> (
     let split f = Option.map (fun t -> t *. f) cfg.mg_budget in
     let m1 =
-      build_model options trace (model_options Model.Wasted_frames_only None)
-        part spec
+      build_model trace (model_options Model.Wasted_frames_only None) part spec
     in
     (* the external bound is armed only here: stage 1 minimizes exactly
        the wasted-frames key the board publishes *)
@@ -453,7 +432,7 @@ let solve_milp options cfg trace part spec ~add_diags ~diags =
       publish w1 plan1;
       T.restart trace "stage2-wirelength";
       let m2 =
-        build_model options trace
+        build_model trace
           (model_options Model.Wirelength_only (Some (w1 +. 0.5)))
           part spec
       in
@@ -876,7 +855,6 @@ let export_lp ?(options = default_options) part spec =
           paper_literal_l = options.paper_literal_l;
           pair_relations = relations;
           extra_waste_cap = None;
-          cuts = options.cuts;
         }
       part spec
   in

@@ -1,5 +1,5 @@
 (** End-to-end floorplanning behind a first-class strategy API: build
-    the MILP model (with symmetry/packing cuts), presolve, run
+    the MILP model, presolve, run
     branch-and-bound (optionally warm-started from the combinatorial
     engine) — or run the combinatorial engine itself, a
     disrupt-and-repair LNS, or a racing portfolio of any of them —
@@ -99,20 +99,6 @@ type options = {
           clamps a larger request). *)
   node_limit : int option;
   paper_literal_l : bool;
-  warm_lp : bool;
-      (** Warm-start each branch-and-bound child's LP from its parent's
-          optimal basis via the dual simplex (default [true]).  Purely a
-          speed knob: any doubtful warm solve falls back to a cold
-          solve, so results never depend on it.  Distinct from the
-          strategy's [warm_start], which seeds the MILP incumbent from
-          the combinatorial engine. *)
-  cuts : bool;
-      (** Add the {!Milp.Cuts} families (relocation-symmetry chains,
-          portion-packing/capacity rows) at model build time (default
-          [true]).  Purely a search-speed knob: cuts never change the
-          optimum.  The count of added rows lands in the
-          [rfloor_cuts_applied_total] counter and a [Cut_added] trace
-          event. *)
   trace : Rfloor_trace.sink;
       (** Where structured solver events go (default
           {!Rfloor_trace.Sink.null}: no events, but [outcome.report] is
@@ -144,8 +130,6 @@ module Options : sig
     ?time_limit:float ->
     ?node_limit:int ->
     ?paper_literal_l:bool ->
-    ?warm_lp:bool ->
-    ?cuts:bool ->
     ?trace:Rfloor_trace.sink ->
     ?metrics:Rfloor_metrics.Registry.t ->
     ?cancel:(unit -> bool) ->
@@ -154,8 +138,8 @@ module Options : sig
   (** The single construction point for solver options — the CLI, the
       service, the bench and the examples all build through it, so the
       defaults ([Strategy.milp ()], [Lexicographic], [time_limit] 60
-      seconds, no node limit, cuts on, null trace sink,
-      never-firing [cancel]) are defined exactly once.  "No time limit"
+      seconds, no node limit, null trace sink, never-firing [cancel])
+      are defined exactly once.  "No time limit"
       is spelled explicitly: [~time_limit:infinity] (any non-finite
       value maps to [None] in the record).  Worker count, MILP engine
       and warm start are chosen through the strategy, e.g.
@@ -218,8 +202,8 @@ val feasible :
 
 val export_lp :
   ?options:options -> Device.Partition.t -> Device.Spec.t -> string
-(** CPLEX-LP text of the (first-stage) model, for external solvers.
-    Honours [options.cuts]; a non-MILP strategy exports the plain O
-    model. *)
+(** CPLEX-LP text of the (first-stage) model, for external solvers:
+    the model the solve builds.  A non-MILP strategy exports the plain
+    O model. *)
 
 val pp_outcome : Format.formatter -> outcome -> unit

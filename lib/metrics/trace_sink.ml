@@ -35,10 +35,6 @@ let sink reg =
         ~buckets:[| 1e-5; 1e-4; 1e-3; 0.01; 0.1; 1.; 10. |]
         "rfloor_steal_latency_seconds"
     in
-    let cuts =
-      counter ~help:"Structural cut rows added at model build"
-        "rfloor_cuts_total"
-    in
     let idle = counter ~help:"Worker idle transitions" "rfloor_idle_total" in
     let restarts =
       counter ~help:"Optimization stage restarts" "rfloor_restarts_total"
@@ -113,7 +109,6 @@ let sink reg =
           Registry.Counter.incr incumbents;
           Registry.Gauge.set incumbent_obj objective;
           Registry.Histogram.observe incumbent_at e.E.at
-        | E.Cut_added { cuts = c; _ } -> Registry.Counter.add cuts c
         | E.Steal { tasks } ->
           Registry.Counter.incr steals;
           Registry.Counter.add steal_tasks tasks

@@ -14,7 +14,7 @@
       [rfloor_steal_latency_seconds] — the latency histogram measures
       idle-to-next-node gaps per worker, i.e. how long a starved
       worker waited for stolen work;
-    - [rfloor_cuts_total], [rfloor_idle_total], [rfloor_restarts_total],
+    - [rfloor_idle_total], [rfloor_restarts_total],
       [rfloor_warnings_total], [rfloor_trace_events_total].
 
     On the {!Registry.null} registry this returns

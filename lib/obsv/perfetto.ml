@@ -101,8 +101,6 @@ let event_json nodes_per_worker (e : T.Event.t) =
          ~args:
            [ ("objective", J.Num objective); ("node", J.Num (float_of_int node)) ]
          at)
-  | T.Event.Cut_added { cuts } ->
-    Some (instant ~tid ~name:"cuts" ~args:[ ("cuts", J.Num (float_of_int cuts)) ] at)
   | T.Event.Steal { tasks } ->
     Some
       (instant ~tid ~name:"steal"

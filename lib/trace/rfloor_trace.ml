@@ -29,7 +29,6 @@ module Event = struct
     | Span_end of phase
     | Node_explored of { depth : int; bound : float; iters : int }
     | Incumbent of { objective : float; node : int }
-    | Cut_added of { cuts : int }
     | Steal of { tasks : int }
     | Worker_idle
     | Restart of { stage : string }
@@ -65,7 +64,6 @@ module Event = struct
     | Span_end _ -> "span_end"
     | Node_explored _ -> "node"
     | Incumbent _ -> "incumbent"
-    | Cut_added _ -> "cut"
     | Steal _ -> "steal"
     | Worker_idle -> "idle"
     | Restart _ -> "restart"
@@ -85,7 +83,6 @@ module Event = struct
       else Format.fprintf ppf "node depth=%d" depth
     | Incumbent { objective; node } ->
       Format.fprintf ppf "incumbent %.6f (node %d)" objective node
-    | Cut_added { cuts } -> Format.fprintf ppf "cuts: %d structural rows" cuts
     | Steal { tasks } -> Format.fprintf ppf "donated %d open subproblems" tasks
     | Worker_idle -> Format.fprintf ppf "idle"
     | Restart { stage } -> Format.fprintf ppf "restart: %s" stage
@@ -118,7 +115,6 @@ module Event = struct
         else Printf.sprintf ",\"depth\":%d,\"bound\":%s" depth (json_float bound)
       | Incumbent { objective; node } ->
         Printf.sprintf ",\"obj\":%s,\"node\":%d" (json_float objective) node
-      | Cut_added { cuts } -> Printf.sprintf ",\"cuts\":%d" cuts
       | Steal { tasks } -> Printf.sprintf ",\"tasks\":%d" tasks
       | Worker_idle -> ""
       | Restart { stage } ->
@@ -183,9 +179,6 @@ module Event = struct
           let* node = int_ "node" in
           if node < 0 then Error "negative node"
           else Ok (Incumbent { objective; node })
-        | "cut" ->
-          let* cuts = int_ "cuts" in
-          if cuts < 1 then Error "cut with no cuts" else Ok (Cut_added { cuts })
         | "steal" ->
           let* tasks = int_ "tasks" in
           if tasks < 1 then Error "steal with no tasks"
@@ -336,7 +329,6 @@ module Metrics = struct
 
   type t = {
     incumbents : int Sync.Atomic.t;
-    cuts : int Sync.Atomic.t;
     steal_attempts : int Sync.Atomic.t;
     steal_successes : int Sync.Atomic.t;
     tasks_donated : int Sync.Atomic.t;
@@ -354,7 +346,6 @@ module Metrics = struct
   let create () =
     {
       incumbents = Sync.Atomic.make 0;
-      cuts = Sync.Atomic.make 0;
       steal_attempts = Sync.Atomic.make 0;
       steal_successes = Sync.Atomic.make 0;
       tasks_donated = Sync.Atomic.make 0;
@@ -428,7 +419,6 @@ module Report = struct
     simplex_iterations : int;
     elapsed : float;
     incumbents : int;
-    cuts : int;
     steal_attempts : int;
     steal_successes : int;
     tasks_donated : int;
@@ -447,7 +437,6 @@ module Report = struct
       simplex_iterations = 0;
       elapsed = 0.;
       incumbents = 0;
-      cuts = 0;
       steal_attempts = 0;
       steal_successes = 0;
       tasks_donated = 0;
@@ -462,9 +451,9 @@ module Report = struct
 
   let pp ppf r =
     Format.fprintf ppf
-      "nodes %d  simplex iterations %d  elapsed %.3fs@.incumbents %d  cuts %d  \
+      "nodes %d  simplex iterations %d  elapsed %.3fs@.incumbents %d  \
        steals %d/%d (tasks %d)  idle %d  restarts %d  warnings %d@."
-      r.nodes r.simplex_iterations r.elapsed r.incumbents r.cuts
+      r.nodes r.simplex_iterations r.elapsed r.incumbents
       r.steal_successes r.steal_attempts r.tasks_donated r.idle_events
       r.restarts r.warnings;
     if r.gc <> no_gc then
@@ -503,8 +492,8 @@ module Report = struct
     let b = Buffer.create 512 in
     Buffer.add_string b
       (Printf.sprintf
-         "{\"nodes\":%d,\"simplex_iterations\":%d,\"elapsed\":%.6f,\"incumbents\":%d,\"cuts\":%d,\"steal_attempts\":%d,\"steal_successes\":%d,\"tasks_donated\":%d,\"idle_events\":%d,\"restarts\":%d,\"warnings\":%d"
-         r.nodes r.simplex_iterations r.elapsed r.incumbents r.cuts
+         "{\"nodes\":%d,\"simplex_iterations\":%d,\"elapsed\":%.6f,\"incumbents\":%d,\"steal_attempts\":%d,\"steal_successes\":%d,\"tasks_donated\":%d,\"idle_events\":%d,\"restarts\":%d,\"warnings\":%d"
+         r.nodes r.simplex_iterations r.elapsed r.incumbents
          r.steal_attempts r.steal_successes r.tasks_donated r.idle_events
          r.restarts r.warnings);
     Buffer.add_string b ",\"phases\":[";
@@ -602,12 +591,6 @@ let incumbent t ~worker ~objective ~node =
   if t.t_live then begin
     Sync.Atomic.incr t.t_m.Metrics.incumbents;
     if enabled t then send t worker (Event.Incumbent { objective; node })
-  end
-
-let cuts_added t ~worker ~cuts =
-  if t.t_live && cuts > 0 then begin
-    ignore (Sync.Atomic.fetch_and_add t.t_m.Metrics.cuts cuts);
-    if enabled t then send t worker (Event.Cut_added { cuts })
   end
 
 let steal t ~worker ~tasks =
@@ -722,7 +705,6 @@ let report t ~nodes ~simplex_iterations ~elapsed =
     simplex_iterations;
     elapsed;
     incumbents = Sync.Atomic.get m.Metrics.incumbents;
-    cuts = Sync.Atomic.get m.Metrics.cuts;
     steal_attempts = Sync.Atomic.get m.Metrics.steal_attempts;
     steal_successes = Sync.Atomic.get m.Metrics.steal_successes;
     tasks_donated = Sync.Atomic.get m.Metrics.tasks_donated;

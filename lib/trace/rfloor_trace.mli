@@ -54,10 +54,6 @@ module Event : sig
             at that point (0 = unreported; optional on parse so older
             traces still load) *)
     | Incumbent of { objective : float; node : int }
-    | Cut_added of { cuts : int }
-        (** [cuts] structural rows ([Milp.Cuts]: symmetry chains,
-            portion-packing and capacity rows) added to the model at
-            build time; positive *)
     | Steal of { tasks : int }
         (** a donor pushed [tasks] open subproblems to the shared deque *)
     | Worker_idle  (** a worker ran out of local work and started polling *)
@@ -213,7 +209,6 @@ module Report : sig
     simplex_iterations : int;
     elapsed : float;
     incumbents : int;  (** incumbent improvements *)
-    cuts : int;  (** structural cut rows ([Milp.Cuts]) added at build *)
     steal_attempts : int;
     steal_successes : int;
     tasks_donated : int;  (** subproblems pushed to the shared deque *)
@@ -282,7 +277,6 @@ val node_explored :
     consumers report LP work without a second event stream. *)
 
 val incumbent : t -> worker:int -> objective:float -> node:int -> unit
-val cuts_added : t -> worker:int -> cuts:int -> unit
 val steal : t -> worker:int -> tasks:int -> unit
 val steal_attempt : t -> success:bool -> unit
 (** Counter only; emits no event. *)

@@ -320,9 +320,10 @@ let random_spec prng (part : Device.Partition.t) =
   Device.Spec.make ~nets ~relocs ~name:"gen_spec" regions
 
 (* Like [random_spec] but always with one relocation request of 2-3
-   copies so interchangeable free-compatible areas exist — the shape
-   the symmetry cuts order.  Soft mode keeps the instance feasible on
-   devices too small for every copy; roughly half the cases go hard. *)
+   copies, so interchangeable free-compatible areas exist: the MILP
+   then meets every ordering of the same copies.  Soft mode keeps the
+   instance feasible on devices too small for every copy; about one
+   case in four goes hard. *)
 let random_reloc_spec prng (part : Device.Partition.t) =
   let spec = random_spec prng part in
   let names = Device.Spec.region_names spec in

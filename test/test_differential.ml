@@ -475,9 +475,9 @@ let observe solve (options : Bb.options) lp =
         ( "report counters",
           T.Report.(
             Printf.sprintf
-              "incumbents %d, cuts %d, steal attempts %d, steal successes %d, \
+              "incumbents %d, steal attempts %d, steal successes %d, \
                tasks donated %d, idle events %d, restarts %d, warnings %d"
-              rep.incumbents rep.cuts rep.steal_attempts rep.steal_successes
+              rep.incumbents rep.steal_attempts rep.steal_successes
               rep.tasks_donated rep.idle_events rep.restarts rep.warnings) );
         ( "report workers",
           ints
@@ -563,8 +563,8 @@ let test_one_worker_vs_reference () =
           check_same_search ~what:(name ^ ", " ^ variant) options lp)
         bb_variants)
     instances;
-  (* the paper's instance: FX70T SDR stage 1 with the model's cuts and
-     branching priorities, a few nodes deep *)
+  (* the paper's instance: FX70T SDR stage 1 with the model's branching
+     priorities, a few nodes deep *)
   let model =
     Rfloor.Model.build
       ~options:
@@ -573,7 +573,6 @@ let test_one_worker_vs_reference () =
           paper_literal_l = false;
           pair_relations = [];
           extra_waste_cap = None;
-          cuts = true;
         }
       (Device.Partition.columnar_exn Device.Devices.virtex5_fx70t)
       Sdr.design

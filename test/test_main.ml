@@ -7,4 +7,4 @@ let () =
    @ Test_sdr.suites @ Test_runtime.suites @ Test_io.suites
    @ Test_differential.suites @ Test_formats.suites @ Test_trace.suites
   @ Test_metrics.suites @ Test_service.suites @ Test_concheck.suites
-   @ Test_portfolio.suites @ Test_obsv.suites @ Test_online.suites)
+   @ Test_portfolio.suites @ Test_oracle.suites @ Test_obsv.suites @ Test_online.suites)

@@ -1,14 +1,12 @@
-(* Strategy API, relocation-symmetry/packing cuts and the racing
-   portfolio.
+(* Strategy API and the racing portfolio.
 
-   The two differential suites follow the repo's seed discipline: every
+   The race differential follows the repo's seed discipline: every
    failure message leads with the case seed so any report is a complete
    reproducer (test/generators.ml derives an independent stream per
    case from RFLOOR_TEST_SEED). *)
 
 module G = Generators
 module Strategy = Rfloor.Solver.Strategy
-module Bb = Milp.Branch_bound
 
 (* ------------------------------------------------------------------ *)
 (* Strategy round-trips and parse errors *)
@@ -84,106 +82,11 @@ let test_rf501_budget_clamp () =
   Alcotest.(check bool) "still solves" true (o.Rfloor.Solver.plan <> None)
 
 (* ------------------------------------------------------------------ *)
-(* Cuts differential: the symmetry/packing families never change the
-   stage-1 optimum.  Both sides of each case get the same generous node
-   budget; cases where either side fails to prove optimality are
-   skipped (counted), the rest must agree exactly.  RFLOOR_CUTS_DIFF
-   scales the instance count (default 200). *)
-
-let solve_stage1 ~cuts part spec =
-  let model =
-    Rfloor.Model.build
-      ~options:
-        {
-          Rfloor.Model.objective = Rfloor.Model.Wasted_frames_only;
-          paper_literal_l = false;
-          pair_relations = [];
-          extra_waste_cap = None;
-          cuts;
-        }
-      part spec
-  in
-  ( model,
-    Bb.solve
-      ~options:
-        {
-          Bb.default_options with
-          time_limit = Some 1.;
-          node_limit = Some 800;
-          priorities = Some (Rfloor.Model.branching_priorities model);
-        }
-      (Rfloor.Model.lp model) )
-
-let obj r = match r.Bb.incumbent with Some (v, _) -> v | None -> nan
-
-let cuts_diff_count () =
-  match Sys.getenv_opt "RFLOOR_CUTS_DIFF" with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n > 0 -> n
-    | _ -> 200)
-  | None -> 200
-
-(* The relocation twin, the one fixed input: three soft copies of a
-   2-DSP region on a 4-row DSP column beside a CLB column.  The copies
-   are interchangeable and compete for the one DSP column, so both cut
-   families fire.  Its node counts follow the LU's pivot path, so only
-   the verdict, the optimum and the firing are pinned. *)
-let check_reloc_twin () =
-  let open Device in
-  let part =
-    Partition.columnar_exn
-      (Grid.of_columns ~name:"reloc-twin" ~rows:4
-         [ Resource.tile_type Resource.Dsp; Resource.tile_type Resource.Clb ])
-  in
-  let spec =
-    Spec.make ~name:"reloc-twin"
-      ~relocs:[ { Spec.target = "R1"; copies = 3; mode = Spec.Soft 1. } ]
-      [ { Spec.r_name = "R1"; demand = [ (Resource.Dsp, 2) ] } ]
-  in
-  let model, on = solve_stage1 ~cuts:true part spec in
-  let _, off = solve_stage1 ~cuts:false part spec in
-  Alcotest.(check bool) "twin proved with and without cuts" true
-    (on.Bb.status = Bb.Optimal && off.Bb.status = Bb.Optimal);
-  Alcotest.(check (float 1e-6)) "twin optimum unchanged by cuts" (obj off)
-    (obj on);
-  Alcotest.(check bool) "cut families fire on the twin" true
-    (Rfloor.Model.cuts_applied model > 0)
-
-let test_cuts_differential () =
-  check_reloc_twin ();
-  let base = G.base_seed () in
-  let count = cuts_diff_count () in
-  let compared = ref 0 in
-  for i = 0 to count - 1 do
-    let seed = G.case_seed base (7_000 + i) in
-    let prng = G.Prng.make seed in
-    let part = G.random_partition prng in
-    let spec = G.random_reloc_spec prng part in
-    let _, on = solve_stage1 ~cuts:true part spec in
-    let _, off = solve_stage1 ~cuts:false part spec in
-    match (on.Bb.status, off.Bb.status) with
-    | Bb.Optimal, Bb.Optimal ->
-      incr compared;
-      if abs_float (obj on -. obj off) > 1e-6 then
-        Alcotest.failf
-          "seed %d: cuts changed the stage-1 optimum (%.6f with vs %.6f without)"
-          seed (obj on) (obj off)
-    | Bb.Infeasible, Bb.Infeasible -> incr compared
-    | (Bb.Optimal | Bb.Infeasible), (Bb.Optimal | Bb.Infeasible) ->
-      Alcotest.failf "seed %d: cuts flipped the verdict" seed
-    | _ -> () (* budget-bound on either side: not comparable *)
-  done;
-  (* vacuity guard: with the 1 s / 800-node per-side budget roughly
-     half the random instances prove out; require at least 2/5 *)
-  Alcotest.(check bool)
-    (Printf.sprintf "enough conclusive pairs (%d of %d)" !compared count)
-    true (!compared >= count * 2 / 5)
-
-(* ------------------------------------------------------------------ *)
 (* Portfolio vs sequential differential: racing never changes a proved
    answer.  Conclusive results (Optimal / Infeasible) must agree with a
-   plain sequential milp run on wasted frames. *)
+   plain sequential milp run on wasted frames.  Only pairs where both
+   sides are conclusive within their 10 s budgets are compared, so each
+   member set must compare at least one. *)
 
 let quick_options strategy =
   Rfloor.Solver.Options.make ~strategy ~time_limit:10. ()
@@ -199,6 +102,7 @@ let test_portfolio_vs_sequential () =
   let base = G.base_seed () in
   List.iteri
     (fun set_i (set_name, members) ->
+      let compared = ref 0 in
       for i = 0 to 9 do
         let seed = G.case_seed base (8_000 + (100 * set_i) + i) in
         let prng = G.Prng.make seed in
@@ -217,6 +121,7 @@ let test_portfolio_vs_sequential () =
           || o.Rfloor.Solver.status = Rfloor.Solver.Infeasible
         in
         if conclusive seq && conclusive por then begin
+          incr compared;
           (match (seq.Rfloor.Solver.status, por.Rfloor.Solver.status) with
           | Rfloor.Solver.Infeasible, Rfloor.Solver.Infeasible -> ()
           | Rfloor.Solver.Optimal, Rfloor.Solver.Optimal ->
@@ -234,7 +139,11 @@ let test_portfolio_vs_sequential () =
             Alcotest.failf "seed %d [%s]: portfolio flipped the verdict" seed
               set_name)
         end
-      done)
+      done;
+      Printf.printf "[%s] compared %d of 10 pairs\n%!" set_name !compared;
+      Alcotest.(check bool)
+        (Printf.sprintf "[%s] compared a pair (%d of 10)" set_name !compared)
+        true (!compared > 0))
     member_sets
 
 (* ------------------------------------------------------------------ *)
@@ -311,12 +220,6 @@ let suites =
         Alcotest.test_case "round-trip" `Quick test_strategy_roundtrip;
         Alcotest.test_case "parse errors (RF502)" `Quick test_strategy_parse_errors;
         Alcotest.test_case "RF501 budget clamp" `Quick test_rf501_budget_clamp;
-      ] );
-    ( "portfolio.cuts",
-      [
-        (* 200 instances by default; RFLOOR_CUTS_DIFF shrinks the
-           sample (bin/lint.sh portfolio-check runs 25). *)
-        Alcotest.test_case "seeded differential" `Slow test_cuts_differential;
       ] );
     ( "portfolio.race",
       [

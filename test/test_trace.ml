@@ -12,7 +12,6 @@ let sample_events =
     { E.at = 0.002; worker = 1; payload = E.Node_explored { depth = 3; bound = 41.5; iters = 120 } };
     { E.at = 0.003; worker = 1; payload = E.Node_explored { depth = 0; bound = Float.nan; iters = 0 } };
     { E.at = 0.004; worker = 0; payload = E.Incumbent { objective = 42.; node = 17 } };
-    { E.at = 0.005; worker = 0; payload = E.Cut_added { cuts = 5 } };
     { E.at = 0.006; worker = 2; payload = E.Steal { tasks = 4 } };
     { E.at = 0.007; worker = 2; payload = E.Worker_idle };
     { E.at = 0.008; worker = 0; payload = E.Restart { stage = "stage2-wirelength" } };
@@ -30,7 +29,6 @@ let sample_lines =
     {|{"t":0.002000,"w":1,"ev":"node","depth":3,"bound":41.5,"iters":120}|};
     {|{"t":0.003000,"w":1,"ev":"node","depth":0,"bound":null}|};
     {|{"t":0.004000,"w":0,"ev":"incumbent","obj":42,"node":17}|};
-    {|{"t":0.005000,"w":0,"ev":"cut","cuts":5}|};
     {|{"t":0.006000,"w":2,"ev":"steal","tasks":4}|};
     {|{"t":0.007000,"w":2,"ev":"idle"}|};
     {|{"t":0.008000,"w":0,"ev":"restart","stage":"stage2-wirelength"}|};
@@ -79,9 +77,7 @@ let test_json_rejects () =
       ( "node beyond the int range",
         {|{"t":0.1,"w":0,"ev":"incumbent","obj":1,"node":1e19}|} );
       ("negative node", {|{"t":0.1,"w":0,"ev":"incumbent","obj":1,"node":-3}|});
-      ("negative cut count", {|{"t":0.1,"w":0,"ev":"cut","cuts":-5}|});
-      ("no cuts", {|{"t":0.1,"w":0,"ev":"cut","cuts":0}|});
-      ("cut rounds", {|{"t":0.1,"w":0,"ev":"cut","rounds":1,"cuts":5}|});
+      ("retired cut tag", {|{"t":0.1,"w":0,"ev":"cut","cuts":5}|});
     ]
   in
   List.iter
