@@ -128,12 +128,15 @@
 #                                reject a seeded duplicate-add fixture
 #                                (RF702), run `test_main.exe test online`
 #                                (admission pinned to the original scan,
-#                                the pinned FX70T churn replay) and
+#                                the pinned FX70T churn replay, service
+#                                and replay agreeing on every event of
+#                                a seeded trace) and
 #                                `test_main.exe test 'bitstream.*'` (the
 #                                pinned image wire format, the parse
 #                                length check and the allocation bounds;
-#                                again at RFLOOR_TEST_SEED 7 and 424242
-#                                for the seeded relocation round-trip
+#                                both again at RFLOOR_TEST_SEED 7 and
+#                                424242 for the seeded agreement trace
+#                                and relocation round-trip
 #                                property), and relocate an area
 #                                off the FX70T in both directions, which
 #                                must exit 1 with a message and never an
@@ -623,10 +626,12 @@ EOF
         exit 1; }
     # 4. admission decisions and the FX70T churn replay pinned to the
     #    original scan; the image wire format and its allocation pinned;
-    #    the relocation round-trip property at two more seeds
+    #    service and replay agreeing on every event of a seeded trace and
+    #    the relocation round-trip property, both at two more seeds
     dune exec test/test_main.exe -- test online
     dune exec test/test_main.exe -- test 'bitstream.*'
     for s in 7 424242; do
+        RFLOOR_TEST_SEED="$s" dune exec test/test_main.exe -- test online
         RFLOOR_TEST_SEED="$s" dune exec test/test_main.exe -- test 'bitstream.*'
     done
     # 5. out-of-device fixture: a source or target area off the FX70T is

@@ -56,7 +56,17 @@ let job_json (s : Progress.snapshot) =
                members) );
       ])
 
-let render ?pool ?layout ?(jobs = []) ?(cache_json = None) () =
+let layout_json lv =
+  J.Obj
+    [
+      ("device", J.Str lv.lv_device);
+      ("modules", J.Num (float_of_int lv.lv_modules));
+      ("occupancy", J.Num lv.lv_occupancy);
+      ("fragmentation", J.Num lv.lv_fragmentation);
+      ("free_rects", J.Num (float_of_int lv.lv_free_rects));
+    ]
+
+let render ?pool ?layout ?(jobs = []) () =
   let pool_fields =
     match pool with
     | None -> []
@@ -81,22 +91,8 @@ let render ?pool ?layout ?(jobs = []) ?(cache_json = None) () =
       ]
   in
   let layout_fields =
-    match layout with
-    | None -> []
-    | Some lv ->
-      [
-        ( "layout",
-          J.Obj
-            [
-              ("device", J.Str lv.lv_device);
-              ("modules", J.Num (float_of_int lv.lv_modules));
-              ("occupancy", J.Num lv.lv_occupancy);
-              ("fragmentation", J.Num lv.lv_fragmentation);
-              ("free_rects", J.Num (float_of_int lv.lv_free_rects));
-            ] );
-      ]
+    match layout with None -> [] | Some lv -> [ ("layout", layout_json lv) ]
   in
-  let extra = match cache_json with Some j -> [ ("extra", j) ] | None -> [] in
   J.to_string
     (J.Obj
        ([
@@ -105,8 +101,7 @@ let render ?pool ?layout ?(jobs = []) ?(cache_json = None) () =
           ("version", J.Str Build_info.version);
         ]
        @ pool_fields @ layout_fields
-       @ [ ("jobs", J.Arr (List.map job_json jobs)) ]
-       @ extra))
+       @ [ ("jobs", J.Arr (List.map job_json jobs)) ]))
   ^ "\n"
 
 (* A light validator for tests and the shell gate: the document must

@@ -31,13 +31,17 @@ type layout_view = {
   lv_free_rects : int;
 }
 (** The session's online layout ({!Rfloor_online.Layout}), when one
-    has been established through the service's [layout] op. *)
+    has been established through the service's [layout] op.  The
+    service's [type:"online"] frames carry the same summary. *)
+
+val layout_json : layout_view -> Rfloor_json.t
+(** The summary as one JSON object: [device], [modules], [occupancy],
+    [fragmentation], [free_rects]. *)
 
 val render :
   ?pool:pool_view ->
   ?layout:layout_view ->
   ?jobs:Progress.snapshot list ->
-  ?cache_json:Rfloor_json.t option ->
   unit ->
   string
 (** The document, newline-terminated compact JSON. *)

@@ -10,7 +10,6 @@ type move = {
 }
 
 type plan =
-  | Admit of R.t
   | Moves of move list * R.t
   | Fallback of (string * R.t) list
 
@@ -61,7 +60,10 @@ let successors part st =
         sites)
     st.st_rects
 
-let search part ~max_moves ~max_states ~demand init =
+(* states a search may explore before it gives up *)
+let max_states = 5000
+
+let search part ~max_moves ~demand init =
   let visited = Hashtbl.create 256 in
   Hashtbl.replace visited (state_key init) ();
   let explored = ref 0 in
@@ -101,7 +103,10 @@ let search part ~max_moves ~max_states ~demand init =
 
 (* ---- residual full re-placement (no-break waived) ---- *)
 
-let residual_replace ~time_limit layout ~name ~demand =
+(* the residual solve's budget, seconds on the monotonic clock *)
+let time_limit = 5.
+
+let residual_replace layout ~name ~demand =
   let positive d = List.filter (fun (_, n) -> n > 0) d in
   let regions =
     List.map
@@ -139,8 +144,7 @@ let residual_replace ~time_limit layout ~name ~demand =
            | Rfloor.Solver.Infeasible -> "proved infeasible"
            | _ -> "residual solve inconclusive")))
 
-let plan ?(max_moves = 3) ?(max_states = 5000) ?(fallback = true)
-    ?(time_limit = 5.) layout ~name ~demand =
+let plan ?(max_moves = 3) ?(fallback = true) layout ~name ~demand =
   if Layout.find layout name <> None then
     Error
       (D.diagf ~code:"RF702" D.Error (D.Layout name)
@@ -150,32 +154,29 @@ let plan ?(max_moves = 3) ?(max_states = 5000) ?(fallback = true)
       (D.diagf ~code:"RF701" D.Error (D.Layout name) "empty demand for %S"
          name)
   else
-    match Layout.admission_rect layout demand with
-    | Some r -> Ok (Admit r)
-    | None -> (
-      let part = Layout.partition layout in
-      let init =
-        {
-          st_rects =
-            List.sort
-              (fun (a, _) (b, _) -> compare a b)
-              (List.map
-                 (fun (e : Layout.entry) -> (e.Layout.e_name, e.Layout.e_rect))
-                 (Layout.entries layout));
-          st_mers = Layout.free_rects layout;
-          st_moves = [];
-          st_frames = 0;
-        }
-      in
-      match search part ~max_moves ~max_states ~demand init with
-      | Some (st, r) -> Ok (Moves (List.rev st.st_moves, r))
-      | None ->
-        if fallback then residual_replace ~time_limit layout ~name ~demand
-        else
-          Error
-            (D.diagf ~code:"RF701" D.Error (D.Layout name)
-               "no move schedule within %d moves admits %a" max_moves
-               Device.Resource.pp_demand demand))
+    let part = Layout.partition layout in
+    let init =
+      {
+        st_rects =
+          List.sort
+            (fun (a, _) (b, _) -> compare a b)
+            (List.map
+               (fun (e : Layout.entry) -> (e.Layout.e_name, e.Layout.e_rect))
+               (Layout.entries layout));
+        st_mers = Layout.free_rects layout;
+        st_moves = [];
+        st_frames = 0;
+      }
+    in
+    match search part ~max_moves ~demand init with
+    | Some (st, r) -> Ok (Moves (List.rev st.st_moves, r))
+    | None ->
+      if fallback then residual_replace layout ~name ~demand
+      else
+        Error
+          (D.diagf ~code:"RF701" D.Error (D.Layout name)
+             "no move schedule within %d moves admits %a" max_moves
+             Device.Resource.pp_demand demand)
 
 let execute ?(on_move = fun _ -> ()) layout moves =
   List.fold_left

@@ -24,8 +24,6 @@ type move = {
 }
 
 type plan =
-  | Admit of Device.Rect.t
-      (** no moves needed: the arrival already admits here *)
   | Moves of move list * Device.Rect.t
       (** execute the moves in order, then admit at the rectangle;
           non-moving modules are untouched *)
@@ -35,17 +33,18 @@ type plan =
 
 val plan :
   ?max_moves:int ->
-  ?max_states:int ->
   ?fallback:bool ->
-  ?time_limit:float ->
   Layout.t ->
   name:string ->
   demand:Device.Resource.demand ->
   (plan, Rfloor_diag.Diagnostic.t) result
-(** Defaults: [max_moves] 3, [max_states] 5000, [fallback] true,
-    [time_limit] 5 seconds (for the residual solve only).  Errors:
-    RF702 (duplicate module name), RF701 (not admissible even by the
-    fallback solve). *)
+(** Plans for a blocked arrival: one {!Layout.place} has just refused
+    with RF701.  The search does not re-check plain admission, so every
+    schedule it returns has at least one move.  Defaults: [max_moves] 3,
+    [fallback] true.  The search explores at most 5000 states; the
+    residual solve runs for at most 5 seconds on the monotonic clock.
+    Errors: RF702 (duplicate module name), RF701 (empty demand, or not
+    admissible even by the fallback solve). *)
 
 val execute :
   ?on_move:(move -> unit) ->

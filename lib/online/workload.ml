@@ -100,7 +100,13 @@ let defrag_episodes s = s.s_defrag_admitted + s.s_fallbacks
 (* Rebuild a layout from a full re-placement assignment (the RF704
    fallback path): every module is re-placed, images re-synthesized —
    precisely the guarantee the no-break planner exists to avoid. *)
-let rebuild part ~demands assignment =
+let rebuild layout ~name ~demand assignment =
+  let demands =
+    (name, demand)
+    :: List.map
+         (fun (e : Layout.entry) -> (e.Layout.e_name, e.Layout.e_demand))
+         (Layout.entries layout)
+  in
   List.fold_left
     (fun acc (name, rect) ->
       match acc with
@@ -112,7 +118,7 @@ let rebuild part ~demands assignment =
             (D.diagf ~code:"RF702" D.Error (D.Layout name)
                "fallback assignment names unknown module %S" name)
         | Some demand -> Layout.place_at l name demand rect))
-    (Ok (Layout.create part))
+    (Ok (Layout.create (Layout.partition layout)))
     assignment
 
 let no_break_violations ~before ~after ~moved =
@@ -132,122 +138,118 @@ let no_break_violations ~before ~after ~moved =
                  name))
     (Layout.entries before)
 
+type state = { st_layout : Layout.t; st_turned_away : string list }
+
+let start part = { st_layout = Layout.create part; st_turned_away = [] }
+
+type outcome =
+  | Admitted of Device.Rect.t
+  | Defragged of Defrag.move list * Device.Rect.t
+  | Fallback of Device.Rect.t
+  | Rejected of D.t
+  | Departed
+  | Skipped
+  | Failed of D.t
+
+let outcome_word = function
+  | Admitted _ -> "admitted"
+  | Defragged _ -> "defrag"
+  | Fallback _ -> "fallback"
+  | Rejected _ -> "rejected"
+  | Departed -> "departed"
+  | Skipped -> "skipped"
+  | Failed _ -> "error"
+
+let forget name names =
+  if List.mem name names then List.filter (fun n -> n <> name) names
+  else names
+
+let step ~defrag ~max_moves ~fallback ~on_move st ev =
+  let l = st.st_layout in
+  let admit name l' outcome =
+    ( { st_layout = l'; st_turned_away = forget name st.st_turned_away },
+      outcome )
+  in
+  let reject name d =
+    ({ st with st_turned_away = name :: st.st_turned_away }, Rejected d)
+  in
+  match ev with
+  | Depart { d_name } -> (
+    match Layout.remove l d_name with
+    | Ok l' -> ({ st with st_layout = l' }, Departed)
+    | Error _ when List.mem d_name st.st_turned_away ->
+      ({ st with st_turned_away = forget d_name st.st_turned_away }, Skipped)
+    | Error d -> (st, Failed d))
+  | Arrive { a_name; a_demand } -> (
+    match Layout.place l a_name a_demand with
+    | Ok (l', rect) -> admit a_name l' (Admitted rect)
+    | Error d when d.D.code <> "RF701" -> (st, Failed d)
+    | Error d when not defrag -> reject a_name d
+    | Error _ -> (
+      match Defrag.plan ~max_moves ~fallback l ~name:a_name ~demand:a_demand with
+      | Error d -> reject a_name d
+      | Ok (Defrag.Moves (schedule, _)) -> (
+        match Defrag.execute ~on_move l schedule with
+        | Error d -> (st, Failed d)
+        | Ok l' -> (
+          match Layout.place l' a_name a_demand with
+          | Ok (l'', rect) -> admit a_name l'' (Defragged (schedule, rect))
+          | Error d -> ({ st with st_layout = l' }, Failed d) (* moves kept *)))
+      | Ok (Defrag.Fallback assignment) -> (
+        match rebuild l ~name:a_name ~demand:a_demand assignment with
+        | Error d -> (st, Failed d)
+        | Ok l' -> (
+          match Layout.find l' a_name with
+          | Some e -> admit a_name l' (Fallback e.Layout.e_rect)
+          | None ->
+            ( st,
+              Failed
+                (D.diagf ~code:"RF701" D.Error (D.Layout a_name)
+                   "fallback re-placement lost the arriving module") )))))
+
 let replay ?(defrag = true) ?(max_moves = 3) ?(fallback = true)
-    ?(check = true) ?(on_event = fun _ _ _ -> ()) ?(on_move = fun _ -> ())
-    part events =
+    ?(check = true) ?(on_event = fun _ _ _ -> ()) part events =
   let violations = ref [] in
   let violate fmt =
     Format.kasprintf (fun m -> violations := m :: !violations) fmt
   in
   let admitted = ref 0 and defragged = ref 0 and fallbacks = ref 0 in
   let rejected = ref 0 and departed = ref 0 and moves = ref 0 in
-  (* arrivals the layout turned away: their later departures are
-     no-ops in the trace, not audit failures *)
-  let rejected_live = ref [] in
-  let reject name =
-    incr rejected;
-    rejected_live := name :: !rejected_live
-  in
-  let step i layout ev =
-    match ev with
-    | Depart { d_name } -> (
-      match Layout.remove layout d_name with
-      | Ok l ->
-        incr departed;
-        on_event i ev "departed";
-        l
-      | Error d ->
-        if List.mem d_name !rejected_live then begin
-          rejected_live := List.filter (fun n -> n <> d_name) !rejected_live;
-          on_event i ev "skipped"
-        end
-        else begin
-          violate "departure of %S failed: %s" d_name d.D.message;
-          on_event i ev "error"
-        end;
-        layout)
-    | Arrive { a_name; a_demand } -> (
-      match Layout.place layout a_name a_demand with
-      | Ok (l, _) ->
-        incr admitted;
-        on_event i ev "admitted";
-        l
-      | Error d when d.D.code <> "RF701" ->
-        violate "arrival of %S failed: %s" a_name d.D.message;
-        on_event i ev "error";
-        layout
-      | Error _ when not defrag ->
-        reject a_name;
-        on_event i ev "rejected";
-        layout
-      | Error _ -> (
-        match
-          Defrag.plan ~max_moves ~fallback layout ~name:a_name
-            ~demand:a_demand
-        with
-        | Ok (Defrag.Admit _) ->
-          (* [place] just failed, so admission cannot succeed here *)
-          violate "planner admitted %S that place rejected" a_name;
-          layout
-        | Ok (Defrag.Moves (schedule, _)) -> (
-          let moved = List.map (fun m -> m.Defrag.mv_name) schedule in
-          match
-            Defrag.execute
-              ~on_move:(fun m ->
-                incr moves;
-                on_move m)
-              layout schedule
-          with
-          | Error d ->
-            violate "move schedule for %S refused: %s" a_name d.D.message;
-            on_event i ev "error";
-            layout
-          | Ok l' -> (
-            violations :=
-              List.rev_append
-                (no_break_violations ~before:layout ~after:l' ~moved)
-                !violations;
-            match Layout.place l' a_name a_demand with
-            | Ok (l'', _) ->
-              incr defragged;
-              on_event i ev "defrag";
-              l''
-            | Error d ->
-              violate "admission after defrag for %S failed: %s" a_name
-                d.D.message;
-              on_event i ev "error";
-              l'))
-        | Ok (Defrag.Fallback assignment) -> (
-          let demands =
-            (a_name, a_demand)
-            :: List.map
-                 (fun (e : Layout.entry) ->
-                   (e.Layout.e_name, e.Layout.e_demand))
-                 (Layout.entries layout)
-          in
-          match rebuild part ~demands assignment with
-          | Ok l ->
-            incr fallbacks;
-            on_event i ev "fallback";
-            l
-          | Error d ->
-            violate "fallback re-placement for %S failed: %s" a_name
-              d.D.message;
-            on_event i ev "error";
-            layout)
-        | Error _ ->
-          reject a_name;
-          on_event i ev "rejected";
-          layout))
+  (* the modules the current event relocated, for its no-break audit *)
+  let moved = ref [] in
+  let on_move (m : Defrag.move) =
+    incr moves;
+    moved := m.Defrag.mv_name :: !moved
   in
   let final =
     List.fold_left
-      (fun (i, layout) ev ->
-        let l = step i layout ev in
-        if check && not (Layout.check_free_rects l) then
+      (fun (i, st) ev ->
+        moved := [];
+        let st', outcome = step ~defrag ~max_moves ~fallback ~on_move st ev in
+        if !moved <> [] then
+          violations :=
+            List.rev_append
+              (no_break_violations ~before:st.st_layout ~after:st'.st_layout
+                 ~moved:!moved)
+              !violations;
+        (match outcome with
+        | Admitted _ -> incr admitted
+        | Defragged _ -> incr defragged
+        | Fallback _ -> incr fallbacks
+        | Rejected _ -> incr rejected
+        | Departed -> incr departed
+        | Skipped -> ()
+        | Failed d -> (
+          match ev with
+          | Arrive { a_name; _ } ->
+            violate "arrival of %S failed: %s" a_name d.D.message
+          | Depart { d_name } ->
+            violate "departure of %S failed: %s" d_name d.D.message));
+        on_event i ev (outcome_word outcome);
+        if check && not (Layout.check_free_rects st'.st_layout) then
           violate "free-rectangle differential check failed after event %d" i;
-        (i + 1, l))
-      (0, Layout.create part) events
+        (i + 1, st'))
+      (0, start part) events
     |> snd
   in
   {
@@ -259,5 +261,5 @@ let replay ?(defrag = true) ?(max_moves = 3) ?(fallback = true)
     s_departed = !departed;
     s_moves = !moves;
     s_violations = List.rev !violations;
-    s_final = final;
+    s_final = final.st_layout;
   }

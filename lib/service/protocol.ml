@@ -345,14 +345,6 @@ let error_frame ?id msg =
 
 (* ---------------- online frames ---------------- *)
 
-type layout_summary = {
-  ls_device : string;
-  ls_modules : int;
-  ls_occupancy : float;
-  ls_fragmentation : float;
-  ls_free_rects : int;
-}
-
 let rect_json (r : Rect.t) =
   J.Obj
     [
@@ -360,16 +352,6 @@ let rect_json (r : Rect.t) =
       ("y", J.Num (float_of_int r.Rect.y));
       ("w", J.Num (float_of_int r.Rect.w));
       ("h", J.Num (float_of_int r.Rect.h));
-    ]
-
-let layout_json ls =
-  J.Obj
-    [
-      ("device", J.Str ls.ls_device);
-      ("modules", J.Num (float_of_int ls.ls_modules));
-      ("occupancy", num ls.ls_occupancy);
-      ("fragmentation", num ls.ls_fragmentation);
-      ("free_rects", J.Num (float_of_int ls.ls_free_rects));
     ]
 
 let online_frame ~op ~outcome ?name ?code ?message ?rect ?(moves = []) ?layout
@@ -396,4 +378,4 @@ let online_frame ~op ~outcome ?name ?code ?message ?rect ?(moves = []) ?layout
                      ])
                  moves) );
         ])
-    @ opt_field "layout" (Option.map layout_json layout))
+    @ opt_field "layout" (Option.map Rfloor_obsv.Statusz.layout_json layout))

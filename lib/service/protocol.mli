@@ -92,14 +92,6 @@ val ack_frame : op:string -> id:string -> ok:bool -> string
 val stats_frame : Pool.stats -> string
 val error_frame : ?id:string -> string -> string
 
-type layout_summary = {
-  ls_device : string;
-  ls_modules : int;
-  ls_occupancy : float;
-  ls_fragmentation : float;
-  ls_free_rects : int;
-}
-
 val online_frame :
   op:string ->
   outcome:string ->
@@ -108,15 +100,15 @@ val online_frame :
   ?message:string ->
   ?rect:Device.Rect.t ->
   ?moves:(string * Device.Rect.t * Device.Rect.t) list ->
-  ?layout:layout_summary ->
+  ?layout:Rfloor_obsv.Statusz.layout_view ->
   unit ->
   string
 (** One [type:"online"] response: the request's [op], an [outcome]
     (["established"], ["admitted"], ["defrag"], ["fallback"],
-    ["rejected"], ["removed"], ["compacted"], ["ok"] or ["error"]),
-    and when known the placed rectangle, the executed moves and the
-    post-request layout summary.  Error outcomes carry the RF7xx
-    [code] and rendered [message]. *)
+    ["rejected"], ["removed"], ["skipped"], ["compacted"], ["ok"] or
+    ["error"]), and when known the placed rectangle, the executed moves
+    and the post-request layout summary (the [/statusz] one).  Error
+    outcomes carry the RF7xx [code] and rendered [message]. *)
 
 val version : string
 (** ["rfloor-service/1"]. *)

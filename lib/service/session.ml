@@ -116,19 +116,11 @@ let pool_view pool =
 
 (* All online ops run synchronously in the reader thread (their Ready
    frames keep submission order with solve results); the statusz thunk
-   reads the ref from the HTTP domain, but the stored Layout.t is
+   reads the ref from the HTTP domain, but the stored state is
    immutable, so the worst case is a one-request-old snapshot. *)
 
-let layout_summary (dev, l) =
-  {
-    P.ls_device = dev;
-    ls_modules = Ol.Layout.modules l;
-    ls_occupancy = Ol.Layout.occupancy l;
-    ls_fragmentation = Ol.Layout.fragmentation l;
-    ls_free_rects = List.length (Ol.Layout.free_rects l);
-  }
-
-let layout_view (dev, l) =
+let layout_view (dev, (st : Ol.Workload.state)) =
+  let l = st.Ol.Workload.st_layout in
   {
     Statusz.lv_device = dev;
     lv_modules = Ol.Layout.modules l;
@@ -143,29 +135,8 @@ let diag_frame ~op ?name (d : Diag.t) =
   P.online_frame ~op ~outcome:"error" ?name ~code:d.Diag.code
     ~message:(Format.asprintf "%a" Diag.pp d) ()
 
-(* the RF704 fallback path: every live module re-placed with a fresh
-   image — the no-break guarantee is waived, which callers see as
-   outcome "fallback" carrying code RF704 *)
-let rebuild_from_assignment part ~demands assignment =
-  List.fold_left
-    (fun acc (name, rect) ->
-      match acc with
-      | Error _ as e -> e
-      | Ok l -> (
-        match List.assoc_opt name demands with
-        | None ->
-          Error
-            (Diag.diagf ~code:"RF702" Diag.Error (Diag.Layout name)
-               "fallback assignment names unknown module %S" name)
-        | Some demand -> Ol.Layout.place_at l name demand rect))
-    (Ok (Ol.Layout.create part))
-    assignment
-
 type online_ctx = {
-  oc_state : (string * Ol.Layout.t) option ref;
-  oc_rejected : string list ref;
-      (* arrivals the layout turned away: their later departures answer
-         "skipped", not RF702 — replayed traces stay error-free *)
+  oc_state : (string * Ol.Workload.state) option ref;
   oc_warn : Diag.t -> unit;
   oc_on_move : Ol.Defrag.move -> unit;
   oc_metrics : Rfloor_metrics.Registry.t;
@@ -174,8 +145,23 @@ type online_ctx = {
 let online_counter ctx name help =
   Rfloor_metrics.Registry.counter ctx.oc_metrics ~help name
 
-let set_layout ctx dev l =
-  ctx.oc_state := Some (dev, l);
+let count ctx name help =
+  Rfloor_metrics.Registry.Counter.incr (online_counter ctx name help)
+
+(* a planned schedule, a fallback or an explicit compaction *)
+let count_episode ctx =
+  count ctx "rfloor_online_defrags_total"
+    "Defragmentation episodes (planner or explicit compaction)"
+
+let count_moves ctx schedule =
+  Rfloor_metrics.Registry.Counter.add
+    (online_counter ctx "rfloor_online_moves_executed_total"
+       "Relocations executed through the bitstream filter")
+    (List.length schedule)
+
+let set_state ctx dev (st : Ol.Workload.state) =
+  ctx.oc_state := Some (dev, st);
+  let l = st.Ol.Workload.st_layout in
   let module R = Rfloor_metrics.Registry in
   R.Gauge.set
     (R.gauge ctx.oc_metrics
@@ -206,18 +192,59 @@ let clamp_max_moves ctx ~op = function
          "max_moves %d out of range [0, 8]; clamped to %d" n clamped);
     clamped
 
+(* An arrival or departure goes through the shared Workload step; the
+   new state is kept whatever the outcome, since a rejection or a skip
+   changes the turned-away names. *)
+let apply_event ctx ~op ~name ~defrag ~max_moves (dev, st) ev =
+  let st, outcome =
+    Ol.Workload.step ~defrag ~max_moves ~fallback:true ~on_move:ctx.oc_on_move
+      st ev
+  in
+  set_state ctx dev st;
+  let frame ?code ?message ?rect ?moves outcome =
+    P.online_frame ~op ~outcome ~name ?code ?message ?rect ?moves
+      ~layout:(layout_view (dev, st)) ()
+  in
+  let placed () = count ctx "rfloor_online_adds_total" "Online arrivals placed" in
+  match outcome with
+  | Ol.Workload.Admitted rect ->
+    count ctx "rfloor_online_admission_hits_total"
+      "Arrivals admitted into an existing free rectangle";
+    placed ();
+    frame ~rect "admitted"
+  | Defragged (schedule, rect) ->
+    count_episode ctx;
+    count_moves ctx schedule;
+    placed ();
+    frame ~rect ~moves:(List.map move_triple schedule) "defrag"
+  | Fallback rect ->
+    ctx.oc_warn
+      (Diag.diagf ~code:"RF704" Diag.Warning (Diag.Layout name)
+         "defragmentation fell back to a full re-placement solve; the \
+          no-break guarantee is waived for this arrival");
+    count_episode ctx;
+    placed ();
+    frame ~code:"RF704" ~rect "fallback"
+  | Rejected d ->
+    count ctx "rfloor_online_rejects_total" "Arrivals turned away";
+    frame ~code:d.Diag.code ~message:(Format.asprintf "%a" Diag.pp d)
+      "rejected"
+  | Departed ->
+    count ctx "rfloor_online_removes_total" "Online departures executed";
+    frame "removed"
+  | Skipped -> frame "skipped"
+  | Failed d -> diag_frame ~op ~name d
+
 let handle_online ctx ~resolve_grid (req : P.online_req) =
-  let module R = Rfloor_metrics.Registry in
-  let incr name help = R.Counter.incr (online_counter ctx name help) in
   let frame = P.online_frame in
-  let summary () = Option.map layout_summary !(ctx.oc_state) in
+  let summary () = Option.map layout_view !(ctx.oc_state) in
   match req with
   | P.Ol_layout src -> (
     match src with
     | None -> (
       match !(ctx.oc_state) with
       | None -> diag_frame ~op:"layout" (rf703 "layout")
-      | Some st -> frame ~op:"layout" ~outcome:"ok" ~layout:(layout_summary st) ())
+      | Some st -> frame ~op:"layout" ~outcome:"ok" ~layout:(layout_view st) ())
     | Some src -> (
       match resolve_grid src with
       | Error msg -> frame ~op:"layout" ~outcome:"error" ~message:msg ()
@@ -225,129 +252,39 @@ let handle_online ctx ~resolve_grid (req : P.online_req) =
         match Device.Partition.columnar grid with
         | Error d -> diag_frame ~op:"layout" d
         | Ok part ->
-          let dev = Device.Grid.name grid in
-          ctx.oc_rejected := [];
-          set_layout ctx dev (Ol.Layout.create part);
+          set_state ctx (Device.Grid.name grid) (Ol.Workload.start part);
           frame ~op:"layout" ~outcome:"established"
             ?layout:(summary ()) ())))
   | P.Ol_remove name -> (
     match !(ctx.oc_state) with
     | None -> diag_frame ~op:"remove" ~name (rf703 "remove")
-    | Some (dev, l) -> (
-      match Ol.Layout.remove l name with
-      | Error d ->
-        if List.mem name !(ctx.oc_rejected) then begin
-          ctx.oc_rejected :=
-            List.filter (fun n -> n <> name) !(ctx.oc_rejected);
-          frame ~op:"remove" ~outcome:"skipped" ~name ?layout:(summary ()) ()
-        end
-        else diag_frame ~op:"remove" ~name d
-      | Ok l' ->
-        set_layout ctx dev l';
-        incr "rfloor_online_removes_total" "Online departures executed";
-        frame ~op:"remove" ~outcome:"removed" ~name ?layout:(summary ()) ()))
+    | Some cur ->
+      (* the policy bounds apply to arrivals only *)
+      apply_event ctx ~op:"remove" ~name ~defrag:true ~max_moves:3 cur
+        (Ol.Workload.Depart { d_name = name }))
   | P.Ol_defrag max_moves -> (
     match !(ctx.oc_state) with
     | None -> diag_frame ~op:"defrag" (rf703 "defrag")
-    | Some (dev, l) -> (
+    | Some (dev, st) -> (
       let max_moves = clamp_max_moves ctx ~op:"defrag" max_moves in
+      let l = st.Ol.Workload.st_layout in
       let schedule = Ol.Defrag.compact ~max_moves l in
       match Ol.Defrag.execute ~on_move:ctx.oc_on_move l schedule with
       | Error d -> diag_frame ~op:"defrag" d
       | Ok l' ->
-        set_layout ctx dev l';
-        incr "rfloor_online_defrags_total"
-          "Defragmentation episodes (planner or explicit compaction)";
-        R.Counter.add
-          (online_counter ctx "rfloor_online_moves_executed_total"
-             "Relocations executed through the bitstream filter")
-          (List.length schedule);
+        set_state ctx dev { st with Ol.Workload.st_layout = l' };
+        count_episode ctx;
+        count_moves ctx schedule;
         frame ~op:"defrag" ~outcome:"compacted"
           ~moves:(List.map move_triple schedule)
           ?layout:(summary ()) ()))
   | P.Ol_add { oa_name; oa_demand; oa_defrag; oa_max_moves } -> (
     match !(ctx.oc_state) with
     | None -> diag_frame ~op:"add" ~name:oa_name (rf703 "add")
-    | Some (dev, l) -> (
-      let admitted outcome ?moves l' rect =
-        set_layout ctx dev l';
-        incr "rfloor_online_adds_total" "Online arrivals placed";
-        frame ~op:"add" ~outcome ~name:oa_name ~rect ?moves
-          ?layout:(summary ()) ()
-      in
-      match Ol.Layout.place l oa_name oa_demand with
-      | Ok (l', rect) ->
-        incr "rfloor_online_admission_hits_total"
-          "Arrivals admitted into an existing free rectangle";
-        admitted "admitted" l' rect
-      | Error d when d.Diag.code <> "RF701" ->
-        diag_frame ~op:"add" ~name:oa_name d
-      | Error d when not oa_defrag ->
-        incr "rfloor_online_rejects_total" "Arrivals turned away";
-        ctx.oc_rejected := oa_name :: !(ctx.oc_rejected);
-        frame ~op:"add" ~outcome:"rejected" ~name:oa_name ~code:d.Diag.code
-          ~message:(Format.asprintf "%a" Diag.pp d)
-          ?layout:(summary ()) ()
-      | Error _ -> (
-        let max_moves = clamp_max_moves ctx ~op:"add" oa_max_moves in
-        match Ol.Defrag.plan ~max_moves l ~name:oa_name ~demand:oa_demand with
-        | Error d ->
-          incr "rfloor_online_rejects_total" "Arrivals turned away";
-          ctx.oc_rejected := oa_name :: !(ctx.oc_rejected);
-          frame ~op:"add" ~outcome:"rejected" ~name:oa_name ~code:d.Diag.code
-            ~message:(Format.asprintf "%a" Diag.pp d)
-            ?layout:(summary ()) ()
-        | Ok (Ol.Defrag.Admit rect) -> (
-          (* Layout.place above just failed, so this cannot happen on a
-             consistent layout; place anyway rather than crash *)
-          match Ol.Layout.place l oa_name oa_demand with
-          | Ok (l', _) -> admitted "admitted" l' rect
-          | Error d -> diag_frame ~op:"add" ~name:oa_name d)
-        | Ok (Ol.Defrag.Moves (schedule, _)) -> (
-          match Ol.Defrag.execute ~on_move:ctx.oc_on_move l schedule with
-          | Error d -> diag_frame ~op:"add" ~name:oa_name d
-          | Ok l' -> (
-            match Ol.Layout.place l' oa_name oa_demand with
-            | Error d -> diag_frame ~op:"add" ~name:oa_name d
-            | Ok (l'', rect) ->
-              incr "rfloor_online_defrags_total"
-                "Defragmentation episodes (planner or explicit compaction)";
-              R.Counter.add
-                (online_counter ctx "rfloor_online_moves_executed_total"
-                   "Relocations executed through the bitstream filter")
-                (List.length schedule);
-              admitted "defrag"
-                ~moves:(List.map move_triple schedule)
-                l'' rect))
-        | Ok (Ol.Defrag.Fallback assignment) -> (
-          let demands =
-            (oa_name, oa_demand)
-            :: List.map
-                 (fun (e : Ol.Layout.entry) ->
-                   (e.Ol.Layout.e_name, e.Ol.Layout.e_demand))
-                 (Ol.Layout.entries l)
-          in
-          let part = Ol.Layout.partition l in
-          match rebuild_from_assignment part ~demands assignment with
-          | Error d -> diag_frame ~op:"add" ~name:oa_name d
-          | Ok l' -> (
-            ctx.oc_warn
-              (Diag.diagf ~code:"RF704" Diag.Warning (Diag.Layout oa_name)
-                 "defragmentation fell back to a full re-placement solve; \
-                  the no-break guarantee is waived for this arrival");
-            incr "rfloor_online_defrags_total"
-              "Defragmentation episodes (planner or explicit compaction)";
-            match Ol.Layout.find l' oa_name with
-            | None ->
-              diag_frame ~op:"add" ~name:oa_name
-                (Diag.diagf ~code:"RF701" Diag.Error (Diag.Layout oa_name)
-                   "fallback re-placement lost the arriving module")
-            | Some e ->
-              set_layout ctx dev l';
-              incr "rfloor_online_adds_total" "Online arrivals placed";
-              frame ~op:"add" ~outcome:"fallback" ~name:oa_name ~code:"RF704"
-                ~rect:e.Ol.Layout.e_rect
-                ?layout:(summary ()) ())))))
+    | Some cur ->
+      let max_moves = clamp_max_moves ctx ~op:"add" oa_max_moves in
+      apply_event ctx ~op:"add" ~name:oa_name ~defrag:oa_defrag ~max_moves cur
+        (Ol.Workload.Arrive { a_name = oa_name; a_demand = oa_demand }))
 
 let run ?(workers = 1) ?(cache_capacity = 128)
     ?(metrics = Rfloor_metrics.Registry.null) ?(trace = Rfloor_trace.disabled)
@@ -365,7 +302,6 @@ let run ?(workers = 1) ?(cache_capacity = 128)
   let online_ctx =
     {
       oc_state = online_state;
-      oc_rejected = ref [];
       oc_warn = warn;
       oc_on_move =
         (fun (m : Ol.Defrag.move) ->

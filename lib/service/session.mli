@@ -17,9 +17,12 @@
     a progress frame never follows its job's result frame.
 
     Online floorplanning ops ([layout]/[add]/[remove]/[defrag]) carry
-    per-session {!Rfloor_online.Layout} state: they are handled
+    per-session {!Rfloor_online.Workload.state}: they are handled
     synchronously in the reader thread, so their [type:"online"]
-    responses keep submission order with solve results.  Relocations
+    responses keep submission order with solve results.  [add] and
+    [remove] apply {!Rfloor_online.Workload.step}, the step the
+    replayer folds, so a trace gets the same outcome per event through
+    either.  Relocations
     planned by the no-break defragmenter emit [move] trace events and
     the [rfloor_online_*] metrics family; an established layout's
     occupancy/fragmentation gauges also appear in the [/statusz]

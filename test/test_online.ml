@@ -140,7 +140,6 @@ let test_defrag_minimal_move () =
   let demand = [ (Resource.Clb, 4) ] in
   Alcotest.(check bool) "blocked" true (Layout.admission_rect l demand = None);
   match ok (Defrag.plan ~fallback:false l ~name:"c" ~demand) with
-  | Defrag.Admit _ -> Alcotest.fail "planner claims admissible"
   | Defrag.Fallback _ -> Alcotest.fail "planner fell back"
   | Defrag.Moves (schedule, rect) ->
     Alcotest.(check int) "one move" 1 (List.length schedule);
@@ -470,85 +469,218 @@ let test_churn_replay_pinned () =
 (* ------------------------------------------------------------------ *)
 (* rfloor-service/1 online frames, end to end through Session.run *)
 
-let test_service_online_roundtrip () =
-  let module J = Rfloor_json in
+(* Feeds [frames] to a Session.run on the builtin mini device and
+   returns the response lines in order. *)
+let session_lines ?(warn = fun (_ : Rfloor_diag.Diagnostic.t) -> ()) frames =
   let input = Filename.temp_file "rfloor_online" ".ndjson" in
   let output = Filename.temp_file "rfloor_online" ".out" in
   let oc = open_out input in
-  List.iter
-    (fun line -> output_string oc (line ^ "\n"))
-    [
-      (* before any layout: RF703 *)
-      {|{"op":"add","name":"early","demand":{"clb":2}}|};
-      {|{"op":"layout","device":"mini"}|};
-      {|{"op":"add","name":"a","demand":{"clb":4}}|};
-      (* duplicate: RF702 *)
-      {|{"op":"add","name":"a","demand":{"clb":4}}|};
-      (* out-of-range bound: clamped with an RF706 warning *)
-      {|{"op":"defrag","max_moves":99}|};
-      {|{"op":"remove","name":"a"}|};
-      (* unknown (and never rejected): RF702 *)
-      {|{"op":"remove","name":"a"}|};
-      {|{"op":"layout"}|};
-      {|{"op":"shutdown"}|};
-    ];
+  List.iter (fun line -> output_string oc (line ^ "\n")) frames;
   close_out oc;
-  let warns = ref [] in
   let ic = open_in input and out = open_out output in
-  Rfloor_service.Session.run
-    ~warn:(fun d -> warns := d.Rfloor_diag.Diagnostic.code :: !warns)
+  Rfloor_service.Session.run ~warn
     ~devices:(fun n -> if n = "mini" then Some Devices.mini else None)
     ~designs:(fun _ -> None)
     ic out;
   close_in ic;
   close_out out;
-  let lines =
-    let ic = open_in output in
-    let rec go acc =
-      match input_line ic with
-      | exception End_of_file ->
-        close_in ic;
-        List.rev acc
-      | l -> go (l :: acc)
-    in
-    go []
+  let ic = open_in output in
+  let rec go acc =
+    match input_line ic with
+    | exception End_of_file ->
+      close_in ic;
+      List.rev acc
+    | l -> go (l :: acc)
   in
+  let lines = go [] in
   Sys.remove input;
   Sys.remove output;
-  let field key line =
-    match J.parse line with
-    | Error e -> Alcotest.fail (Printf.sprintf "bad frame %s: %s" line e)
-    | Ok j -> (
-      match J.member key j with
-      | Some (J.Str s) -> s
-      | _ -> "")
+  lines
+
+let frame_json line =
+  match Rfloor_json.parse line with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "bad frame %s: %s" line e
+
+let frame_string key line =
+  match Rfloor_json.member key (frame_json line) with
+  | Some (Rfloor_json.Str s) -> s
+  | _ -> ""
+
+let test_service_online_roundtrip () =
+  let module J = Rfloor_json in
+  let warns = ref [] in
+  let lines =
+    session_lines
+      ~warn:(fun d -> warns := d.Rfloor_diag.Diagnostic.code :: !warns)
+      [
+        (* before any layout: RF703 *)
+        {|{"op":"add","name":"early","demand":{"clb":2}}|};
+        {|{"op":"layout","device":"mini"}|};
+        {|{"op":"add","name":"a","demand":{"clb":4}}|};
+        (* duplicate: RF702 *)
+        {|{"op":"add","name":"a","demand":{"clb":4}}|};
+        (* out-of-range bound: clamped with an RF706 warning *)
+        {|{"op":"defrag","max_moves":99}|};
+        {|{"op":"remove","name":"a"}|};
+        (* unknown (and never rejected): RF702 *)
+        {|{"op":"remove","name":"a"}|};
+        (* turned away, then admitted under the same name: once it has
+           departed, its name is unknown again (RF702), not skipped *)
+        {|{"op":"add","name":"a","demand":{"clb":500},"defrag":false}|};
+        {|{"op":"add","name":"a","demand":{"clb":2}}|};
+        {|{"op":"remove","name":"a"}|};
+        {|{"op":"remove","name":"a"}|};
+        {|{"op":"layout"}|};
+        {|{"op":"shutdown"}|};
+      ]
   in
-  let outcomes = List.map (field "outcome") lines in
+  let outcomes = List.map (frame_string "outcome") lines in
   Alcotest.(check (list string))
     "outcome sequence"
     [
       "error"; "established"; "admitted"; "error"; "compacted"; "removed";
-      "error"; "ok";
+      "error"; "rejected"; "admitted"; "removed"; "error"; "ok";
     ]
     outcomes;
-  let codes = List.map (field "code") lines in
+  let codes = List.map (frame_string "code") lines in
   Alcotest.(check string) "RF703 before layout" "RF703" (List.nth codes 0);
   Alcotest.(check string) "RF702 duplicate add" "RF702" (List.nth codes 3);
   Alcotest.(check string) "RF702 unknown remove" "RF702" (List.nth codes 6);
+  Alcotest.(check string) "RF702 remove after re-admission" "RF702"
+    (List.nth codes 10);
   Alcotest.(check bool) "RF706 clamp warned" true (List.mem "RF706" !warns);
   (* the final layout report is empty again *)
-  match J.parse (List.nth lines 7) with
-  | Error e -> Alcotest.fail e
-  | Ok j -> (
-    match J.member "layout" j with
-    | Some lay ->
-      Alcotest.(check bool)
-        "empty layout" true
-        (J.member "modules" lay = Some (J.Num 0.));
-      Alcotest.(check bool)
-        "zero occupancy" true
-        (J.member "occupancy" lay = Some (J.Num 0.))
-    | None -> Alcotest.fail "final layout frame lacks the layout summary")
+  match J.member "layout" (frame_json (List.nth lines 11)) with
+  | Some lay ->
+    Alcotest.(check bool)
+      "empty layout" true
+      (J.member "modules" lay = Some (J.Num 0.));
+    Alcotest.(check bool)
+      "zero occupancy" true
+      (J.member "occupancy" lay = Some (J.Num 0.))
+  | None -> Alcotest.fail "final layout frame lacks the layout summary"
+
+(* The service and the replayer on the same seeded mini trace: the same
+   outcome for every event (the service's "removed" is the replay's
+   "departed") and the same final (name, rect) list.  The frames show
+   no rectangle of a module a fallback re-placed, so the service's
+   layout is read back through the wire: one-tile probes fill the free
+   tiles, and a module's tiles are those the probes find free once it
+   has departed. *)
+let test_service_agrees_with_replay () =
+  let module J = Rfloor_json in
+  let part = Lazy.force mini_part in
+  let events = Workload.generate ~seed:(Generators.base_seed ()) ~events:100 part in
+  let kind k = String.lowercase_ascii (Resource.kind_to_string k) in
+  let add ?(defrag = true) name demand =
+    J.to_string
+      (J.Obj
+         ([ ("op", J.Str "add"); ("name", J.Str name);
+            ("demand",
+              J.Obj
+                (List.map (fun (k, n) -> (kind k, J.Num (float_of_int n))) demand)) ]
+         @ if defrag then [] else [ ("defrag", J.Bool false) ]))
+  in
+  let remove name =
+    J.to_string (J.Obj [ ("op", J.Str "remove"); ("name", J.Str name) ])
+  in
+  let event_frame = function
+    | Workload.Arrive { a_name; a_demand } -> add a_name a_demand
+    | Workload.Depart { d_name } -> remove d_name
+  in
+  (* replay side *)
+  let replayed = ref [] in
+  let stats =
+    Workload.replay
+      ~on_event:(fun _ _ word -> replayed := word :: !replayed)
+      part events
+  in
+  let replayed = List.rev !replayed in
+  let final =
+    List.map
+      (fun (e : Layout.entry) -> (e.Layout.e_name, Rect.to_string e.Layout.e_rect))
+      (Layout.entries stats.Workload.s_final)
+  in
+  (* service side: the trace, then a probe round after each departure
+     of the replay's final modules (and one before the first) *)
+  let probes r =
+    List.concat_map
+      (fun (k, n) ->
+        List.init n (fun i -> (Printf.sprintf "probe%d.%s.%d" r (kind k) i, k)))
+      (List.filter (fun (_, n) -> n > 0) (Grid.usable_tiles part.Partition.grid))
+  in
+  let round r =
+    let ps = probes r in
+    List.map (fun (p, k) -> add ~defrag:false p [ (k, 1) ]) ps
+    @ List.map (fun (p, _) -> remove p) ps
+  in
+  let frames =
+    ({|{"op":"layout","device":"mini"}|} :: List.map event_frame events)
+    @ round 0
+    @ List.concat
+        (List.mapi (fun i (name, _) -> remove name :: round (i + 1)) final)
+    @ [ {|{"op":"shutdown"}|} ]
+  in
+  let lines = Array.of_list (session_lines frames) in
+  let n = List.length events in
+  let served =
+    List.init n (fun i ->
+        match frame_string "outcome" lines.(i + 1) with
+        | "removed" -> "departed"
+        | w -> w)
+  in
+  let label i ev w = Format.asprintf "%d %a: %s" i Workload.pp_event ev w in
+  Alcotest.(check (list string))
+    "every event's outcome"
+    (List.mapi (fun i w -> label i (List.nth events i) w) replayed)
+    (List.mapi (fun i w -> label i (List.nth events i) w) served);
+  let seen w = List.mem w replayed in
+  if not ((seen "defrag" || seen "fallback") && seen "rejected" && seen "skipped")
+  then
+    Alcotest.failf "vacuous trace: no defrag or fallback, rejection or skip in %s"
+      (String.concat " " replayed);
+  (* the free tiles one probe round found, the round's reply lines
+     starting at [at] *)
+  let nprobes = List.length (probes 0) in
+  let free_tiles at =
+    List.concat
+      (List.init nprobes (fun i ->
+           match J.member "rect" (frame_json lines.(at + i)) with
+           | Some r ->
+             let get k =
+               match J.member k r with
+               | Some (J.Num f) -> int_of_float f
+               | _ -> Alcotest.failf "probe rect lacks %s" k
+             in
+             List.concat
+               (List.init (get "w") (fun dx ->
+                    List.init (get "h") (fun dy -> (get "x" + dx, get "y" + dy))))
+           | None -> []))
+  in
+  let round_len = 2 * nprobes in
+  let first = n + 1 in
+  let served_final =
+    List.mapi
+      (fun i (name, _) ->
+        let at = first + round_len + (i * (round_len + 1)) in
+        Alcotest.(check string) ("departure of " ^ name) "removed"
+          (frame_string "outcome" lines.(at));
+        let before = free_tiles (at - round_len) and after = free_tiles (at + 1) in
+        let tiles = List.filter (fun t -> not (List.mem t before)) after in
+        let xs = List.map fst tiles and ys = List.map snd tiles in
+        let lo l = List.fold_left min max_int l and hi l = List.fold_left max 0 l in
+        let rect =
+          Rect.make ~x:(lo xs) ~y:(lo ys) ~w:(hi xs - lo xs + 1) ~h:(hi ys - lo ys + 1)
+        in
+        if Rect.area rect <> List.length tiles then
+          Alcotest.failf "%s frees %d tiles, not a rectangle" name (List.length tiles);
+        (name, Rect.to_string rect))
+      final
+  in
+  Alcotest.(check (list (pair string string))) "final layout" final served_final;
+  Alcotest.(check int) "no module left" (Layout.usable_area (Layout.create part))
+    (List.length (free_tiles (first + (List.length final * (round_len + 1)))))
 
 let suites =
   [
@@ -579,5 +711,7 @@ let suites =
           test_churn_replay_pinned;
         Alcotest.test_case "service online round-trip" `Quick
           test_service_online_roundtrip;
+        Alcotest.test_case "service = replay, every event" `Quick
+          test_service_agrees_with_replay;
       ] );
   ]
